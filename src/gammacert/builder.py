@@ -20,7 +20,6 @@ certifiably below 1/2), recorded by the tail_halving_generic verdict.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple

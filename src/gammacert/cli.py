@@ -126,6 +126,9 @@ def config_from_sources(config_path: Optional[str],
     mode = values.get("mode", "all")
     if mode not in MODES:
         raise InputError(f"mode must be one of {', '.join(MODES)}")
+    toy = values.get("toy", False)
+    if not isinstance(toy, bool):
+        raise InputError("config key toy must be true or false")
     cfg = RunConfig(
         alpha=str(values.get("alpha", "sqrt2m1")),
         c1=rat("c1", None),
@@ -143,7 +146,7 @@ def config_from_sources(config_path: Optional[str],
         seed=integer("seed", 0),
         out=str(values.get("out", ".")),
         mode=str(mode),
-        toy=bool(values.get("toy", False)),
+        toy=toy,
     )
     if cfg.steps < 1:
         raise InputError("steps must be positive")
@@ -331,8 +334,8 @@ def _pow2_str(man: int, exp: int) -> str:
     return f"{sign}{lead:.3f}e{e:+d}"
 
 
-def cmd_report(cfg: RunConfig, state_path: str, cert_path: Optional[str]) -> int:
-    state_doc = load_document(state_path, "state")
+def _report_text(state_doc: dict, cert: Optional[dict]):
+    """Markdown lines and csv rows of a loaded state (and certificate)."""
     md: List[str] = ["# run report", ""]
     plan = state_doc["plan"]
     md.append(f"- alpha preset: {plan['alpha']}, C1 = {plan['c1']}")
@@ -354,14 +357,24 @@ def cmd_report(cfg: RunConfig, state_path: str, cert_path: Optional[str]) -> int
         csv_rows.append(f"{entry['i']},{entry['x_bits']},{delta},{xu}")
     md.append("")
 
-    if cert_path is not None:
-        cert = load_document(cert_path, "certificate")
+    if cert is not None:
         md.append("## verification summary")
         md.append("")
         for line in cert["summary"]["lines"]:
             md.append(f"- {line}")
         md.append(f"- overall: {cert['summary']['verdict']}")
         md.append("")
+    return md, csv_rows
+
+
+def cmd_report(cfg: RunConfig, state_path: str, cert_path: Optional[str]) -> int:
+    """Format a stored state (and certificate); nothing is rebuilt or replayed."""
+    state_doc = load_document(state_path, "state")
+    cert = load_document(cert_path, "certificate") if cert_path is not None else None
+    try:
+        md, csv_rows = _report_text(state_doc, cert)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed document, missing or mistyped field: {exc!r}") from None
 
     md_path = _outpath(cfg, "report.md")
     with open(md_path, "w", encoding="utf-8") as fh:

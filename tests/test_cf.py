@@ -1,9 +1,13 @@
 """Convergent table rows, locate_n, badly-approximable and gap certificates."""
 
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gammacert import (
@@ -17,7 +21,7 @@ from gammacert import (
     locate_n,
     sqrt_int,
 )
-from gammacert.cf import AlphaSpec, QF
+from gammacert.cf import AlphaSpec, QF, _SurdQuotients
 
 
 def table(name="sqrt2m1", c1=None):
@@ -84,6 +88,9 @@ def test_locate_n_exact():
     assert locate_n(10 ** 6, t) == 17
     pn, qn = t.pair(17)
     assert t.q[16] <= 10 ** 6 < qn
+    q30 = t.pair(30)[1]  # a hit on a fresh table, rational and enclosed
+    assert locate_n(q30, table()) == 31
+    assert locate_n(sqrt_int(q30 * q30), table()) == 31
 
 
 def test_locate_n_enclosed_and_errors():
@@ -149,3 +156,129 @@ def test_cross_identity_property(n):
     pn, qn = t.pair(n)
     pm, qm = t.pair(n + 1)
     assert qn * pm - pn * qm == (-1) ** (n + 1)
+
+
+# -- the row facts ConvergentTable derives from the surd state --------------
+
+
+def _exact_row_facts(t, n):
+    """Cross identity, sign and quality bracket of row n, by exact products in Q(sqrt d)."""
+    pn, qn = t.p[n], t.q[n]
+    pm, qm = t.p[n + 1], t.q[n + 1]
+    one = QF(F(1), F(0), t.alpha.d)
+    aeps = t.eps(n) * ((-1) ** (n + 1))
+    return (qn * pm - pn * qm == (-1) ** (n + 1)
+            and aeps.sign() == 1
+            and (aeps * qm - one).sign() < 0
+            and (aeps * (qm + qn) - one).sign() > 0)
+
+
+@pytest.mark.parametrize("name", ["sqrt2m1", "sqrt5m2"])
+def test_derived_row_facts_match_exact_oracle(name):
+    t = table(name)
+    t.extend_to(2001)
+    bad = [n for n in range(1, 2001) if not _exact_row_facts(t, n)]
+    assert bad == []
+
+
+def _qf_inverse(x):
+    den = x.p * x.p - x.q * x.q * x.d
+    return QF(x.p / den, -x.q / den, x.d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-30, 30), st.integers(1, 6), st.integers(-12, 12),
+       st.integers(2, 60))
+def test_surd_floor_matches_qf(a, b, c, d):
+    assume(c != 0 and math.isqrt(d) ** 2 != d)
+    spec = AlphaSpec("h", a, b, c, d, 4)
+    stream = _SurdQuotients(spec)
+    x = spec.qf()  # independent expansion: x -> 1/(x - floor x) in Q(sqrt d)
+    for _ in range(40):
+        state_floor = QF(F(stream.P, stream.Q), F(1, stream.Q), stream.D).floor()
+        ak = stream.next()
+        assert ak == state_floor == x.floor()
+        x = _qf_inverse(x - ak)
+
+
+def test_surd_rejects_square_radicand():
+    with pytest.raises(InputError):
+        _SurdQuotients(AlphaSpec("sq", 0, 1, 3, 4, 4))
+
+
+def test_corrupted_surd_state_fails():
+    t = table()
+    t.extend_to(5)
+    t._stream.Q = 2  # x = (1 + sqrt 2)/2 has 2 not dividing D - P'^2
+    with pytest.raises(CertificateFailure) as exc:
+        t.extend_to(6)
+    assert exc.value.clause == "cf_surd_divisibility"
+    t = table()
+    t.extend_to(5)
+    t._stream = _SurdQuotients(t.spec)  # back at alpha: partial quotient 0
+    with pytest.raises(CertificateFailure) as exc:
+        t.extend_to(6)
+    assert exc.value.clause == "cf_partial_quotient"
+
+
+def _linear_locate(name, le):
+    ref = table(name)
+    n = 2
+    while le(ref.pair(n)[1]):
+        n += 1
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sqrt2m1", "sqrt5m2"]), st.integers(0, 10 ** 40),
+       st.integers(1, 10 ** 6), st.integers(0, 120))
+def test_locate_n_matches_linear_scan_rational(name, k, den, pre):
+    T = 1 + F(k, den)
+    want = _linear_locate(name, lambda q: q <= T)
+    assert locate_n(T, table(name)) == want
+    grown = table(name)
+    grown.extend_to(pre)
+    assert locate_n(T, grown) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sqrt2m1", "sqrt5m2"]), st.integers(1, 10 ** 60),
+       st.integers(0, 120))
+def test_locate_n_matches_linear_scan_enclosed(name, m, pre):
+    want = _linear_locate(name, lambda q: q * q <= m)  # q <= sqrt(m)
+    assert locate_n(sqrt_int(m), table(name)) == want
+    grown = table(name)
+    grown.extend_to(pre)
+    assert locate_n(sqrt_int(m), grown) == want
+
+
+def test_locate_n_row_cap(monkeypatch):
+    monkeypatch.setattr("gammacert.cf._MAX_TABLE_ROWS", 30)
+    t = table()
+    assert locate_n(t.pair(29)[1] - 1, t) == 29
+    with pytest.raises(InputError):
+        locate_n(10 ** 100, t)  # needs about 263 rows
+    assert len(t) == 30
+
+
+def test_gap_certificate_survives_optimize():
+    code = (
+        "from gammacert import ALPHA_PRESETS, CertificateFailure, ConvergentTable, "
+        "convergent_gap_check\n"
+        "assert not __debug__\n"
+        "t = ConvergentTable(ALPHA_PRESETS['sqrt2m1'])\n"
+        "pn, qn = t.pair(6)\n"
+        "t.p[6] = pn + 2 * qn * qn  # same residues mod q_6, witness p* > q_6\n"
+        "try:\n"
+        "    convergent_gap_check(t, 6)\n"
+        "except CertificateFailure as exc:\n"
+        "    print(exc.clause)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    got = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == "gap_witness"

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from gammacert.cli import main
-from gammacert.serialize import load_document
+from gammacert.serialize import dump_document, load_document
 
 TOY_FLAGS = ["--alpha", "sqrt2m1", "--x0", "0,0,1", "--delta", "4/5",
              "--theta", "3/10", "--steps", "5", "--toy"]
@@ -121,3 +121,33 @@ def test_config_file_with_flag_override(tmp_path):
 def test_bad_mode_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["verify", "--mode", "everything", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("toy", ["false", 1, None])
+def test_toy_must_be_json_boolean(tmp_path, toy):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"delta": "4/5", "theta": "3/10", "toy": toy}))
+    assert main(["plan", "--config", str(cfgp), "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "plan.json").exists()
+
+
+def _set_huge_exponent(body):
+    body["series"][1]["delta_up"]["mid_exp"] = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("spoil, named", [
+    (lambda body: body.pop("series"), "series"),
+    (lambda body: body["plan"].pop("exponents"), "exponents"),
+    (lambda body: body.pop("plan"), "plan"),
+    (_set_huge_exponent, "too large"),
+])
+def test_report_malformed_state_exits_3(tmp_path, capsys, spoil, named):
+    path = tmp_path / "state.json"
+    assert run(["build"] + TOY_FLAGS, tmp_path) == 0
+    body = json.loads(path.read_text())["body"]
+    spoil(body)
+    dump_document(str(path), "state", body)  # correctly hashed, malformed
+    capsys.readouterr()
+    assert run(["report", "--state", str(path)], tmp_path) == 3
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "report.md").exists()
