@@ -9,8 +9,7 @@ enclosure with escalating precision.
 """
 
 from .balls import (BallReal, Cmp, DEFAULT_MAX_PREC, DEFAULT_PREC,
-                    ball_payload, cert_le, certified_compare, require_le,
-                    sqrt_int)
+                    ball_payload, cert_le, certified_compare, sqrt_int)
 from .builder import (ConstructionState, DirectionEnclosure, LedgerEntry,
                       build, enclose_u, enclose_vw, recertify, x_dot_u_lower)
 from .cf import (ALPHA_PRESETS, AlphaSpec, BadApproxReport, ConvergentTable,

@@ -23,6 +23,7 @@ from .errors import UndecidedError
 
 DEFAULT_PREC = 64
 DEFAULT_MAX_PREC = 1 << 16
+PAYLOAD_PREC = 192  # bits of every stored enclosure and serialized payload
 
 _CTX_CACHE: dict = {}
 
@@ -326,19 +327,7 @@ def cert_le(a: Number, b: Number, max_prec: int = DEFAULT_MAX_PREC) -> Tuple[Opt
             return (None, max(x.prec, y.prec))
 
 
-def require_le(a: Number, b: Number, what: str, max_prec: int = DEFAULT_MAX_PREC) -> int:
-    """cert_le that raises UndecidedError/AssertionError style failures."""
-    ok, prec = cert_le(a, b, max_prec)
-    if ok is None:
-        raise UndecidedError(what, prec)
-    if not ok:
-        from .errors import CertificateFailure
-
-        raise CertificateFailure(what, "inequality failed")
-    return prec
-
-
-def ball_payload(x: BallReal, prec: int = 192) -> dict:
+def ball_payload(x: BallReal, prec: int = PAYLOAD_PREC) -> dict:
     """Canonical dyadic mid/rad payload, from a fresh evaluation.
 
     Evaluating the handle fresh (not the intersected cache) makes the payload

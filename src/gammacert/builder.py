@@ -22,19 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .balls import BallReal, DEFAULT_MAX_PREC, cert_le, sqrt_int
+from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, sqrt_int
 from .cf import ALPHA_PRESETS, ConvergentTable
-from .errors import CertificateFailure, InputError, UndecidedError
+from .errors import CertificateFailure, InputError
 from .exact import (IVec3, cross, det3, dot, is_primitive_pair,
                     proj_dist_sq, smith_invariants_3x2)
 from .planner import Plan, Schedule, XScale
-from .stepper import StepCertificate, StepInput, StepOutput, Verdict, YSpec, recursive_step
+from .stepper import (StepCertificate, StepInput, StepOutput, Verdict, YSpec,
+                      certify, recursive_step)
 
 Rat = Fraction
-
-PAYLOAD_PREC = 192
 
 
 @dataclass(frozen=True)
@@ -114,16 +113,6 @@ class ConstructionState:
         return self.delta_tail_ball(j)
 
 
-def _certify(name: str, lhs: BallReal, rhs: BallReal, max_prec: int,
-             out: List[Verdict]) -> None:
-    ok, prec = cert_le(lhs, rhs, max_prec)
-    if ok is None:
-        raise UndecidedError(name, prec)
-    if not ok:
-        raise CertificateFailure(name, f"refuted at {prec} bits")
-    out.append(Verdict(name, True, prec))
-
-
 def _u_term_sq(state: ConstructionState, i: int) -> BallReal:
     """(2C1 / (delta0^2 X_{i-1} X_i^(gamma+1)))^2 as a ball, exact where possible."""
     c1 = state.plan.c1
@@ -132,85 +121,92 @@ def _u_term_sq(state: ConstructionState, i: int) -> BallReal:
     return BallReal.wrap(num) / (BallReal.wrap(state.scale(i).sq) ** (BallReal.golden() + 1))
 
 
+def _base_verdicts(state: ConstructionState, max_prec: int) -> List[Verdict]:
+    """Certificates on the start pair (x0, x1) and on the unbuilt tail."""
+    x0, x1 = state.xs[0], state.xs[1]
+    if proj_dist_sq(x0, x1) != 4 * state.plan.delta0_sq:
+        raise CertificateFailure("base_delta0_identity",
+                                 "dist^2(x0,x1) != 4*delta0_sq")
+    if not is_primitive_pair(x0, x1):
+        raise CertificateFailure("base_primitive_pair", "(x0, x1) not primitive")
+    verdicts = [Verdict("base_delta0_identity", True),
+                Verdict("base_primitive_pair", True),
+                # dist(x0, x1) >= delta0: exact on squares (4 d0sq >= d0sq)
+                Verdict("base_dist_floor", True)]
+    certify("tail_halving_generic", 2, state.scale(1).pow_gamma_plus(0),
+            max_prec, verdicts)
+    return verdicts
+
+
+def _ledger_entry(state: ConstructionState, i: int, prev_delta: BallReal,
+                  max_prec: int) -> Tuple[LedgerEntry, BallReal]:
+    """Certify the ledger of step i from the stored vectors; returns the
+    entry and delta_i.  prev_delta is delta_{i-1}, or delta0 at i = 1."""
+    x_star, x, x_next = state.xs[i - 1], state.xs[i], state.xs[i + 1]
+    verdicts: List[Verdict] = []
+
+    # exact triple-cross identity: (u_i) x (u_{i+1}) = q_n * x_i
+    u_i = cross(x_star, x)
+    u_next = cross(x, x_next)
+    _, qn = state.table.pair(state.step_outputs[i - 1].n)
+    if cross(u_i, u_next) != qn * x:
+        raise CertificateFailure(f"triple_cross_i{i}", "identity violated")
+    verdicts.append(Verdict(f"triple_cross_i{i}", True))
+
+    # exact lattice-intersection witness: span(x_{i-1},x_i) meets
+    # span(x_i,x_{i+1}) in exactly Z x_i
+    if smith_invariants_3x2(x_star, x) != (1, 1):
+        raise CertificateFailure(f"intersection_i{i}", "left pair not primitive")
+    if smith_invariants_3x2(x, x_next) != (1, 1):
+        raise CertificateFailure(f"intersection_i{i}", "right pair not primitive")
+    if det3(x_star, x, x_next) == 0:
+        raise CertificateFailure(f"intersection_i{i}", "planes coincide")
+    verdicts.append(Verdict(f"intersection_i{i}", True))
+
+    d0_ball = state.delta0_ball()
+    delta_i = state.delta_ball(i)
+    certify(f"halving_i{i}", delta_i, prev_delta / 2, max_prec, verdicts)
+    near = BallReal.wrap(proj_dist_sq(x_star, x_next)).sqrt()
+    certify(f"near_i{i}", near, delta_i, max_prec, verdicts)
+    sep = BallReal.wrap(proj_dist_sq(x, x_next)).sqrt()
+    certify(f"sep_i{i}", d0_ball + delta_i, sep, max_prec, verdicts)
+    if i >= 2:
+        cur = BallReal.wrap(proj_dist_sq(x_star, x)).sqrt()
+        certify(f"dist_floor_i{i}", d0_ball, cur, max_prec, verdicts)
+
+    du_sq = proj_dist_sq(u_i, u_next)
+    certify(f"u_step_i{i}", BallReal.wrap(du_sq), _u_term_sq(state, i),
+            max_prec, verdicts)
+    if i >= 2:
+        lhs = state.scale(i - 2).ball() * state.scale(i - 1).pow_gamma_plus(1) * 2
+        rhs = state.scale(i - 1).ball() * state.scale(i).pow_gamma_plus(1)
+        certify(f"u_ratio_i{i}", lhs, rhs, max_prec, verdicts)
+
+    entry = LedgerEntry(index=i, delta_ub=delta_i.refined_to(PAYLOAD_PREC).hi,
+                        verdicts=tuple(verdicts))
+    return entry, delta_i
+
+
 def build(plan: Plan, schedule: Schedule,
           max_prec: int = DEFAULT_MAX_PREC) -> ConstructionState:
     """Run all n_steps recursive steps and certify the full ledger."""
-    spec = ALPHA_PRESETS[plan.alpha]
-    table = ConvergentTable(spec, plan.c1)
+    table = ConvergentTable(ALPHA_PRESETS[plan.alpha], plan.c1)
     state = ConstructionState(plan=plan, schedule=schedule, xs=[plan.x0, plan.x1],
                               ys=[], step_outputs=[], step_certs=[], ledger=[],
                               base_verdicts=[], table=table)
-    if proj_dist_sq(plan.x0, plan.x1) != 4 * plan.delta0_sq:
-        raise CertificateFailure("base_delta0_identity",
-                                 "dist^2(x0,x1) != 4*delta0_sq")
-    state.base_verdicts.append(Verdict("base_delta0_identity", True))
-    if not is_primitive_pair(plan.x0, plan.x1):
-        raise CertificateFailure("base_primitive_pair", "(x0, x1) not primitive")
-    state.base_verdicts.append(Verdict("base_primitive_pair", True))
-    # dist(x0, x1) >= delta0: exact on squares (4 d0sq >= d0sq)
-    state.base_verdicts.append(Verdict("base_dist_floor", True))
-
-    ok, prec = cert_le(2, state.scale(1).pow_gamma_plus(0), max_prec)
-    if ok is not True:
-        raise CertificateFailure("tail_halving_generic", "X_1^gamma < 2")
-    state.base_verdicts.append(Verdict("tail_halving_generic", True, prec))
-
-    d0_ball = state.delta0_ball()
-    prev_delta: Optional[BallReal] = None
+    state.base_verdicts = _base_verdicts(state, max_prec)
+    delta = state.delta0_ball()
     for i in range(1, plan.n_steps + 1):
-        x_star, x = state.xs[i - 1], state.xs[i]
-        y_spec = YSpec.of_power(state.scale(i).sq)
-        x_prime_target = state.scale(i + 1).value_int
         out, cert = recursive_step(StepInput(
-            x_star=x_star, x=x, Y_spec=y_spec, X_prime=x_prime_target,
-            table=table, max_prec=max_prec))
+            x_star=state.xs[i - 1], x=state.xs[i],
+            Y_spec=YSpec.of_power(state.scale(i).sq),
+            X_prime=state.scale(i + 1).value_int, table=table, max_prec=max_prec))
         state.xs.append(out.x_prime)
         state.ys.append(out.y)
         state.step_outputs.append(out)
         state.step_certs.append(cert)
-        verdicts: List[Verdict] = []
-
-        # exact triple-cross identity: (u_i) x (u_{i+1}) = q_n * x_i
-        u_i = cross(x_star, x)
-        u_next = cross(x, out.x_prime)
-        _, qn = table.pair(out.n)
-        if cross(u_i, u_next) != qn * x:
-            raise CertificateFailure(f"triple_cross_i{i}", "identity violated")
-        verdicts.append(Verdict(f"triple_cross_i{i}", True))
-
-        # exact lattice-intersection witness: span(x_{i-1},x_i) meets
-        # span(x_i,x_{i+1}) in exactly Z x_i
-        if smith_invariants_3x2(x_star, x) != (1, 1):
-            raise CertificateFailure(f"intersection_i{i}", "left pair not primitive")
-        if smith_invariants_3x2(x, out.x_prime) != (1, 1):
-            raise CertificateFailure(f"intersection_i{i}", "right pair not primitive")
-        if det3(x_star, x, out.x_prime) == 0:
-            raise CertificateFailure(f"intersection_i{i}", "planes coincide")
-        verdicts.append(Verdict(f"intersection_i{i}", True))
-
-        delta_i = state.delta_ball(i)
-        half_prev = (d0_ball if i == 1 else prev_delta) / 2
-        _certify(f"halving_i{i}", delta_i, half_prev, max_prec, verdicts)
-        near = BallReal.wrap(proj_dist_sq(x_star, out.x_prime)).sqrt()
-        _certify(f"near_i{i}", near, delta_i, max_prec, verdicts)
-        sep = BallReal.wrap(proj_dist_sq(x, out.x_prime)).sqrt()
-        _certify(f"sep_i{i}", d0_ball + delta_i, sep, max_prec, verdicts)
-        if i >= 2:
-            cur = BallReal.wrap(proj_dist_sq(x_star, x)).sqrt()
-            _certify(f"dist_floor_i{i}", d0_ball, cur, max_prec, verdicts)
-
-        du_sq = proj_dist_sq(u_i, u_next)
-        _certify(f"u_step_i{i}", BallReal.wrap(du_sq), _u_term_sq(state, i),
-                 max_prec, verdicts)
-        if i >= 2:
-            lhs = state.scale(i - 2).ball() * state.scale(i - 1).pow_gamma_plus(1) * 2
-            rhs = state.scale(i - 1).ball() * state.scale(i).pow_gamma_plus(1)
-            _certify(f"u_ratio_i{i}", lhs, rhs, max_prec, verdicts)
-
-        delta_ub = delta_i.refined_to(PAYLOAD_PREC).hi
-        state.ledger.append(LedgerEntry(index=i, delta_ub=delta_ub,
-                                        verdicts=tuple(verdicts)))
-        prev_delta = delta_i
+        entry, delta = _ledger_entry(state, i, delta, max_prec)
+        state.ledger.append(entry)
     return state
 
 
@@ -258,33 +254,19 @@ def x_dot_u_lower(x: IVec3, enc: DirectionEnclosure) -> BallReal:
 
 
 def recertify(state: ConstructionState, max_prec: int = DEFAULT_MAX_PREC) -> List[Verdict]:
-    """Re-run every ledger certificate from the stored vectors.
+    """Re-run every base and ledger certificate from the stored vectors.
 
-    Returns the verdict list; raises on any regression, so a reloaded
-    certificate reproduces identical verdicts or fails loudly.
+    Returns the base verdicts followed by the ledger verdicts, as build
+    recorded them; raises on any regression, and raises ledger_record_i{i}
+    when a recomputed ledger entry differs from the stored one, so a
+    reloaded certificate reproduces identical verdicts or fails loudly.
     """
-    verdicts: List[Verdict] = []
-    plan = state.plan
-    if proj_dist_sq(plan.x0, plan.x1) != 4 * plan.delta0_sq:
-        raise CertificateFailure("base_delta0_identity", "recheck failed")
-    verdicts.append(Verdict("base_delta0_identity", True))
-    d0_ball = state.delta0_ball()
-    prev_delta: Optional[BallReal] = None
-    for i in range(1, plan.n_steps + 1):
-        x_star, x, x_next = state.xs[i - 1], state.xs[i], state.xs[i + 1]
-        u_i, u_next = cross(x_star, x), cross(x, x_next)
-        _, qn = state.table.pair(state.step_outputs[i - 1].n)
-        if cross(u_i, u_next) != qn * x:
-            raise CertificateFailure(f"triple_cross_i{i}", "recheck failed")
-        verdicts.append(Verdict(f"triple_cross_i{i}", True))
-        delta_i = state.delta_ball(i)
-        half_prev = (d0_ball if i == 1 else prev_delta) / 2
-        _certify(f"halving_i{i}", delta_i, half_prev, max_prec, verdicts)
-        near = BallReal.wrap(proj_dist_sq(x_star, x_next)).sqrt()
-        _certify(f"near_i{i}", near, delta_i, max_prec, verdicts)
-        sep = BallReal.wrap(proj_dist_sq(x, x_next)).sqrt()
-        _certify(f"sep_i{i}", d0_ball + delta_i, sep, max_prec, verdicts)
-        _certify(f"u_step_i{i}", BallReal.wrap(proj_dist_sq(u_i, u_next)),
-                 _u_term_sq(state, i), max_prec, verdicts)
-        prev_delta = delta_i
+    verdicts = _base_verdicts(state, max_prec)
+    delta = state.delta0_ball()
+    for i in range(1, state.n_steps + 1):
+        entry, delta = _ledger_entry(state, i, delta, max_prec)
+        if entry != state.ledger[i - 1]:
+            raise CertificateFailure(f"ledger_record_i{i}",
+                                     "differs from the stored ledger entry")
+        verdicts.extend(entry.verdicts)
     return verdicts

@@ -120,6 +120,12 @@ def config_from_sources(config_path: Optional[str],
             raise InputError(f"config key {name} must be an integer")
         return v
 
+    def string(name, default):
+        v = values.get(name, default)
+        if not isinstance(v, str):
+            raise InputError(f"config key {name} must be a string")
+        return v
+
     x0 = values.get("x0", "0,0,1")
     if isinstance(x0, (list, tuple)):
         x0 = ",".join(str(c) for c in x0)
@@ -130,7 +136,7 @@ def config_from_sources(config_path: Optional[str],
     if not isinstance(toy, bool):
         raise InputError("config key toy must be true or false")
     cfg = RunConfig(
-        alpha=str(values.get("alpha", "sqrt2m1")),
+        alpha=string("alpha", "sqrt2m1"),
         c1=rat("c1", None),
         delta=rat("delta", Fraction(1, 2)),
         x0=_parse_vec(str(x0)),
@@ -144,7 +150,7 @@ def config_from_sources(config_path: Optional[str],
         max_prec=integer("max_prec", DEFAULT_MAX_PREC),
         threads=integer("threads", 1),
         seed=integer("seed", 0),
-        out=str(values.get("out", ".")),
+        out=string("out", "."),
         mode=str(mode),
         toy=toy,
     )

@@ -15,14 +15,14 @@ exactly representable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .balls import BallReal, Cmp, DEFAULT_MAX_PREC, cert_le, certified_compare, sqrt_int
-from .cf import ALPHA_PRESETS, AlphaSpec, ConvergentTable
+from .balls import BallReal, DEFAULT_MAX_PREC, cert_le, sqrt_int
+from .cf import ALPHA_PRESETS
 from .errors import CertificateFailure, InputError, UndecidedError
-from .exact import (IVec3, complete_single, complete_to_basis, cross,
+from .exact import (IVec3, complete_single, complete_to_basis,
                     is_primitive_pair, is_primitive_point, proj_dist_sq)
 
 Rat = Fraction
@@ -178,8 +178,7 @@ def _conditions_hold(x0: IVec3, x0_comp: IVec3, z: IVec3, n: int, delta: Rat,
 
 
 def choose_multiplier(x0: IVec3, x0_comp: IVec3, delta: Rat, c1: Rat,
-                      theta: Optional[Rat], table: ConvergentTable,
-                      toy: bool = False,
+                      theta: Optional[Rat], toy: bool = False,
                       max_prec: int = DEFAULT_MAX_PREC) -> Tuple[int, IVec3, Rat]:
     """Smallest multiplier n >= 1 passing all entry conditions.
 
@@ -236,10 +235,9 @@ def make_plan(alpha: str, x0: IVec3, delta: Rat, psi: PsiSpec, n_steps: int,
         raise InputError("need at least one step")
     if not is_primitive_point(x0):
         raise InputError("x0 must be primitive")
-    table = ConvergentTable(spec, c1v)
     comp = choose_companion(x0, delta)
-    mult, x1, d0sq = choose_multiplier(x0, comp, delta, c1v, theta, table,
-                                       toy=toy, max_prec=max_prec)
+    mult, x1, d0sq = choose_multiplier(x0, comp, delta, c1v, theta, toy=toy,
+                                       max_prec=max_prec)
     return Plan(alpha=alpha, c1=c1v, x0=x0, x0_companion=comp, multiplier=mult,
                 x1=x1, delta=delta, delta0_sq=d0sq, theta=theta, psi=psi,
                 n_steps=n_steps, toy=toy)

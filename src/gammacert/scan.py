@@ -29,13 +29,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .balls import BallReal, DEFAULT_MAX_PREC, sqrt_int
+from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, sqrt_int
 from .builder import ConstructionState, enclose_u, enclose_vw, x_dot_u_lower
 from .errors import InputError, UndecidedError
 from .exact import IVec3, dot
 from .planner import PsiSpec
-from .verifier import PAYLOAD_PREC, _anchor_order, _certify_at_least, \
-    dist_vw_upper, starred_ledger_audit
+from .verifier import (_anchor_order, _certify_at_least, dist_vw_upper,
+                       starred_ledger_audit)
 
 Rat = Fraction
 

@@ -18,11 +18,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .balls import BallReal, ball_payload, sqrt_int
 from .builder import ConstructionState, enclose_u
-from .cf import ALPHA_PRESETS, ConvergentTable
+from .cf import ALPHA_PRESETS
 from .errors import InputError
 from .exact import IVec3
 from .planner import Plan, PsiSpec, Schedule
-from .stepper import Verdict
 
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)

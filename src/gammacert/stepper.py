@@ -92,6 +92,20 @@ class Verdict:
     prec: int = 0  # 0 for exact checks
 
 
+def certify(name: str, lhs, rhs, max_prec: int, verdicts: List[Verdict]) -> None:
+    """Certify lhs <= rhs and append its verdict.
+
+    Raises UndecidedError if cert_le stays undecided up to max_prec, and
+    CertificateFailure if the inequality is refuted.
+    """
+    ok, prec = cert_le(lhs, rhs, max_prec)
+    if ok is None:
+        raise UndecidedError(name, prec)
+    if not ok:
+        raise CertificateFailure(name, f"refuted at {prec} bits")
+    verdicts.append(Verdict(name, True, prec))
+
+
 @dataclass(frozen=True)
 class StepCertificate:
     det_basis: int  # det3(x*, x, y), must be 1
@@ -145,16 +159,6 @@ def _nearest_int(v: Rat) -> int:
     return f if abs(f) < abs(f + 1) else f + 1
 
 
-def _cert(name: str, lhs, rhs, max_prec: int, verdicts: List[Verdict]) -> None:
-    """Certify lhs <= rhs, recording the verdict; raise on failure."""
-    ok, prec = cert_le(lhs, rhs, max_prec)
-    if ok is None:
-        raise UndecidedError(name, prec)
-    if not ok:
-        raise CertificateFailure(name, f"certified {prec=}")
-    verdicts.append(Verdict(name, True, prec))
-
-
 def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     x_star, x = inp.x_star, inp.x
     if not is_primitive_pair(x_star, x):
@@ -172,8 +176,8 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     Xp = inp.X_prime
 
     # hypothesis: 2(|x*| + |x|) <= Y <= X'
-    _cert("hyp_norms_le_Y", 2 * (nx_star + nx), Y, max_prec, verdicts)
-    _cert("hyp_Y_le_Xprime", Y, Xp, max_prec, verdicts)
+    certify("hyp_norms_le_Y", 2 * (nx_star + nx), Y, max_prec, verdicts)
+    certify("hyp_Y_le_Xprime", Y, Xp, max_prec, verdicts)
 
     # (1) basis completion, oriented so det3(x*, x, y0) = +1
     y0 = complete_to_basis(x_star, x)
@@ -236,8 +240,8 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
         raise CertificateFailure("det_pn", f"{d3} != {-pn}")
 
     ny_sq = y.norm_sq()
-    _cert("y_norm_lower", Y_sq, ny_sq, max_prec, verdicts)
-    _cert("y_norm_upper", ny_sq, 4 * Y_sq, max_prec, verdicts)
+    certify("y_norm_lower", Y_sq, ny_sq, max_prec, verdicts)
+    certify("y_norm_upper", ny_sq, 4 * Y_sq, max_prec, verdicts)
 
     nxp_sq = x_prime.norm_sq()
     if not Fraction(Xp * Xp) <= nxp_sq:
@@ -252,13 +256,13 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     h = sqrt_int(h_sq)
     lhs3 = BallReal.wrap(proj_dist_sq(x_star, x_prime)).sqrt()
     rhs3 = nx / (2 * Xp) + BallReal.wrap(2 * c1) / (Y * h)
-    _cert("part3_dist_bound", lhs3, rhs3, max_prec, verdicts)
+    certify("part3_dist_bound", lhs3, rhs3, max_prec, verdicts)
 
     # part 4: dist(u, u') H H' = q_n |x| exactly, and q_n Y <= 2 C1 |x'|
     w = cross(u_rep, cross(x, x_prime))
     if w.norm_sq() != qn * qn * x.norm_sq():
         raise CertificateFailure("part4_identity", "triple cross norm mismatch")
-    _cert("part4_dist_bound", qn * qn * Y_sq, 4 * c1 * c1 * nxp_sq, max_prec, verdicts)
+    certify("part4_dist_bound", qn * qn * Y_sq, 4 * c1 * c1 * nxp_sq, max_prec, verdicts)
 
     if not is_primitive_pair(x, x_prime):
         raise CertificateFailure("output_pair_primitive", "cross content != 1")

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .balls import BallReal, DEFAULT_MAX_PREC, cert_le, sqrt_int
+from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, cert_le, sqrt_int
 from .builder import (ConstructionState, DirectionEnclosure, enclose_u,
                       enclose_vw, x_dot_u_lower)
 from .cf import ALPHA_PRESETS, ConvergentTable, convergent_gap_check
@@ -37,8 +37,6 @@ from .exact import (IVec3, complete_to_basis, cross, det3, dot,
 from .stepper import Verdict
 
 Rat = Fraction
-
-PAYLOAD_PREC = 192
 
 
 def c2_of(plan) -> Rat:

@@ -2,13 +2,11 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gammacert.balls import (BallReal, Cmp, ball_payload, cert_le,
-                             certified_compare, require_le, sqrt_int)
-from gammacert.errors import CertificateFailure
+                             certified_compare, sqrt_int)
 
 F = Fraction
 
@@ -74,11 +72,6 @@ def test_certified_compare():
     assert certified_compare(sqrt_int(5), F(2)) is Cmp.GREATER
     assert certified_compare(sqrt_int(2) + sqrt_int(2), sqrt_int(8),
                              max_prec=256) is Cmp.UNDECIDED
-
-
-def test_require_le_raises():
-    with pytest.raises(CertificateFailure):
-        require_le(F(2), sqrt_int(2), "must fail")
 
 
 def test_ball_payload_roundtrip():

@@ -131,6 +131,24 @@ def test_toy_must_be_json_boolean(tmp_path, toy):
     assert not (tmp_path / "plan.json").exists()
 
 
+@pytest.mark.parametrize("out", [None, 5])
+def test_out_must_be_json_string(tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"delta": "4/5", "theta": "3/10", "toy": True,
+                                "out": out}))
+    assert main(["plan", "--config", str(cfgp)]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_alpha_must_be_json_string(tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"delta": "4/5", "theta": "3/10", "toy": True,
+                                "alpha": 5}))
+    assert main(["plan", "--config", str(cfgp), "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "plan.json").exists()
+
+
 def _set_huge_exponent(body):
     body["series"][1]["delta_up"]["mid_exp"] = "1" + "0" * 400
 

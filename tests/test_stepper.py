@@ -6,11 +6,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from gammacert import ALPHA_PRESETS, CertificateFailure, ConvergentTable, InputError
+from gammacert import (ALPHA_PRESETS, CertificateFailure, ConvergentTable,
+                       InputError, UndecidedError, sqrt_int)
 from gammacert.exact import IVec3, cross
 from gammacert.stepper import (
     StepInput,
+    Verdict,
     YSpec,
+    certify,
     decompose_in_basis,
     recursive_step,
     unit_normal_sq,
@@ -21,6 +24,20 @@ E1, E2 = IVec3(1, 0, 0), IVec3(0, 1, 0)
 
 def table():
     return ConvergentTable(ALPHA_PRESETS["sqrt2m1"])
+
+
+def test_certify_outcomes():
+    verdicts = []
+    certify("holds", sqrt_int(2), sqrt_int(3), 256, verdicts)
+    assert verdicts == [Verdict("holds", True, 64)]
+    with pytest.raises(CertificateFailure, match="refuted"):
+        certify("too_big", F(2), sqrt_int(2), 256, verdicts)
+    close = sqrt_int(2) + F(1, 2 ** 200)
+    with pytest.raises(UndecidedError):
+        certify("tight", sqrt_int(2), close, 64, verdicts)
+    assert verdicts == [Verdict("holds", True, 64)]
+    certify("tight", sqrt_int(2), close, 512, verdicts)
+    assert verdicts[-1].name == "tight" and verdicts[-1].prec == 256
 
 
 def test_hand_fixture():
