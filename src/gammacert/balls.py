@@ -13,11 +13,12 @@ enclosure is sound by construction.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from typing import Callable, Optional, Tuple, Union
 
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import from_int, from_rational
+from mpmath.libmp import MPZ, fzero, mpf_div, mpf_pos
 
 from .errors import UndecidedError
 
@@ -51,15 +52,35 @@ def _mpf_tuple_to_fraction(t) -> Fraction:
     return -val if sign else val
 
 
+def _exact_mpf(n: int, exp: int = 0):
+    """Exact normalized mpf of n * 2**exp.
+
+    Trailing zero bits are stripped with one shift; mpmath's normaliser
+    strips them 8 bits per shift, which is quadratic in the bit length.
+    """
+    if n == 0:
+        return fzero
+    sign = 1 if n < 0 else 0
+    man = -n if sign else n
+    tz = (man & -man).bit_length() - 1
+    man >>= tz
+    return (sign, MPZ(man), exp + tz, man.bit_length())
+
+
 def _iv_from_fraction(ctx: MPIntervalContext, fr: Fraction):
+    """Endpoints of fr rounded toward -inf and +inf, bit-identical to
+    mpmath's from_int/from_rational with modes "f"/"c"; a power-of-two
+    denominator folds into the exponent, so dyadics need no division."""
     p, q = fr.numerator, fr.denominator
     prec = ctx.prec
-    if q == 1:
-        lo = from_int(p, prec, "d")
-        hi = from_int(p, prec, "u")
+    if q & (q - 1) == 0:
+        x = _exact_mpf(p, 1 - q.bit_length())
+        lo = mpf_pos(x, prec, "f")
+        hi = mpf_pos(x, prec, "c")
     else:
-        lo = from_rational(p, q, prec, "d")
-        hi = from_rational(p, q, prec, "u")
+        x, y = _exact_mpf(p), _exact_mpf(q)
+        lo = mpf_div(x, y, prec, "f")
+        hi = mpf_div(x, y, prec, "c")
     return ctx.make_mpf((lo, hi))
 
 
@@ -256,15 +277,33 @@ class BallReal:
         return BallReal(lambda ctx: ctx.log(f(ctx)) / ctx.log(_iv_from_fraction(ctx, Fraction(2))))
 
 
+# squares modulo 64, 63, 65 and 11; a non-square is rejected by one of them
+# with probability about 0.995, before any isqrt of the full integer
+_SQUARE_MODULI = (64, 63, 65, 11)
+_SQUARE_TABLES = tuple(frozenset(k * k % m for k in range(m)) for m in _SQUARE_MODULI)
+_SQUARE_MODULUS = math.prod(_SQUARE_MODULI)
+
+
+def _isqrt_exact(n: int) -> Optional[int]:
+    """The integer square root of n >= 0 if n is a perfect square, else None."""
+    r = n % _SQUARE_MODULUS
+    for m, squares in zip(_SQUARE_MODULI, _SQUARE_TABLES):
+        if r % m not in squares:
+            return None
+    root = math.isqrt(n)
+    return root if root * root == n else None
+
+
 def _exact_sqrt(fr: Fraction) -> Optional[Fraction]:
     if fr < 0:
         raise ValueError("sqrt of negative")
-    import math
-
-    pn, pd = math.isqrt(fr.numerator), math.isqrt(fr.denominator)
-    if pn * pn == fr.numerator and pd * pd == fr.denominator:
-        return Fraction(pn, pd)
-    return None
+    pn = _isqrt_exact(fr.numerator)
+    if pn is None:
+        return None
+    pd = _isqrt_exact(fr.denominator)
+    if pd is None:
+        return None
+    return Fraction(pn, pd)
 
 
 def sqrt_int(n: int) -> BallReal:
@@ -357,7 +396,8 @@ def ball_payload(x: BallReal, prec: int = PAYLOAD_PREC) -> dict:
 
 def _dyadic_man(fr: Fraction) -> int:
     d = fr.denominator
-    assert d & (d - 1) == 0, "not dyadic"
+    if d & (d - 1):
+        raise ValueError(f"payload value {fr} is not dyadic")
     return fr.numerator
 
 

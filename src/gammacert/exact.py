@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
+from .errors import CertificateFailure
+
 
 @dataclass(frozen=True)
 class IVec3:
@@ -203,7 +205,8 @@ def complete_to_basis(a: IVec3, b: IVec3) -> IVec3:
             if best is None or key < best[0]:
                 best = (key, cand)
     z = best[1]
-    assert det3(a, b, z) == 1
+    if det3(a, b, z) != 1:
+        raise CertificateFailure("basis_det", f"det3(a, b, z) = {det3(a, b, z)}")
     return z
 
 

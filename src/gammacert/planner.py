@@ -124,7 +124,8 @@ def choose_companion(x0: IVec3, delta: Rat) -> IVec3:
     while True:
         cand = base + m * x0
         if proj_dist_sq(x0, cand) <= bound:
-            assert is_primitive_pair(x0, cand)
+            if not is_primitive_pair(x0, cand):
+                raise CertificateFailure("companion_primitive", f"m={m}")
             return cand
         m += 1
 
@@ -216,7 +217,8 @@ def choose_multiplier(x0: IVec3, x0_comp: IVec3, delta: Rat, c1: Rat,
     while hi > 1 and ok(hi - 1):  # guard against non-monotone pockets
         hi -= 1
     good, x1, d0sq = probe(hi)
-    assert good
+    if not good:
+        raise CertificateFailure("multiplier_admissible", f"multiplier {hi}")
     return hi, x1, d0sq
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, sqrt_int
 from .builder import ConstructionState, enclose_u, enclose_vw, x_dot_u_lower
-from .errors import InputError, UndecidedError
+from .errors import CertificateFailure, InputError, UndecidedError
 from .exact import IVec3, dot
 from .planner import PsiSpec
 from .verifier import (_anchor_order, _certify_at_least, dist_vw_upper,
@@ -252,7 +252,8 @@ def slab_scan_iv(state: ConstructionState, b, psi: Optional[PsiSpec] = None,
     for coords in failing:
         x = IVec3(*coords)
         nsq = Fraction(x.norm_sq())
-        assert lo_sq <= nsq <= hi_sq
+        if not lo_sq <= nsq <= hi_sq:
+            raise CertificateFailure("slab_membership", f"{coords} outside the slab")
         nx = BallReal.wrap(nsq).sqrt()
         rhs = dist_vw_upper(x, venc, wenc) / (psi.at(nx) * nx.pow(gamma))
         ok, _, prec = _certify_at_least(state, x, rhs, encs, order, max_prec)

@@ -136,7 +136,8 @@ def decompose_in_basis(y0: IVec3, x_star: IVec3, x: IVec3) -> Tuple[Rat, Rat, in
     # exact orthogonality of the residual
     for v, name in ((x_star, "x_star"), (x, "x")):
         res = Fraction(dot(y0, v)) - r * Fraction(dot(x_star, v)) - s * Fraction(dot(x, v))
-        assert res == 0, name
+        if res != 0:
+            raise CertificateFailure("residual_orthogonal", f"residual . {name} = {res}")
     return r, s, 1 if t > 0 else -1
 
 
@@ -188,11 +189,11 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     # (2) reduce s into (-1/2, 1/2], ties at the upper end
     ell = -math.ceil(s - Fraction(1, 2))
     s = s + ell
-    assert -Fraction(1, 2) < s <= Fraction(1, 2)
+    if not -Fraction(1, 2) < s <= Fraction(1, 2):
+        raise CertificateFailure("s_reduced", f"s={s} outside (-1/2, 1/2]")
 
     # (3) smallest a with (a + r) |x*| >= Y + |x|/2 + 1, by certified compare
-    rhs = Y + nx / 2 + 1
-    target = rhs / nx_star - BallReal.exact(r)
+    target = (Y + nx / 2 + 1) / nx_star - BallReal.exact(r)
     target = target.refined_to(DEFAULT_PREC)
     while target.width > Fraction(1, 4) and target.prec < max_prec:
         target = target.refined_to(2 * target.prec)
@@ -200,6 +201,10 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     a = lo_f.numerator // lo_f.denominator  # conservative start below the target
 
     def satisfies(cand: int) -> Optional[bool]:
+        # a fresh right side per call: cert_le refines both operands in
+        # lockstep, so a shared ball would carry every earlier call's
+        # precision into the next (up to the 65,536-bit cap)
+        rhs = Y + nx / 2 + 1
         ok, _ = cert_le(rhs, BallReal.exact(Fraction(cand) + r) * nx_star, max_prec)
         return ok
 
@@ -222,7 +227,8 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     n = locate_n(T, table, max_prec)
     pn, qn = table.pair(n)
     m = _nearest_int(-s * qn)
-    assert abs(s * qn + m) <= Fraction(1, 2)
+    if abs(s * qn + m) > Fraction(1, 2):
+        raise CertificateFailure("m_bound", f"|s q_n + m| > 1/2 at m={m}")
 
     # (5) assemble
     y = y0 + ell * x + a * x_star

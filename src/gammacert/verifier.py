@@ -135,7 +135,8 @@ def starred_ledger_audit(state: ConstructionState,
     out: List[StarredClause] = []
 
     # the large-|q| margin step is parameter-free: C2/(2(5C1)^2) >= 10 C1/delta0^2
-    assert (8 * c1) ** 3 / (50 * c1 * c1) >= 10 * c1
+    if (8 * c1) ** 3 / (50 * c1 * c1) < 10 * c1:
+        raise CertificateFailure("large_q_margin_const", f"fails at C1={c1}")
     _clause(out, "large_q_margin", d0sq,
             BallReal.wrap(2 * c1) * BallReal.wrap(x1sq).pow((2 - gamma) / 2),
             max_prec)
@@ -276,7 +277,9 @@ def check_condition_iii(state: ConstructionState,
         else:
             failures.append(f"witness_norm_m{m}:{tag}")
         enc = enclose_u(state, m + 1)
-        assert dot(xm, enc.rep) == 0
+        if dot(xm, enc.rep) != 0:  # witness_xu below rests on x_m . u_{m+1} = 0
+            raise CertificateFailure(f"witness_orthogonal_m{m}",
+                                     f"x_{m} . u_{m + 1} = {dot(xm, enc.rep)}")
         rhs_sq = BallReal.wrap(c * c) / BallReal.wrap(x_sq).pow(gamma + 1)
         checks = (
             (f"witness_xu_m{m}", BallReal.wrap(4 * nm_sq * enc.radius_sq_ub)),

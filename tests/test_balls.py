@@ -1,11 +1,16 @@
 """Interval enclosure layer: refinement, certified compares, payloads."""
 
+import math
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_int, from_rational
 
-from gammacert.balls import (BallReal, Cmp, ball_payload, cert_le,
+from gammacert.balls import (PAYLOAD_PREC, BallReal, Cmp, _ctx, _dyadic_man,
+                             _exact_sqrt, _isqrt_exact, _iv_from_fraction,
+                             _mpf_tuple_to_fraction, ball_payload, cert_le,
                              certified_compare, sqrt_int)
 
 F = Fraction
@@ -104,3 +109,79 @@ def test_arithmetic_encloses(a, b):
 def test_sqrt_int_encloses(n):
     b = sqrt_int(n).refined_to(96)
     assert b.lo * b.lo <= n <= b.hi * b.hi
+
+
+# -- the linear-time conversion against mpmath's own -------------------------
+
+precs = st.sampled_from((53, 64, PAYLOAD_PREC, 1024))
+
+
+def _mpmath_endpoints(fr: Fraction, prec: int):
+    p, q = fr.numerator, fr.denominator
+    if q == 1:
+        return from_int(p, prec, "f"), from_int(p, prec, "c")
+    return from_rational(p, q, prec, "f"), from_rational(p, q, prec, "c")
+
+
+def _check_conversion(fr: Fraction, prec: int):
+    lo, hi = _iv_from_fraction(_ctx(prec), fr)._mpi_
+    assert (lo, hi) == _mpmath_endpoints(fr, prec)
+    assert _mpf_tuple_to_fraction(lo) <= fr <= _mpf_tuple_to_fraction(hi)
+
+
+def test_negative_rationals_are_enclosed():
+    # rounding toward zero and away from it would swap the endpoints here
+    b = (BallReal.exact(F(-1, 3)) + sqrt_int(2) * 0).refined_to(64)
+    assert not b.is_exact and b.lo < F(-1, 3) < b.hi
+
+
+@given(st.integers(-2 ** 3000, 2 ** 3000), st.integers(0, 700), precs)
+def test_conversion_integers(n, shift, prec):
+    # hundreds of trailing zero bits, both signs, and zero
+    _check_conversion(Fraction(n << shift), prec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-2 ** 4000, 2 ** 4000), st.integers(70000, 72000), precs)
+def test_conversion_huge_dyadics(n, k, prec):
+    _check_conversion(Fraction(2 * n + 1, 1 << k), prec)
+
+
+@given(st.integers(-2 ** 2000, 2 ** 2000), st.integers(1, 2 ** 2000),
+       st.integers(0, 300), precs)
+def test_conversion_rationals(p, q, shift, prec):
+    # any rational; the shift puts trailing zeros into the denominator
+    _check_conversion(Fraction(p, q << shift), prec)
+
+
+# -- the quadratic-residue filter ahead of isqrt -----------------------------
+
+def _plain_sqrt(fr: Fraction):
+    pn, pd = math.isqrt(fr.numerator), math.isqrt(fr.denominator)
+    if pn * pn == fr.numerator and pd * pd == fr.denominator:
+        return Fraction(pn, pd)
+    return None
+
+
+@given(st.integers(0, 2 ** 4000))
+def test_residue_filter_keeps_squares(k):
+    assert _isqrt_exact(k * k) == k
+
+
+@given(st.integers(0, 2 ** 1000), st.integers(-3, 3))
+def test_isqrt_exact_matches_isqrt(k, d):
+    n = max(k * k + d, 0)
+    r = math.isqrt(n)
+    assert _isqrt_exact(n) == (r if r * r == n else None)
+
+
+@given(st.integers(0, 2 ** 600), st.integers(1, 2 ** 600), st.booleans())
+def test_exact_sqrt_matches_plain(p, q, square):
+    fr = Fraction(p * p, q * q) if square else Fraction(p, q)
+    assert _exact_sqrt(fr) == _plain_sqrt(fr)
+
+
+def test_dyadic_payload_rejects_non_dyadic():
+    assert _dyadic_man(Fraction(-3, 8)) == -3
+    with pytest.raises(ValueError, match="not dyadic"):
+        _dyadic_man(Fraction(1, 3))

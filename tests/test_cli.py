@@ -1,6 +1,9 @@
 """Command-line driver: exit codes, artifacts, config plumbing."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -40,6 +43,31 @@ def test_verify_audit_flags_toy_scale(tmp_path):
     assert cert["summary"]["undecided"] == "0"
     assert any(c["name"] == "q_below_qn"
                for c in cert["results"]["audit"]["clauses"])
+
+
+TOY_AUDIT_FAILURES = ["q_below_qn", "mid_norm_margin", "mid_norm_const",
+                      "plane_const", "scale_floor", "contraction_seed",
+                      "axis_const_i1"]
+
+
+def test_verify_all_under_optimize(tmp_path):
+    # no certificate rests on an assert: `python -O` strips them, and the
+    # full toy verification must still reach the same verdicts
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    got = subprocess.run([sys.executable, "-O", "-m", "gammacert", "verify",
+                          "--mode", "all", "--K", "3", "--threads", "1",
+                          "--out", str(tmp_path)] + TOY_FLAGS,
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert got.returncode == 1, got.stderr
+    results = load_document(str(tmp_path / "cert.json"), "certificate")["results"]
+    assert [c["name"] for c in results["audit"]["clauses"]
+            if c["passed"] is not True] == TOY_AUDIT_FAILURES
+    assert results["witness"]["failures"] == []
+    assert [b["violations"] for b in results["boxes"]] == [[], [], []]
+    assert results["slab"]["violations"] == []
+    assert results["slab"]["slow_checked"] == "88"
 
 
 def test_verify_witness_passes(tmp_path):

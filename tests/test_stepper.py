@@ -2,10 +2,13 @@
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import TOY, build_run
+from gammacert import stepper
 from gammacert import (ALPHA_PRESETS, CertificateFailure, ConvergentTable,
                        InputError, UndecidedError, sqrt_int)
 from gammacert.exact import IVec3, cross
@@ -38,6 +41,23 @@ def test_certify_outcomes():
     assert verdicts == [Verdict("holds", True, 64)]
     certify("tight", sqrt_int(2), close, 512, verdicts)
     assert verdicts[-1].name == "tight" and verdicts[-1].prec == 256
+
+
+def test_satisfies_precision_stays_low(monkeypatch):
+    # cert_le refines both operands in lockstep; a right side shared across
+    # the a-search's calls would carry every earlier call's precision forward
+    seen = []
+    cert_le = stepper.cert_le
+
+    def recording_cert_le(a, b, max_prec):
+        got = cert_le(a, b, max_prec)
+        if sys._getframe(1).f_code.co_name == "satisfies":
+            seen.append(max(t.prec for t in (a, b) if not t.is_exact))
+        return got
+
+    monkeypatch.setattr(stepper, "cert_le", recording_cert_le)
+    build_run(TOY, toy=True)
+    assert seen and max(seen) <= 4096, sorted(set(seen))
 
 
 def test_hand_fixture():
