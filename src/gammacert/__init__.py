@@ -23,8 +23,7 @@ from .planner import (Plan, PsiSpec, Schedule, XScale, choose_companion,
                       choose_multiplier, make_plan, schedule_X)
 from .scan import ScanReport, slab_scan_iv
 from .serialize import (document_bytes, dump_document, load_document,
-                        plan_body, plan_from_body, report_body, state_body,
-                        state_from_body)
+                        plan_body, report_body, state_body)
 from .stepper import (StepCertificate, StepOutput, Verdict, YSpec,
                       recursive_step)
 from .verifier import (BoxReport, PropertyReport, SandwichVerdict,

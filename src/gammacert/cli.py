@@ -2,8 +2,8 @@
 
 Exit codes: 0 all certificates pass (or the scan is below its threshold),
 1 a certificate failed or a violation was found, 2 a comparison stayed
-undecided at the precision cap, 3 invalid input (bad config, corrupt or
-mismatched document, unusable parameters).
+undecided at the precision cap, 3 invalid input (usage error, bad config,
+corrupt or mismatched document, unusable parameters).
 
 All artifacts are canonical JSON with content hashes; running the same
 configuration twice produces byte-identical plan documents.
@@ -18,13 +18,13 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .balls import DEFAULT_MAX_PREC
 from .builder import ConstructionState, build
 from .errors import CertificateFailure, GammaCertError, InputError, UndecidedError
 from .exact import IVec3
-from .planner import PsiSpec, make_plan, schedule_X
+from .planner import Plan, PsiSpec, Schedule, make_plan, schedule_X
 from .scan import slab_scan_iv
 from .serialize import (dump_document, load_document, plan_body, report_body,
                         state_body)
@@ -38,8 +38,12 @@ MODES = ("all", "slab", "box", "witness", "properties", "audit")
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Each run parameter's name, type and default, stated once: the config
+    keys, the flags and the overrides are derived from these fields, and
+    each value is parsed by its declared type."""
+
     alpha: str = "sqrt2m1"
-    c1: Optional[Rat] = None  # None takes the preset minimum
+    c1: Optional[Rat] = None  # None takes the preset minimum; config file only
     delta: Rat = Fraction(1, 2)
     x0: IVec3 = IVec3(0, 0, 1)
     psi_c: Rat = Fraction(1)
@@ -53,31 +57,51 @@ class RunConfig:
     threads: int = 1
     seed: int = 0
     out: str = "."
-    mode: str = "all"
+    mode: str = "all"  # a flag of `verify` only
     toy: bool = False
 
     def psi(self) -> PsiSpec:
         return PsiSpec(c=self.psi_c, e=self.psi_e)
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-
-
-def _parse_rat(text: str) -> Rat:
+def _rat(name: str, v: object) -> Rat:
+    if type(v) not in (int, str):  # a JSON bool is no number
+        raise InputError(f"config key {name} must be an integer or a rational string")
     try:
-        return Fraction(text)
+        return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {text!r}: {exc}") from None
+        raise InputError(f"bad rational {v!r} for {name}: {exc}") from None
 
 
-def _parse_vec(text: str) -> IVec3:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise InputError(f"x0 needs three comma-separated integers, got {text!r}")
+def _exact(kind: type, what: str):
+    def parse(name: str, v: object):
+        if type(v) is not kind:
+            raise InputError(f"config key {name} must be {what}")
+        return v
+    return parse
+
+
+def _vec(name: str, v: object) -> IVec3:
+    if isinstance(v, list):
+        v = ",".join(str(c) for c in v)
+    parts = v.split(",") if isinstance(v, str) else []
     try:
-        return IVec3(*(int(p) for p in parts))
-    except ValueError as exc:
-        raise InputError(f"bad x0 {text!r}: {exc}") from None
+        return IVec3(*(int(p) for p in parts))  # TypeError: not three parts
+    except (TypeError, ValueError):
+        raise InputError(f"{name} needs three comma-separated integers, "
+                         f"got {v!r}") from None
+
+
+# one parser per declared field type (the annotations are strings here)
+_PARSERS = {
+    "Rat": _rat,
+    "Optional[Rat]": lambda name, v: None if v is None else _rat(name, v),
+    "int": _exact(int, "an integer"),
+    "str": _exact(str, "a string"),
+    "bool": _exact(bool, "true or false"),
+    "IVec3": _vec,
+}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def config_from_sources(config_path: Optional[str],
@@ -85,7 +109,7 @@ def config_from_sources(config_path: Optional[str],
     """Merge a JSON config file with command-line overrides.
 
     Unknown keys in the file are rejected so typos cannot silently fall back
-    to defaults.
+    to defaults; a key that is absent from both takes the field default.
     """
     values: Dict[str, object] = {}
     if config_path is not None:
@@ -96,90 +120,34 @@ def config_from_sources(config_path: Optional[str],
             raise InputError(f"cannot read config {config_path}: {exc}") from None
         if not isinstance(raw, dict):
             raise InputError("config file must hold a JSON object")
-        unknown = sorted(set(raw) - _CONFIG_KEYS)
-        if unknown:
-            raise InputError(f"unknown config keys: {', '.join(unknown)}")
         values.update(raw)
     values.update(overrides)
-
-    def rat(name, default):
-        v = values.get(name, default)
-        if v is None:
-            return None
-        if isinstance(v, Fraction):
-            return v
-        if isinstance(v, str):
-            return _parse_rat(v)
-        if isinstance(v, int) and not isinstance(v, bool):
-            return Fraction(v)
-        raise InputError(f"config key {name} must be an integer or a rational string")
-
-    def integer(name, default):
-        v = values.get(name, default)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InputError(f"config key {name} must be an integer")
-        return v
-
-    def string(name, default):
-        v = values.get(name, default)
-        if not isinstance(v, str):
-            raise InputError(f"config key {name} must be a string")
-        return v
-
-    x0 = values.get("x0", "0,0,1")
-    if isinstance(x0, (list, tuple)):
-        x0 = ",".join(str(c) for c in x0)
-    mode = values.get("mode", "all")
-    if mode not in MODES:
+    unknown = sorted(set(values) - set(_FIELD_PARSERS))
+    if unknown:
+        raise InputError(f"unknown config keys: {', '.join(unknown)}")
+    cfg = RunConfig(**{name: _FIELD_PARSERS[name](name, v)
+                       for name, v in values.items()})
+    if cfg.mode not in MODES:
         raise InputError(f"mode must be one of {', '.join(MODES)}")
-    toy = values.get("toy", False)
-    if not isinstance(toy, bool):
-        raise InputError("config key toy must be true or false")
-    cfg = RunConfig(
-        alpha=string("alpha", "sqrt2m1"),
-        c1=rat("c1", None),
-        delta=rat("delta", Fraction(1, 2)),
-        x0=_parse_vec(str(x0)),
-        psi_c=rat("psi_c", Fraction(1)),
-        psi_e=rat("psi_e", Fraction(1)),
-        steps=integer("steps", 5),
-        theta=rat("theta", None),
-        b=rat("b", None),
-        k=integer("k", 8),
-        k_near=integer("k_near", 2),
-        max_prec=integer("max_prec", DEFAULT_MAX_PREC),
-        threads=integer("threads", 1),
-        seed=integer("seed", 0),
-        out=string("out", "."),
-        mode=str(mode),
-        toy=toy,
-    )
     if cfg.steps < 1:
         raise InputError("steps must be positive")
     return cfg
 
 
 def _flag_overrides(args: argparse.Namespace) -> Dict[str, object]:
-    out: Dict[str, object] = {}
-    mapping = {
-        "alpha": args.alpha, "delta": args.delta, "x0": args.x0,
-        "psi_c": args.psi_c, "psi_e": args.psi_e, "steps": args.steps,
-        "theta": args.theta, "b": args.b, "k": args.k, "k_near": args.k_near,
-        "max_prec": args.max_prec, "threads": args.threads, "seed": args.seed,
-        "out": args.out, "mode": getattr(args, "mode", None), "toy": args.toy,
-    }
-    for key, val in mapping.items():
-        if val is not None:
-            out[key] = val
-    return out
+    return {k: v for k, v in vars(args).items()
+            if k in _FIELD_PARSERS and v is not None}
 
 
-def _mk_state(cfg: RunConfig) -> ConstructionState:
+def _plan(cfg: RunConfig) -> Tuple[Plan, Schedule]:
     plan = make_plan(cfg.alpha, cfg.x0, cfg.delta, cfg.psi(), cfg.steps,
                      theta=cfg.theta, c1=cfg.c1, toy=cfg.toy,
                      max_prec=cfg.max_prec)
-    schedule = schedule_X(plan, max_prec=cfg.max_prec)
-    return build(plan, schedule, max_prec=cfg.max_prec)
+    return plan, schedule_X(plan, max_prec=cfg.max_prec)
+
+
+def _mk_state(cfg: RunConfig) -> ConstructionState:
+    return build(*_plan(cfg), max_prec=cfg.max_prec)
 
 
 def _outpath(cfg: RunConfig, name: str) -> str:
@@ -192,10 +160,7 @@ def _outpath(cfg: RunConfig, name: str) -> str:
 
 
 def cmd_plan(cfg: RunConfig) -> int:
-    plan = make_plan(cfg.alpha, cfg.x0, cfg.delta, cfg.psi(), cfg.steps,
-                     theta=cfg.theta, c1=cfg.c1, toy=cfg.toy,
-                     max_prec=cfg.max_prec)
-    schedule = schedule_X(plan, max_prec=cfg.max_prec)
+    plan, schedule = _plan(cfg)
     path = _outpath(cfg, "plan.json")
     dump_document(path, "plan", plan_body(plan, schedule))
     print(f"plan: x1 norm^2 {plan.x1_sq}, exponents {schedule.exponents}")
@@ -263,11 +228,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         results["boxes"] = boxes
 
     if cfg.mode in ("all", "slab"):
-        b = cfg.b
-        if b is None:
-            cpr_sq = state.scale(2).sq / Fraction(state.plan.x1_sq)
-            b = 2 * _frac_sqrt_up(cpr_sq)
-        rep = slab_scan_iv(state, b, psi=cfg.psi(), k_near=cfg.k_near,
+        rep = slab_scan_iv(state, cfg.b, psi=cfg.psi(), k_near=cfg.k_near,
                            threads=cfg.threads, max_prec=cfg.max_prec)
         results["slab"] = report_body(rep)
         violations += len(rep.violations) + len(rep.positivity_failures)
@@ -302,11 +263,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     dump_document(path, "certificate", body)
     print(f"wrote {path}")
     return rank
-
-
-def _frac_sqrt_up(fr: Rat) -> Rat:
-    from .balls import BallReal
-    return BallReal.wrap(fr).sqrt().refined_to(96).hi
 
 
 def _config_body(cfg: RunConfig) -> dict:
@@ -396,27 +352,33 @@ def cmd_report(cfg: RunConfig, state_path: str, cert_path: Optional[str]) -> int
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (invalid input); argparse's own 2 means undecided here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+# flags not spelled `--` + the field name with `_` as `-`
+_FLAG_SPELLING = {"b": "--B", "k": "--K", "k_near": "--K-near"}
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="JSON config file")
-    sub.add_argument("--alpha", default=None)
-    sub.add_argument("--delta", default=None)
-    sub.add_argument("--x0", default=None)
-    sub.add_argument("--psi-c", dest="psi_c", default=None)
-    sub.add_argument("--psi-e", dest="psi_e", default=None)
-    sub.add_argument("--steps", type=int, default=None)
-    sub.add_argument("--theta", default=None)
-    sub.add_argument("--B", dest="b", default=None)
-    sub.add_argument("--K", dest="k", type=int, default=None)
-    sub.add_argument("--K-near", dest="k_near", type=int, default=None)
-    sub.add_argument("--max-prec", dest="max_prec", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--toy", action="store_const", const=True, default=None)
+    for f in fields(RunConfig):
+        if f.name in ("c1", "mode"):  # config file only; `verify --mode`
+            continue
+        flag = _FLAG_SPELLING.get(f.name, "--" + f.name.replace("_", "-"))
+        if f.type == "bool":
+            sub.add_argument(flag, dest=f.name, action="store_const", const=True)
+        else:
+            sub.add_argument(flag, dest=f.name,
+                             type=int if f.type == "int" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gammacert",
         description="certified golden-ratio approximation constructions")
     subs = ap.add_subparsers(dest="command", required=True)
@@ -436,25 +398,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_sources(args.config, _flag_overrides(args))
-        if args.command == "plan":
-            return cmd_plan(cfg)
-        if args.command == "build":
-            return cmd_build(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
         if args.command == "report":
             return cmd_report(cfg, args.state, args.cert)
-        raise InputError(f"unknown command {args.command!r}")
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return {"plan": cmd_plan, "build": cmd_build,
+                "verify": cmd_verify}[args.command](cfg)
     except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 2
     except CertificateFailure as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
-    except GammaCertError as exc:
+    except GammaCertError as exc:  # InputError and any other package error
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

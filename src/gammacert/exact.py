@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from .errors import CertificateFailure
 
@@ -69,11 +69,6 @@ class IVec3:
 
     def as_tuple(self) -> Tuple[int, int, int]:
         return (self.x, self.y, self.z)
-
-    @staticmethod
-    def from_iter(it: Iterable[int]) -> "IVec3":
-        a, b, c = (int(v) for v in it)
-        return IVec3(a, b, c)
 
 
 E1 = IVec3(1, 0, 0)

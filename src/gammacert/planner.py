@@ -101,10 +101,6 @@ class Schedule:
     witnesses: Tuple[Dict[str, object], ...]
     invariant_failures: Tuple[str, ...] = ()
 
-    @property
-    def x_values(self) -> Tuple[int, ...]:
-        return tuple(1 << k for k in self.exponents)
-
     def scale(self, i: int, plan: Plan) -> XScale:
         """XScale for index 0 <= i <= n_steps + 1."""
         if i == 0:

@@ -1,7 +1,7 @@
 """Exhaustive certified scan of the lower-bound condition over a norm slab.
 
 For every primitive-or-not integer x with C' <= ||x|| <= min(B, 2 C'),
-C' = X2/X1, the condition under test is
+C' = X2/X1 (no B: the full shell up to 2 C'), the condition under test is
 
     |x . u|  >=  dist(x, {v, w}) / (psi(||x||) ||x||^gamma).
 
@@ -148,7 +148,8 @@ def _direction_fixed_point(enc, prec: int = 128
     return (m[0], m[1], m[2]), kappa, err_max
 
 
-def slab_scan_iv(state: ConstructionState, b, psi: Optional[PsiSpec] = None,
+def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None,
+                 psi: Optional[PsiSpec] = None,
                  k_near: int = 2, threads: int = 1,
                  max_prec: int = DEFAULT_MAX_PREC,
                  _range_override: Optional[Tuple[Rat, Rat]] = None
@@ -157,8 +158,9 @@ def slab_scan_iv(state: ConstructionState, b, psi: Optional[PsiSpec] = None,
 
     The scanned shell is capped at 2 C' (one doubling of the entry norm,
     inside the second growth window); a larger B only widens work, never the
-    claim.  B < C' means the condition is vacuous at this size and the scan
-    reports below_threshold instead of scanning.
+    claim, and b=None scans that whole capped shell [C', 2 C'].  B < C' means
+    the condition is vacuous at this size and the scan reports
+    below_threshold instead of scanning.
 
     Candidate coverage is exhaustive: per line only the k_near-nearest
     integer points to the direction plane can fall under the certified
@@ -176,18 +178,20 @@ def slab_scan_iv(state: ConstructionState, b, psi: Optional[PsiSpec] = None,
         raise InputError("k_near must be at least 1")
     if threads < 1:
         raise InputError("threads must be at least 1")
-    b = Fraction(b)
-    if b <= 0:
-        raise InputError("scan bound must be positive")
+    if b is not None:
+        b = Fraction(b)
+        if b <= 0:
+            raise InputError("scan bound must be positive")
     x1sq = Fraction(plan.x1_sq)
     cprime_sq = state.scale(2).sq / x1sq
+    b_sq = 4 * cprime_sq if b is None else b * b
     audit = starred_ledger_audit(state, max_prec=max_prec)
     skipped = audit.failures
     if _range_override is not None:
         lo_sq, hi_sq = (Fraction(v) for v in _range_override)
     else:
-        if b * b < cprime_sq:
-            return ScanReport(range_lo_sq=cprime_sq, range_hi_sq=b * b,
+        if b_sq < cprime_sq:
+            return ScanReport(range_lo_sq=cprime_sq, range_hi_sq=b_sq,
                               lines=0, candidates=0, fast_passed=0,
                               slow_checked=0, violations=(), undecided=(),
                               positivity_failures=(), below_threshold=True,
@@ -195,7 +199,7 @@ def slab_scan_iv(state: ConstructionState, b, psi: Optional[PsiSpec] = None,
                               skipped_clauses=skipped,
                               wall_time_s=time.monotonic() - t_start,
                               threads=threads)
-        lo_sq, hi_sq = cprime_sq, min(b * b, 4 * cprime_sq)
+        lo_sq, hi_sq = cprime_sq, min(b_sq, 4 * cprime_sq)
     if not 0 < lo_sq <= hi_sq:
         raise InputError("empty or invalid scan range")
 

@@ -14,14 +14,13 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from .balls import BallReal, ball_payload, sqrt_int
 from .builder import ConstructionState, enclose_u
-from .cf import ALPHA_PRESETS
 from .errors import InputError
 from .exact import IVec3
-from .planner import Plan, PsiSpec, Schedule
+from .planner import Plan, Schedule
 
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)
@@ -45,21 +44,6 @@ def _enc(obj):
     if isinstance(obj, dict):
         return {str(k): _enc(v) for k, v in obj.items()}
     raise InputError(f"cannot serialize {type(obj).__name__}")
-
-
-def _dec_int(s: str) -> int:
-    return int(s)
-
-
-def _dec_rat(s: str) -> Fraction:
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
-
-
-def _dec_vec(v: List[str]) -> IVec3:
-    return IVec3(int(v[0]), int(v[1]), int(v[2]))
 
 
 def canonical_bytes(body: dict) -> bytes:
@@ -134,34 +118,6 @@ def plan_body(plan: Plan, schedule: Schedule) -> dict:
     }
 
 
-def plan_from_body(body: dict) -> Tuple[Plan, Schedule]:
-    alpha = body["alpha"]
-    if alpha not in ALPHA_PRESETS:
-        raise InputError(f"unknown alpha preset {alpha!r}")
-    plan = Plan(
-        alpha=alpha,
-        c1=_dec_rat(body["c1"]),
-        x0=_dec_vec(body["x0"]),
-        x0_companion=_dec_vec(body["x0_companion"]),
-        multiplier=_dec_int(body["multiplier"]),
-        x1=_dec_vec(body["x1"]),
-        delta=_dec_rat(body["delta"]),
-        delta0_sq=_dec_rat(body["delta0_sq"]),
-        theta=None if body["theta"] is None else _dec_rat(body["theta"]),
-        psi=PsiSpec(c=_dec_rat(body["psi"]["c"]), e=_dec_rat(body["psi"]["e"])),
-        n_steps=_dec_int(body["n_steps"]),
-        toy=bool(body["toy"]),
-    )
-    witnesses = tuple(
-        {k: v for k, v in w.items()} for w in body["schedule_witnesses"])
-    schedule = Schedule(
-        exponents=tuple(_dec_int(e) for e in body["exponents"]),
-        witnesses=witnesses,
-        invariant_failures=tuple(body["invariant_failures"]),
-    )
-    return plan, schedule
-
-
 # ---------------------------------------------------------------------------
 # construction state
 
@@ -211,21 +167,6 @@ def state_body(state: ConstructionState) -> dict:
         ],
         "series": series,
     }
-
-
-def state_from_body(body: dict, rebuild) -> ConstructionState:
-    """Reconstruct a state by replaying the build from the embedded plan.
-
-    rebuild(plan, schedule) -> ConstructionState performs the construction;
-    the replayed integer sequences must match the stored ones exactly.
-    """
-    plan, schedule = plan_from_body(body["plan"])
-    state = rebuild(plan, schedule)
-    xs = [_dec_vec(v) for v in body["xs"]]
-    ys = [_dec_vec(v) for v in body["ys"]]
-    if xs != state.xs or ys != state.ys:
-        raise InputError("stored sequences disagree with the replayed build")
-    return state
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gammacert.cli import main
+from gammacert.cli import (MODES, RunConfig, _config_body, _flag_overrides,
+                           build_parser, config_from_sources, main)
+from gammacert.errors import InputError
+from gammacert.exact import IVec3
 from gammacert.serialize import dump_document, load_document
 
 TOY_FLAGS = ["--alpha", "sqrt2m1", "--x0", "0,0,1", "--delta", "4/5",
@@ -147,8 +154,43 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 def test_bad_mode_rejected(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "--mode", "everything", "--out", str(tmp_path)])
+    assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--steps", "abc"],
+    ["verify", "--mode", "everything"],
+    ["plan", "--bogus", "1"],
+    ["plan", "--c1", "3"],  # c1 is a config-file key only
+    ["report"],  # --state is required
+    [],  # no subcommand
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_usage_errors_exit_3(tmp_path, capsys, argv):
+    # argparse's own exit 2 would read as "undecided"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)] if argv else argv)
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--K-near" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["delta", "psi_c", "psi_e"])
+def test_required_rational_rejects_null(tmp_path, capsys, key):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"delta": "4/5", "theta": "3/10", "toy": True,
+                                key: None}))
+    assert main(["plan", "--config", str(cfgp), "--out", str(tmp_path)]) == 3
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "plan.json").exists()
 
 
 @pytest.mark.parametrize("toy", ["false", 1, None])
@@ -197,3 +239,75 @@ def test_report_malformed_state_exits_3(tmp_path, capsys, spoil, named):
     assert run(["report", "--state", str(path)], tmp_path) == 3
     assert named in capsys.readouterr().err
     assert not (tmp_path / "report.md").exists()
+
+
+# one non-default value per run parameter: (config-file value, verify flags)
+FLAG_SAMPLES = {
+    "alpha": ("sqrt5m2", ["--alpha", "sqrt5m2"]),
+    "delta": ("3/4", ["--delta", "3/4"]),
+    "x0": ([1, 2, 3], ["--x0", "1,2,3"]),
+    "psi_c": (2, ["--psi-c", "2"]),
+    "psi_e": ("1/2", ["--psi-e", "1/2"]),
+    "steps": (3, ["--steps", "3"]),
+    "theta": ("1/3", ["--theta", "1/3"]),
+    "b": ("100", ["--B", "100"]),
+    "k": (4, ["--K", "4"]),
+    "k_near": (3, ["--K-near", "3"]),
+    "max_prec": (1024, ["--max-prec", "1024"]),
+    "threads": (2, ["--threads", "2"]),
+    "seed": (7, ["--seed", "7"]),
+    "out": ("runs/x", ["--out", "runs/x"]),
+    "mode": ("box", ["--mode", "box"]),
+    "toy": (True, ["--toy"]),
+}
+FIELD_NAMES = [f.name for f in fields(RunConfig)]
+
+
+def test_every_parameter_but_c1_has_a_flag():
+    assert sorted(FLAG_SAMPLES) == sorted(n for n in FIELD_NAMES if n != "c1")
+    assert list(_config_body(RunConfig())) == FIELD_NAMES
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_SAMPLES))
+def test_flag_and_config_key_agree(tmp_path, name):
+    value, argv = FLAG_SAMPLES[name]
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({name: value}))
+    from_file = config_from_sources(str(cfgp), {})
+    from_flag = config_from_sources(
+        None, _flag_overrides(build_parser().parse_args(["verify"] + argv)))
+    assert from_file == from_flag != RunConfig()
+
+
+def test_c1_from_config_file(tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"c1": "5/2"}))
+    assert config_from_sources(str(cfgp), {}) == RunConfig(c1=Fraction(5, 2))
+
+
+_FIELD_TYPES = {"Rat": (Fraction,), "Optional[Rat]": (Fraction, type(None)),
+                "int": (int,), "str": (str,), "bool": (bool,), "IVec3": (IVec3,)}
+_json_leaf = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.text(max_size=8)
+              | st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True)
+              | st.from_regex(r"-?[0-9],-?[0-9],-?[0-9]", fullmatch=True)
+              | st.sampled_from(MODES + ("sqrt2m1", "sqrt5m2")))
+_json = st.recursive(_json_leaf, lambda kids: st.lists(kids, max_size=4)
+                     | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+                     max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.dictionaries(st.sampled_from(FIELD_NAMES), _json, max_size=6))
+def test_config_values_parse_or_exit_3(tmp_path_factory, raw):
+    # any JSON value under a known key is either a typed config or an
+    # InputError (exit 3), never another exception
+    cfgp = tmp_path_factory.getbasetemp() / "fuzz_cfg.json"
+    cfgp.write_text(json.dumps(raw))
+    try:
+        cfg = config_from_sources(str(cfgp), {})
+        cfg.psi()
+    except InputError:
+        return
+    for f in fields(RunConfig):
+        assert type(getattr(cfg, f.name)) in _FIELD_TYPES[f.type], f.name

@@ -59,7 +59,6 @@ def test_toy_schedule():
     sch = schedule_X(p)
     assert sch.exponents == (14, 55, 213, 826, 3202)
     assert sch.invariant_failures == ("growth_lower_i1", "psi_i1")
-    assert sch.x_values == tuple(1 << k for k in sch.exponents)
     assert [w["index"] for w in sch.witnesses] == [2, 3, 4, 5, 6]
     assert all(w["minimal"] for w in sch.witnesses)
     assert sch.scale(0, p).sq == 1

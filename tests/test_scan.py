@@ -37,6 +37,15 @@ def test_full_scan_frozen_counts(toy_scan):
     assert r.skipped_clauses == TOY_AUDIT_FAILURES
 
 
+def test_default_bound_scans_capped_shell(toy_state, toy_scan):
+    # b=None scans [C', 2 C'] itself, as a bound at or above 2 C' does
+    r = slab_scan_iv(toy_state)
+    for field in ("range_lo_sq", "range_hi_sq", "lines", "candidates",
+                  "fast_passed", "slow_checked", "violations", "undecided",
+                  "positivity_failures", "below_threshold", "skipped_clauses"):
+        assert getattr(r, field) == getattr(toy_scan, field)
+
+
 def test_override_window_counts(toy_state):
     r = slab_scan_iv(toy_state, 2403, _range_override=(25, 225))
     assert (r.lines, r.candidates, r.fast_passed, r.slow_checked) == (355, 925, 919, 6)

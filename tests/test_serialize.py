@@ -1,7 +1,6 @@
-"""Canonical documents: hashing, round trips, replay verification."""
+"""Canonical documents: hashing, round trips, report bodies."""
 
 import json
-from fractions import Fraction as F
 
 import pytest
 
@@ -11,12 +10,9 @@ from gammacert import (
     dump_document,
     load_document,
     plan_body,
-    plan_from_body,
     report_body,
     state_body,
-    state_from_body,
 )
-from gammacert.builder import build
 from gammacert.serialize import body_hash, canonical_bytes, unwrap_document, wrap_document
 from gammacert.verifier import coeff_box_lemma3
 
@@ -45,10 +41,6 @@ def test_tamper_detection():
 
 def test_plan_round_trip(toy_state):
     body = plan_body(toy_state.plan, toy_state.schedule)
-    plan, schedule = plan_from_body(body)
-    assert plan == toy_state.plan
-    assert schedule.exponents == toy_state.schedule.exponents
-    assert schedule.invariant_failures == toy_state.schedule.invariant_failures
     # every leaf is a string, list, or dict: no raw ints in the document
     def leaves(node):
         if isinstance(node, dict):
@@ -60,14 +52,6 @@ def test_plan_round_trip(toy_state):
         else:
             yield node
     assert all(isinstance(leaf, (str, bool)) for leaf in leaves(body))
-
-
-def test_plan_body_rejects_unknown_alpha(toy_state):
-    body = plan_body(toy_state.plan, toy_state.schedule)
-    body = json.loads(json.dumps(body))
-    body["alpha"] = "cube7"
-    with pytest.raises(InputError):
-        plan_from_body(body)
 
 
 def test_document_bytes_deterministic(toy_state):
@@ -96,15 +80,6 @@ def test_state_round_trip(toy_state):
     assert "delta_up" not in body["series"][0]
     assert "xu_up" not in body["series"][6]
     assert body["series"][1]["delta_up"]["mid_man"]
-    replayed = state_from_body(body, lambda p, s: build(p, s))
-    assert replayed.xs == toy_state.xs and replayed.ys == toy_state.ys
-
-
-def test_state_replay_detects_divergence(toy_state):
-    body = json.loads(json.dumps(state_body(toy_state)))
-    body["xs"][3][0] = str(int(body["xs"][3][0]) + 1)
-    with pytest.raises(InputError, match="disagree"):
-        state_from_body(body, lambda p, s: build(p, s))
 
 
 def test_report_body_generic(toy_state):
