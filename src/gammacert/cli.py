@@ -65,8 +65,10 @@ class RunConfig:
 
 
 def _rat(name: str, v: object) -> Rat:
-    if type(v) not in (int, str):  # a JSON bool is no number
-        raise InputError(f"config key {name} must be an integer or a rational string")
+    # a JSON bool is no number; Fraction would expand an exponent in full
+    if type(v) not in (int, str) or (type(v) is str and "e" in v.lower()):
+        raise InputError(f"config key {name} must be an integer or a string "
+                         f"of the form n, n/d or a plain decimal, got {v!r}")
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
@@ -116,7 +118,7 @@ def config_from_sources(config_path: Optional[str],
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise InputError(f"cannot read config {config_path}: {exc}") from None
         if not isinstance(raw, dict):
             raise InputError("config file must hold a JSON object")
@@ -177,14 +179,6 @@ def cmd_build(cfg: RunConfig) -> int:
                   + sum(len(c.verdicts) for c in state.step_certs))
     print(f"build: {state.n_steps} steps, {n_verdicts} certificates pass")
     print(f"wrote {path}")
-    return 0
-
-
-def _verdict_rank(violations: int, undecided: int) -> int:
-    if violations:
-        return 1
-    if undecided:
-        return 2
     return 0
 
 
@@ -251,7 +245,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         violations += fails
         note(f"properties: {len(prop.suites)} suites, {fails} failures")
 
-    rank = _verdict_rank(violations, undecided)
+    rank = 1 if violations else 2 if undecided else 0
     body = {
         "config": _config_body(cfg),
         "results": results,
@@ -334,16 +328,18 @@ def cmd_report(cfg: RunConfig, state_path: str, cert_path: Optional[str]) -> int
     state_doc = load_document(state_path, "state")
     cert = load_document(cert_path, "certificate") if cert_path is not None else None
     try:
-        md, csv_rows = _report_text(state_doc, cert)
+        # a JSON string may hold a lone surrogate, which UTF-8 cannot encode
+        md, csv_rows = (("\n".join(rows) + "\n").encode("utf-8")
+                        for rows in _report_text(state_doc, cert))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed document, missing or mistyped field: {exc!r}") from None
+        raise InputError(f"malformed document, missing or mistyped field: {exc}") from None
 
     md_path = _outpath(cfg, "report.md")
-    with open(md_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(md) + "\n")
+    with open(md_path, "wb") as fh:
+        fh.write(md)
     csv_path = _outpath(cfg, "series.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(csv_rows) + "\n")
+    with open(csv_path, "wb") as fh:
+        fh.write(csv_rows)
     print(f"wrote {md_path} and {csv_path}")
     return 0
 

@@ -11,8 +11,8 @@ where the direction enclosure is largest, walks all lines in the other two
 coordinates, and on each line checks only the 2*K_near - 1 integer points
 nearest the plane x . u = 0: a one-time guard certificate shows every other
 point on the line clears t* outright.  The per-line test is exact int64
-arithmetic against a precomputed integer threshold; points that fail it fall
-through to a full interval-certified check against the true right side.
+arithmetic against the threshold of verifier.LowerBoundEngine; points that
+fail it take the engine's interval path against the true right side.
 
 Nothing is decided in floating point: float64 only *selects* candidate
 points, and the guard certificate absorbs its worst-case selection error.
@@ -30,12 +30,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, sqrt_int
-from .builder import ConstructionState, enclose_u, enclose_vw, x_dot_u_lower
+from .builder import ConstructionState, x_dot_u_lower
 from .errors import CertificateFailure, InputError, UndecidedError
 from .exact import IVec3, dot
 from .planner import PsiSpec
-from .verifier import (_anchor_order, _certify_at_least, dist_vw_upper,
-                       starred_ledger_audit)
+from .verifier import LowerBoundEngine, starred_ledger_audit
 
 Rat = Fraction
 
@@ -185,8 +184,7 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None,
     x1sq = Fraction(plan.x1_sq)
     cprime_sq = state.scale(2).sq / x1sq
     b_sq = 4 * cprime_sq if b is None else b * b
-    audit = starred_ledger_audit(state, max_prec=max_prec)
-    skipped = audit.failures
+    skipped = starred_ledger_audit(state, max_prec=max_prec).failures
     if _range_override is not None:
         lo_sq, hi_sq = (Fraction(v) for v in _range_override)
     else:
@@ -203,23 +201,19 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None,
     if not 0 < lo_sq <= hi_sq:
         raise InputError("empty or invalid scan range")
 
-    gamma = BallReal.golden()
-    lo_ball = BallReal.wrap(lo_sq).sqrt()
-    thr = (1 / (psi.at(lo_ball) * lo_ball.pow(gamma))).refined_to(128)
-    thr_up = thr.hi
-
-    enc = enclose_u(state, state.last_index)
-    m, kappa, err_max = _direction_fixed_point(enc)
+    engine = LowerBoundEngine(state, 2, psi.at)
+    m, kappa, err_max = _direction_fixed_point(engine.encs[state.last_index])
+    # |x.u_last|/||u_last|| >= bound decides every x in the shell outright
+    bound = engine.shell_bound(lo_sq, hi_sq, state.last_index)
     b_up = BallReal.wrap(hi_sq).sqrt().refined_to(96).hi
     e_m = BallReal.wrap(3).sqrt().refined_to(96).hi * b_up * err_max
-    e_u = 2 * b_up * BallReal.wrap(Fraction(enc.radius_sq_ub)).sqrt().refined_to(96).hi
 
-    # one-time guard: every non-candidate point on any line clears thr_up
+    # one-time guard: every non-candidate point on any line clears the bound
     guard_lhs = ((Fraction(2 * k_near - 1, 2) - FLOAT_SLOP)
-                 * Fraction(abs(m[kappa]), 2 ** M_BITS) - e_m - e_u)
-    if guard_lhs < thr_up:
+                 * Fraction(abs(m[kappa]), 2 ** M_BITS) - e_m)
+    if guard_lhs < bound:
         raise UndecidedError("slab_guard_margin", 0)
-    t_int = _ceil_frac((thr_up + e_m + e_u) * 2 ** M_BITS)
+    t_int = _ceil_frac((bound + e_m) * 2 ** M_BITS)
 
     nsq_lo, nsq_hi = _ceil_frac(lo_sq), int(hi_sq.numerator // hi_sq.denominator)
     b_int = isqrt(nsq_hi)
@@ -246,28 +240,21 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None,
                 fast += fs
                 failing.extend(fl)
 
-    encs = {j: enclose_u(state, j) for j in range(1, state.last_index + 1)}
-    order = _anchor_order(2, state.last_index)
-    venc = enclose_vw(state, "V")
-    wenc = enclose_vw(state, "W")
     violations: List[str] = []
     undecided: List[str] = []
     positivity: List[str] = []
     for coords in failing:
         x = IVec3(*coords)
-        nsq = Fraction(x.norm_sq())
-        if not lo_sq <= nsq <= hi_sq:
+        if not lo_sq <= x.norm_sq() <= hi_sq:
             raise CertificateFailure("slab_membership", f"{coords} outside the slab")
-        nx = BallReal.wrap(nsq).sqrt()
-        rhs = dist_vw_upper(x, venc, wenc) / (psi.at(nx) * nx.pow(gamma))
-        ok, _, prec = _certify_at_least(state, x, rhs, encs, order, max_prec)
+        ok, prec = engine.certify(x, True, max_prec)
         if ok is False:
             violations.append(f"{coords}")
         elif ok is None:
             undecided.append(f"{coords}:prec={prec}")
-        pos = any(dot(x, encs[j].rep) != 0
-                  and x_dot_u_lower(x, encs[j]).refined_to(PAYLOAD_PREC).lo > 0
-                  for j in order)
+        pos = any(dot(x, engine.encs[j].rep) != 0
+                  and x_dot_u_lower(x, engine.encs[j]).refined_to(PAYLOAD_PREC).lo > 0
+                  for j in engine.order)
         if not pos:
             positivity.append(f"{coords}")
 

@@ -81,7 +81,7 @@ def load_document(path: str, expected_kind: Optional[str] = None) -> dict:
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read document {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"document {path} is not a JSON object")

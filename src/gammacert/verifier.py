@@ -7,9 +7,12 @@ Contents:
   - check_condition_iii: on a norm grid, select the witness point by the
     interval rule 5 C1 X_{i-1} <= X < 5 C1 X_i and certify the three
     small-value bounds with constant C4 = (6 C1)^5 / delta0^2.
+  - LowerBoundEngine: the one threshold-then-certify path for the lower
+    bound |x.u| >= dist(x,{v,w}) / (w(||x||) ||x||^gamma), shared by the
+    coefficient boxes and scan.slab_scan_iv.
   - coeff_box_lemma3: enumerate x = q y_i + p x_{i-1} + r x_i over a
     coefficient box, verify the exact bookkeeping determinants and the
-    branch lower bounds on |x.u|.
+    branch lower bounds on |x.u| through the engine.
   - vperp_sandwich_check: min{|x.v_perp|, |x.w_perp|} <= ||x|| dist(x,{v,w})
     <= |x.u| + min{...}, exact when the frame norms are perfect squares.
   - property_suites: seeded randomized identities, byte-deterministic.
@@ -24,8 +27,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from math import ceil, isqrt
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, cert_le, sqrt_int
 from .builder import (ConstructionState, DirectionEnclosure, enclose_u,
@@ -85,10 +88,8 @@ class StarredLedger:
 
 def _interval(v: Union[int, Rat, BallReal]) -> Tuple[Rat, Rat]:
     if isinstance(v, BallReal):
-        v = v.refined_to(PAYLOAD_PREC)
-        return (v.lo, v.hi)
-    fr = Fraction(v)
-    return (fr, fr)
+        return (v.refined_to(PAYLOAD_PREC).lo, v.hi)
+    return (Fraction(v), Fraction(v))
 
 
 def _clause(out: List[StarredClause], name: str, lhs, rhs, max_prec: int) -> None:
@@ -211,17 +212,8 @@ def _floor_log2(fr: Rat) -> int:
     """Largest e with 2^e <= fr, for fr > 0."""
     if fr <= 0:
         raise InputError("positive value required")
-    n, d = fr.numerator, fr.denominator
-    e = n.bit_length() - d.bit_length()
-    while not _pow2_le(e, n, d):
-        e -= 1
-    while _pow2_le(e + 1, n, d):
-        e += 1
-    return e
-
-
-def _pow2_le(e: int, n: int, d: int) -> bool:
-    return (d << e) <= n if e >= 0 else d <= (n << -e)
+    e = fr.numerator.bit_length() - fr.denominator.bit_length()
+    return e if Fraction(2) ** e <= fr else e - 1
 
 
 def witness_grid(state: ConstructionState, count: int = 32) -> List[Rat]:
@@ -332,40 +324,64 @@ def dist_vw_upper(x: IVec3, venc: DirectionEnclosure,
     return best
 
 
-def _anchor_order(i: int, last: int) -> List[int]:
-    """Anchor indices to try: the window's own pair first, then outward."""
-    pref = [j for j in (i + 1, i, i + 2) if 1 <= j <= last]
-    rest = [j for j in range(last, 0, -1) if j not in pref]
-    return pref + rest
+class LowerBoundEngine:
+    """The one certifier of |x.u| >= dist(x, {v,w}) / (w(||x||) ||x||^gamma).
 
-
-def _certify_at_least(state: ConstructionState, x: IVec3, rhs: BallReal,
-                      encs: Dict[int, DirectionEnclosure], order: Sequence[int],
-                      max_prec: int) -> Tuple[Optional[bool], int, int]:
-    """Certify |x.u| >= rhs via anchored lower bounds, escalating anchors.
-
-    Returns (verdict, anchor_used, prec): True when some anchor's certified
-    lower bound clears rhs; False when some anchor's certified upper bound
-    stays below rhs (a genuine violation); None otherwise.
+    Built once per (state, window index i, weight w): w = X1^3 X_{i-1} for
+    the coefficient boxes, w = psi for the slab scan.  It holds the anchor
+    enclosures `encs`, the v/w enclosures and the anchor `order` (u_{i+1},
+    u_i, u_{i+2}, then outward).  shell_bound gives a rational t such that
+    every x with lo^2 <= ||x||^2 <= hi^2 and |x.u_j|/||u_j|| >= t satisfies
+    the bound: the upper bound of 1/(w(lo) lo^gamma) plus the slack
+    2 hi sqrt(radius_j), since |x.u| >= |x.u_j|/||u_j|| - 2 ||x|| dist(u_j, u).
+    This is sound because dist(x, {v,w}) <= 1 (proj_dist_sq never exceeds 1)
+    and w(t) t^gamma is nondecreasing in t.  certify is the interval path
+    for a point no threshold decides.
     """
-    last_prec = 0
-    for j in order:
-        if dot(x, encs[j].rep) == 0:
-            continue  # vacuous anchor: the lower bound cannot be positive
-        lb = x_dot_u_lower(x, encs[j])
-        ok, prec = cert_le(rhs, lb, max_prec)
-        last_prec = max(last_prec, prec)
-        if ok is True:
-            return True, j, prec
-    for j in order:
-        enc = encs[j]
-        ub = (BallReal.wrap(Fraction(abs(dot(x, enc.rep)))) / sqrt_int(enc.rep.norm_sq())
-              + 2 * sqrt_int(x.norm_sq()) * BallReal.wrap(enc.radius_sq_ub).sqrt())
-        bad, prec = cert_le(ub, rhs, max_prec)
-        last_prec = max(last_prec, prec)
-        if bad is True:
-            return False, j, prec
-    return None, -1, last_prec
+
+    def __init__(self, state: ConstructionState, i: int,
+                 weight: Callable[[BallReal], BallReal]):
+        last = state.last_index
+        self.encs = {j: enclose_u(state, j) for j in range(1, last + 1)}
+        pref = [j for j in (i + 1, i, i + 2) if 1 <= j <= last]
+        self.order = pref + [j for j in range(last, 0, -1) if j not in pref]
+        self.venc, self.wenc = (enclose_vw(state, kind) for kind in "VW")
+        self.weight = weight
+        self.gamma = BallReal.golden()
+
+    def shell_bound(self, lo_sq: Rat, hi_sq: Rat, j: int) -> Rat:
+        """Threshold on |x.u_j|/||u_j|| for lo_sq <= ||x||^2 <= hi_sq."""
+        lo = BallReal.wrap(lo_sq).sqrt()
+        thr = (1 / (self.weight(lo) * lo.pow(self.gamma))).refined_to(128).hi
+        hi_up = BallReal.wrap(hi_sq).sqrt().refined_to(96).hi
+        rad = BallReal.wrap(Fraction(self.encs[j].radius_sq_ub)).sqrt()
+        return thr + 2 * hi_up * rad.refined_to(96).hi
+
+    def certify(self, x: IVec3, lattice: bool,
+                max_prec: int) -> Tuple[Optional[bool], int]:
+        """(True, prec) when an anchored lower bound on |x.u| clears the right
+        side (numerator 1 off the span lattice, dist(x, {v,w}) on it), (False,
+        prec) when an anchored upper bound stays below it, else (None, prec)."""
+        nx = BallReal.wrap(Fraction(x.norm_sq())).sqrt()
+        num = dist_vw_upper(x, self.venc, self.wenc) if lattice else 1
+        rhs = num / (self.weight(nx) * nx.pow(self.gamma))
+        last_prec = 0
+        for j in self.order:
+            if dot(x, self.encs[j].rep) == 0:
+                continue  # vacuous anchor: the lower bound cannot be positive
+            ok, prec = cert_le(rhs, x_dot_u_lower(x, self.encs[j]), max_prec)
+            last_prec = max(last_prec, prec)
+            if ok is True:
+                return True, prec
+        for j in self.order:
+            enc = self.encs[j]
+            ub = (BallReal.wrap(Fraction(abs(dot(x, enc.rep)))) / sqrt_int(enc.rep.norm_sq())
+                  + 2 * sqrt_int(x.norm_sq()) * BallReal.wrap(enc.radius_sq_ub).sqrt())
+            bad, prec = cert_le(ub, rhs, max_prec)
+            last_prec = max(last_prec, prec)
+            if bad is True:
+                return False, prec
+        return None, last_prec
 
 
 def coeff_box_lemma3(state: ConstructionState, i: int, k_bound: int = 8,
@@ -377,6 +393,9 @@ def coeff_box_lemma3(state: ConstructionState, i: int, k_bound: int = 8,
     Points whose norm falls in [X_i/X1, X_{i+1}/X1) get the branch bound:
       q != 0 (outside the span lattice):  |x.u| >= 1/(X1^3 X_{i-1} ||x||^gamma)
       q == 0 (inside):   |x.u| >= dist(x, {v,w})/(X1^3 X_{i-1} ||x||^gamma)
+    A point passes outright when |x.u_{i+1}| >= ceil(N t), N >= ||u_{i+1}||,
+    t the engine's bound for the window's part of the dyadic shell of
+    ||x||^2; the rest take the engine's interval path.
     Valid anchor range needs the step-(i+1) pair, hence 2 <= i <= n_steps-1.
     """
     s = state.n_steps
@@ -390,15 +409,13 @@ def coeff_box_lemma3(state: ConstructionState, i: int, k_bound: int = 8,
     x1sq = Fraction(state.plan.x1_sq)
     win_lo = state.scale(i).sq / x1sq
     win_hi = state.scale(i + 1).sq / x1sq
-    gamma = BallReal.golden()
-    denom_const = (BallReal.wrap(x1sq).pow(Fraction(3, 2))
-                   * state.scale(i - 1).ball())
-    encs = {j: enclose_u(state, j) for j in range(1, state.last_index + 1)}
-    order = _anchor_order(i, state.last_index)
-    venc = enclose_vw(state, "V")
-    wenc = enclose_vw(state, "W")
+    weight = BallReal.wrap(x1sq).pow(Fraction(3, 2)) * state.scale(i - 1).ball()
+    engine = LowerBoundEngine(state, i, lambda t: weight)
+    rep = engine.encs[i + 1].rep
+    rep_up = sqrt_int(rep.norm_sq()).refined_to(96).hi
+    thresholds: Dict[int, int] = {}  # dyadic shell exponent -> integer bound
 
-    total = in_window = strong = lattice = 0
+    total = in_window = lattice = 0
     violations: List[str] = []
     undecided: List[str] = []
     rng = range(-k_bound, k_bound + 1)
@@ -416,24 +433,24 @@ def coeff_box_lemma3(state: ConstructionState, i: int, k_bound: int = 8,
                 if det3(x, xi, xi_next) != -(q * pn - p * qn):
                     violations.append(f"det_right:{tag}")
                     continue
-                nsq = Fraction(x.norm_sq())
+                nsq = x.norm_sq()
                 if not win_lo <= nsq < win_hi:
                     continue
                 in_window += 1
-                denom = denom_const * BallReal.wrap(nsq).pow(gamma / 2)
-                if q != 0:
-                    strong += 1
-                    rhs = 1 / denom
-                else:
-                    lattice += 1
-                    rhs = dist_vw_upper(x, venc, wenc) / denom
-                ok, _, prec = _certify_at_least(state, x, rhs, encs, order, max_prec)
+                lattice += q == 0
+                e = nsq.bit_length() - 1
+                if e not in thresholds:
+                    thresholds[e] = ceil(rep_up * engine.shell_bound(
+                        max(Fraction(1 << e), win_lo), min(Fraction(2 << e), win_hi), i + 1))
+                if abs(dot(x, rep)) >= thresholds[e]:
+                    continue
+                ok, prec = engine.certify(x, q == 0, max_prec)
                 if ok is False:
                     violations.append(f"bound:{tag}")
                 elif ok is None:
                     undecided.append(f"bound:{tag}:prec={prec}")
     return BoxReport(index=i, k_bound=k_bound, points_total=total,
-                     in_window=in_window, strong_branch=strong,
+                     in_window=in_window, strong_branch=in_window - lattice,
                      lattice_branch=lattice, violations=tuple(violations),
                      undecided=tuple(undecided))
 

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, artifacts, config plumbing."""
 
+import copy
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from gammacert.cli import (MODES, RunConfig, _config_body, _flag_overrides,
                            build_parser, config_from_sources, main)
 from gammacert.errors import InputError
 from gammacert.exact import IVec3
-from gammacert.serialize import dump_document, load_document
+from gammacert.serialize import body_hash, dump_document, load_document
 
 TOY_FLAGS = ["--alpha", "sqrt2m1", "--x0", "0,0,1", "--delta", "4/5",
              "--theta", "3/10", "--steps", "5", "--toy"]
@@ -57,16 +58,26 @@ TOY_AUDIT_FAILURES = ["q_below_qn", "mid_norm_margin", "mid_norm_const",
                       "axis_const_i1"]
 
 
-def test_verify_all_under_optimize(tmp_path):
-    # no certificate rests on an assert: `python -O` strips them, and the
-    # full toy verification must still reach the same verdicts
+# sha256 of the canonical toy `verify --mode all --K 3` cert.json body
+# without its per-run fields (the slab wall time, the echoed seed and output
+# directory, the property suites' seed)
+TOY_CERT_DIGEST = "3fcc48b5dedbbbf8eb9079aadd9a867b8155e28f1748d0645fb390547e2ccb63"
+
+
+def _run_module(argv, timeout, python_flags=()):
+    """`python -m gammacert` in a subprocess, with this checkout's src first."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    got = subprocess.run([sys.executable, "-O", "-m", "gammacert", "verify",
-                          "--mode", "all", "--K", "3", "--threads", "1",
-                          "--out", str(tmp_path)] + TOY_FLAGS,
-                         env=env, capture_output=True, text=True, timeout=600)
+    return subprocess.run([sys.executable, *python_flags, "-m", "gammacert"] + argv,
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_verify_all_under_optimize(tmp_path):
+    # no certificate rests on an assert: `python -O` strips them, and the
+    # full toy verification must still reach the same verdicts
+    got = _run_module(["verify", "--mode", "all", "--K", "3", "--threads", "1",
+                       "--out", str(tmp_path)] + TOY_FLAGS, 600, ["-O"])
     assert got.returncode == 1, got.stderr
     results = load_document(str(tmp_path / "cert.json"), "certificate")["results"]
     assert [c["name"] for c in results["audit"]["clauses"]
@@ -75,6 +86,10 @@ def test_verify_all_under_optimize(tmp_path):
     assert [b["violations"] for b in results["boxes"]] == [[], [], []]
     assert results["slab"]["violations"] == []
     assert results["slab"]["slow_checked"] == "88"
+    body = load_document(str(tmp_path / "cert.json"), "certificate")
+    del body["results"]["slab"]["wall_time_s"], body["config"]["seed"]
+    del body["config"]["out"], body["results"]["properties"]["seed"]
+    assert body_hash(body) == TOY_CERT_DIGEST
 
 
 def test_verify_witness_passes(tmp_path):
@@ -219,6 +234,52 @@ def test_alpha_must_be_json_string(tmp_path):
     assert not (tmp_path / "plan.json").exists()
 
 
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+def test_deeply_nested_config_exits_3(tmp_path, capsys):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(DEEP_JSON)
+    assert main(["plan", "--config", str(cfgp), "--out", str(tmp_path)]) == 3
+    assert "cannot read config" in capsys.readouterr().err
+    assert not (tmp_path / "plan.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--state", "--cert"])
+def test_deeply_nested_document_exits_3(tmp_path, capsys, flag):
+    assert run(["build"] + TOY_FLAGS, tmp_path) == 0
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    state = str(tmp_path / "state.json")
+    argv = {"--state": ["report", "--state", str(deep)],
+            "--cert": ["report", "--state", state, "--cert", str(deep)]}[flag]
+    capsys.readouterr()
+    assert run(argv, tmp_path) == 3
+    assert "cannot read document" in capsys.readouterr().err
+    assert not (tmp_path / "report.md").exists()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("12", Fraction(12)), ("-4/5", Fraction(-4, 5)), ("0.8", Fraction(4, 5)),
+    ("1e1000000", None), ("2.5E-3", None),
+])
+def test_rationals_reject_exponent_notation(text, value):
+    if value is None:
+        with pytest.raises(InputError, match="n/d"):
+            config_from_sources(None, {"delta": text})
+    else:
+        assert config_from_sources(None, {"delta": text}).delta == value
+
+
+def test_huge_exponent_config_exits_3_at_once(tmp_path):
+    # Fraction would expand the exponent in full and run for hours
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"delta": "1e-999999999"}))
+    got = _run_module(["plan", "--config", str(cfgp), "--out", str(tmp_path)], 60)
+    assert got.returncode == 3, got.stderr
+    assert not (tmp_path / "plan.json").exists()
+
+
 def _set_huge_exponent(body):
     body["series"][1]["delta_up"]["mid_exp"] = "1" + "0" * 400
 
@@ -311,3 +372,43 @@ def test_config_values_parse_or_exit_3(tmp_path_factory, raw):
         return
     for f in fields(RunConfig):
         assert type(getattr(cfg, f.name)) in _FIELD_TYPES[f.type], f.name
+
+
+@pytest.fixture(scope="module")
+def toy_documents(tmp_path_factory):
+    """Bodies of a toy state.json and a witness cert.json, by document kind."""
+    out = tmp_path_factory.mktemp("toy_docs")
+    assert run(["build"] + TOY_FLAGS, out) == 0
+    assert run(["verify", "--mode", "witness"] + TOY_FLAGS, out) == 0
+    return {"state": load_document(str(out / "state.json"), "state"),
+            "certificate": load_document(str(out / "cert.json"), "certificate")}
+
+
+def _replace_subtree(data, node, value):
+    """A copy of node with the subtree at a drawn path replaced by value."""
+    if isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        node = copy.copy(node)
+        node[key] = _replace_subtree(data, node[key], value)
+        return node
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["state", "certificate"]),
+       value=_json | st.sampled_from(["\ud800", "x\udfffy"]))  # lone surrogates
+def test_report_any_subtree_exits_0_or_3(tmp_path_factory, toy_documents,
+                                          data, kind, value):
+    # a correctly hashed document with any subtree replaced formats or
+    # exits 3; no exception escapes
+    out = tmp_path_factory.getbasetemp() / "fuzz_report"
+    out.mkdir(exist_ok=True)
+    paths = {}
+    for doc_kind, body in toy_documents.items():
+        if doc_kind == kind:
+            body = _replace_subtree(data, body, value)
+        paths[doc_kind] = str(out / f"{doc_kind}.json")
+        dump_document(paths[doc_kind], doc_kind, body)
+    assert main(["report", "--state", paths["state"], "--cert",
+                 paths["certificate"], "--out", str(out)]) in (0, 3)

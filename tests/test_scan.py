@@ -8,6 +8,7 @@ import pytest
 from gammacert import BallReal, InputError, UndecidedError, slab_scan_iv, sqrt_int
 from gammacert.builder import enclose_u
 from gammacert.planner import PsiSpec
+from gammacert.verifier import LowerBoundEngine
 from gammacert.scan import (
     FLOAT_SLOP,
     M_BITS,
@@ -65,6 +66,9 @@ def _threshold_ints(state, psi, lo_sq, hi_sq, k_near):
     guard = ((F(2 * k_near - 1, 2) - FLOAT_SLOP) * F(abs(m[kappa]), 2 ** M_BITS)
              - e_m - e_u)
     assert guard >= thr_up
+    # the shared engine's shell bound is exactly the scan's threshold plus slack
+    engine = LowerBoundEngine(state, 2, psi.at)
+    assert engine.shell_bound(F(lo_sq), F(hi_sq), state.last_index) == thr_up + e_u
     return m, kappa, _ceil_frac((thr_up + e_m + e_u) * 2 ** M_BITS)
 
 

@@ -1,6 +1,7 @@
 """Audit clauses, witness grid, coefficient boxes, sandwich, exports."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -10,10 +11,13 @@ from gammacert import (
     make_plan,
     schedule_X,
 )
+from gammacert.balls import DEFAULT_MAX_PREC, BallReal
 from gammacert.builder import build, enclose_vw
-from gammacert.exact import IVec3
+from gammacert.exact import IVec3, det3
 from gammacert.planner import PsiSpec
 from gammacert.verifier import (
+    BoxReport,
+    LowerBoundEngine,
     c2_of,
     c3_of,
     c4_of,
@@ -98,6 +102,91 @@ def test_coeff_box_counts(toy_state):
         assert rep.strong_branch + rep.lattice_branch == rep.in_window
         assert rep.violations == () and rep.undecided == ()
         assert rep.all_pass
+
+
+def _all_interval_box(state, i, k_bound):
+    """coeff_box_lemma3 with every in-window point on the interval path.
+
+    Returns the report, each in-window point's interval verdict and the
+    engine; this is the reference the box's exact threshold test is checked
+    against.
+    """
+    xi_prev, xi, xi_next = state.xs[i - 1], state.xs[i], state.xs[i + 1]
+    pn, qn = state.table.pair(state.step_outputs[i - 1].n)
+    x1sq = F(state.plan.x1_sq)
+    win_lo, win_hi = state.scale(i).sq / x1sq, state.scale(i + 1).sq / x1sq
+    weight = BallReal.wrap(x1sq).pow(F(3, 2)) * state.scale(i - 1).ball()
+    engine = LowerBoundEngine(state, i, lambda t: weight)
+    verdicts = {}
+    total = lattice = 0
+    violations, undecided = [], []
+    for q, p, r in product(range(-k_bound, k_bound + 1), repeat=3):
+        if q == p == r == 0:
+            continue
+        total += 1
+        x = q * state.ys[i - 1] + p * xi_prev + r * xi
+        tag = f"(q={q},p={p},r={r})"
+        if det3(x, xi_prev, xi) != q:
+            violations.append(f"det_left:{tag}")
+            continue
+        if det3(x, xi, xi_next) != -(q * pn - p * qn):
+            violations.append(f"det_right:{tag}")
+            continue
+        if not win_lo <= x.norm_sq() < win_hi:
+            continue
+        lattice += q == 0
+        ok, prec = engine.certify(x, q == 0, DEFAULT_MAX_PREC)
+        verdicts[x.as_tuple()] = ok
+        if ok is False:
+            violations.append(f"bound:{tag}")
+        elif ok is None:
+            undecided.append(f"bound:{tag}:prec={prec}")
+    report = BoxReport(index=i, k_bound=k_bound, points_total=total,
+                       in_window=len(verdicts),
+                       strong_branch=len(verdicts) - lattice,
+                       lattice_branch=lattice, violations=tuple(violations),
+                       undecided=tuple(undecided))
+    return report, verdicts, engine
+
+
+# points per box the exact threshold test leaves to the interval path (K=3)
+SURVIVORS = {("toy_state", 2): 6, ("toy_state", 3): 42, ("toy_state", 4): 42,
+             ("honest_state", 2): 42, ("honest_state", 3): 42,
+             ("honest_state", 4): 42}
+
+
+@pytest.mark.parametrize("state_name, i", sorted(SURVIVORS))
+def test_box_threshold_matches_interval_path(request, monkeypatch, state_name, i):
+    state = request.getfixturevalue(state_name)
+    sent, shells = [], []
+    certify, shell_bound = LowerBoundEngine.certify, LowerBoundEngine.shell_bound
+
+    def recording_certify(self, x, lattice, max_prec):
+        sent.append(x.as_tuple())
+        return certify(self, x, lattice, max_prec)
+
+    def recording_shell_bound(self, lo_sq, hi_sq, j):
+        shells.append((lo_sq, hi_sq, j, shell_bound(self, lo_sq, hi_sq, j)))
+        return shells[-1][3]
+
+    monkeypatch.setattr(LowerBoundEngine, "certify", recording_certify)
+    monkeypatch.setattr(LowerBoundEngine, "shell_bound", recording_shell_bound)
+    got = coeff_box_lemma3(state, i, k_bound=3)
+    monkeypatch.undo()
+    want, verdicts, engine = _all_interval_box(state, i, 3)
+    assert got == want
+    assert len(sent) == len(set(sent)) == SURVIVORS[state_name, i]
+    passed = set(verdicts) - set(sent)
+    assert len(passed) == got.in_window - len(sent)
+    # every point the exact test passes is certified by the interval path too
+    assert all(verdicts[x] is True for x in passed)
+    # each in-window point lies in a shell whose bound is at least the bound
+    # of the point's own one-point shell
+    for x in verdicts:
+        nsq = IVec3(*x).norm_sq()
+        own = engine.shell_bound(F(nsq), F(nsq), i + 1)
+        mine = [t for lo, hi, j, t in shells if lo <= nsq <= hi and j == i + 1]
+        assert mine and min(mine) >= own
 
 
 def test_coeff_box_index_bounds(toy_state):
