@@ -84,10 +84,12 @@ def main() -> int:
         stage(f"coefficient box i={i}", rep.all_pass,
               f"{rep.in_window} points in window")
 
-    scan = slab_scan_iv(state, 2403, threads=args.threads)
+    t_scan = time.monotonic()
+    scan = slab_scan_iv(state, 2403, skipped_clauses=audit.failures,
+                        threads=args.threads)
     stage("slab scan", scan.all_pass,
           f"{scan.candidates} candidates, {scan.slow_checked} slow-path, "
-          f"{scan.wall_time_s:.2f}s")
+          f"{time.monotonic() - t_scan:.2f}s")
 
     props = property_suites(seed=0, cases=1000)
     stage("property suites", props.all_pass, f"{len(props.suites)} suites")

@@ -183,14 +183,6 @@ class BallReal:
         return self._hi
 
     @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
-    def rad(self) -> Fraction:
-        return (self.hi - self.lo) / 2
-
-    @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 

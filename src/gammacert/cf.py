@@ -363,7 +363,7 @@ def convergent_gap_check(table: ConvergentTable, n: int,
     """
     pn, qn = table.pair(n)
     c1 = table.c1
-    min_scaled = None
+    min_qbest = None  # min of q*best; the scaled minimum is 2 C1 min_qbest / q_n
     for q in range(1, qn):
         m = (q * pn) % qn
         best = min(m, qn - m)
@@ -377,9 +377,8 @@ def convergent_gap_check(table: ConvergentTable, n: int,
             raise CertificateFailure("gap_witness", f"n={n}, q={q}, p={p_star}")
         if 2 * c1.numerator * q * best < c1.denominator * qn:
             raise CertificateFailure("gap_bound", f"n={n}, q={q}")
-        scaled = Fraction(2 * q * best, qn) * c1
-        if min_scaled is None or scaled < min_scaled:
-            min_scaled = scaled
+        if min_qbest is None or q * best < min_qbest:
+            min_qbest = q * best
     pairs = 0
     if qn <= exhaustive_limit:
         for q in range(1, qn):
@@ -388,4 +387,5 @@ def convergent_gap_check(table: ConvergentTable, n: int,
                 if 2 * c1.numerator * q * lhs < c1.denominator * qn:
                     raise CertificateFailure("gap_exhaustive", f"n={n}, q={q}, p={p}")
                 pairs += 1
-    return GapReport(n, qn - 1, min_scaled if min_scaled is not None else Fraction(0), pairs)
+    min_scaled = Fraction(0) if min_qbest is None else Fraction(2 * min_qbest, qn) * c1
+    return GapReport(n, qn - 1, min_scaled, pairs)

@@ -192,8 +192,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         lines.append(line)
         print(line)
 
-    if cfg.mode in ("all", "audit"):
+    if cfg.mode in ("all", "audit", "slab"):  # the slab discloses its failures
         ledger = starred_ledger_audit(state, max_prec=cfg.max_prec)
+    if cfg.mode in ("all", "audit"):
         results["audit"] = report_body(ledger)
         bad = ledger.failures
         violations += len(bad)
@@ -222,18 +223,22 @@ def cmd_verify(cfg: RunConfig) -> int:
         results["boxes"] = boxes
 
     if cfg.mode in ("all", "slab"):
-        rep = slab_scan_iv(state, cfg.b, psi=cfg.psi(), k_near=cfg.k_near,
-                           threads=cfg.threads, max_prec=cfg.max_prec)
+        rep = slab_scan_iv(state, cfg.b, skipped_clauses=ledger.failures,
+                           k_near=cfg.k_near, threads=cfg.threads,
+                           max_prec=cfg.max_prec)
         results["slab"] = report_body(rep)
         violations += len(rep.violations) + len(rep.positivity_failures)
         undecided += len(rep.undecided)
         if rep.below_threshold:
             note("slab: bound below the entry norm, nothing to scan")
         else:
-            note(f"slab: {rep.lines} lines, {rep.candidates} candidates, "
-                 f"{rep.fast_passed} fast, {rep.slow_checked} slow, "
-                 f"{len(rep.violations)} violations, "
-                 f"{len(rep.undecided)} undecided")
+            if not rep.candidates and rep.undecided:  # the shell was not scanned
+                note(f"slab: not scanned, undecided: {', '.join(rep.undecided)}")
+            else:
+                note(f"slab: {rep.lines} lines, {rep.candidates} candidates, "
+                     f"{rep.fast_passed} fast, {rep.slow_checked} slow, "
+                     f"{len(rep.violations)} violations, "
+                     f"{len(rep.undecided)} undecided")
             if rep.skipped_clauses:
                 note(f"slab: size-threshold clauses not satisfied at this "
                      f"scale: {', '.join(rep.skipped_clauses)}")

@@ -183,8 +183,10 @@ def choose_multiplier(x0: IVec3, x0_comp: IVec3, delta: Rat, c1: Rat,
     cross(x0, x1) = n*cross(x0, x0_comp) + cross(x0, z) then has content 1
     for every n, keeping (x0, x1) a primitive pair, while the direction of
     x1 still approaches x0_comp as n grows.  Linear scan up to a cap, then
-    exponential plus binary search on the (eventually monotone) tail; the
-    returned n is re-checked to satisfy the conditions while n-1 does not.
+    exponential plus binary search on the (eventually monotone) tail.
+    Minimality follows from the search: the bisection ends with n - 1 a
+    probe that failed (in the linear scan, the doubling or the bisection).
+    The returned n is re-checked to satisfy the conditions.
     """
     z = complete_to_basis(x0, x0_comp)
 
@@ -210,8 +212,6 @@ def choose_multiplier(x0: IVec3, x0_comp: IVec3, delta: Rat, c1: Rat,
             hi = mid
         else:
             lo = mid
-    while hi > 1 and ok(hi - 1):  # guard against non-monotone pockets
-        hi -= 1
     good, x1, d0sq = probe(hi)
     if not good:
         raise CertificateFailure("multiplier_admissible", f"multiplier {hi}")
@@ -254,7 +254,7 @@ def _psi_condition_exact(psi: PsiSpec, k: int, x1_sq: Rat, xi_sq: Rat) -> bool:
     return lhs >= rhs
 
 
-def _growth_requirement(plan: Plan, scales: List[XScale], i: int) -> BallReal:
+def _growth_requirement(scales: List[XScale], i: int) -> BallReal:
     # X_{i-1} X_i^(gamma+2)
     return scales[i - 1].ball() * scales[i].pow_gamma_plus(2)
 
@@ -270,7 +270,7 @@ def schedule_X(plan: Plan, max_prec: int = DEFAULT_MAX_PREC) -> Schedule:
     exps: List[int] = []
     witnesses: List[Dict[str, object]] = []
     for i in range(1, plan.n_steps + 1):
-        growth = _growth_requirement(plan, scales, i)
+        growth = _growth_requirement(scales, i)
         k = max(1, math.ceil(float(growth.refined_to(96).log2().refined_to(96).hi)))
         xi_sq = scales[i].sq
 
@@ -324,7 +324,7 @@ def _verify_invariants(plan: Plan, scales: List[XScale], max_prec: int) -> List[
         xi1 = scales[i + 1]
         ok, _ = cert_le(xi.pow_gamma_plus(0), xi1.ball(), max_prec)
         check(f"growth_upper_i{i}", ok)
-        ok, _ = cert_le(_growth_requirement(plan, scales, i), xi1.ball(), max_prec)
+        ok, _ = cert_le(_growth_requirement(scales, i), xi1.ball(), max_prec)
         check(f"growth_main_i{i}", ok)
         if not _psi_condition_exact(plan.psi, _log2_exact(xi1), Fraction(plan.x1_sq), xi.sq):
             fails.append(f"psi_i{i}")

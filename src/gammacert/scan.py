@@ -20,21 +20,19 @@ points, and the guard certificate absorbs its worst-case selection error.
 
 from __future__ import annotations
 
-import time
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, sqrt_int
 from .builder import ConstructionState, x_dot_u_lower
-from .errors import CertificateFailure, InputError, UndecidedError
+from .errors import CertificateFailure, InputError
 from .exact import IVec3, dot
-from .planner import PsiSpec
-from .verifier import LowerBoundEngine, starred_ledger_audit
+from .verifier import LowerBoundEngine
 
 Rat = Fraction
 
@@ -57,7 +55,6 @@ class ScanReport:
     window_index: int
     used_clauses: Tuple[str, ...]
     skipped_clauses: Tuple[str, ...]
-    wall_time_s: float
     threads: int
 
     @property
@@ -71,10 +68,6 @@ def _canonical(c0: int, c1: int, c2: int) -> Tuple[int, int, int]:
         if c != 0:
             return (c0, c1, c2) if c > 0 else (-c0, -c1, -c2)
     raise InputError("zero vector has no canonical sign")
-
-
-def _ceil_frac(fr: Rat) -> int:
-    return -((-fr.numerator) // fr.denominator)
 
 
 def _scan_lines(t1_lo: int, t1_hi: int, b_int: int, m: Tuple[int, int, int],
@@ -121,14 +114,13 @@ def _scan_lines(t1_lo: int, t1_hi: int, b_int: int, m: Tuple[int, int, int],
     return lines, candidates, fast, failing
 
 
-def _direction_fixed_point(enc, prec: int = 128
-                           ) -> Tuple[Tuple[int, int, int], int, Rat]:
+def _direction_fixed_point(enc) -> Tuple[Tuple[int, int, int], int, Rat]:
     """Integer vector m ~ 2^M_BITS * rep/||rep|| with exact coordinate error.
 
     Returns (m, kappa, err_max) with kappa = argmax |m_c| and err_max an
     exact upper bound on max_c |m_c/2^M_BITS - rep_c/||rep|||.
     """
-    norm = sqrt_int(enc.rep.norm_sq()).refined_to(prec)
+    norm = sqrt_int(enc.rep.norm_sq()).refined_to(128)
     n_lo, n_hi = norm.lo, norm.hi
     if n_lo <= 0:
         raise InputError("direction representative has zero norm")
@@ -147,11 +139,9 @@ def _direction_fixed_point(enc, prec: int = 128
     return (m[0], m[1], m[2]), kappa, err_max
 
 
-def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None,
-                 psi: Optional[PsiSpec] = None,
-                 k_near: int = 2, threads: int = 1,
-                 max_prec: int = DEFAULT_MAX_PREC,
-                 _range_override: Optional[Tuple[Rat, Rat]] = None
+def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None, *,
+                 skipped_clauses: Tuple[str, ...], k_near: int = 2,
+                 threads: int = 1, max_prec: int = DEFAULT_MAX_PREC
                  ) -> ScanReport:
     """Certify the lower-bound condition for every x with C' <= ||x|| <= B.
 
@@ -159,20 +149,18 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None,
     inside the second growth window); a larger B only widens work, never the
     claim, and b=None scans that whole capped shell [C', 2 C'].  B < C' means
     the condition is vacuous at this size and the scan reports
-    below_threshold instead of scanning.
+    below_threshold instead of scanning.  The weight is the plan's psi.
 
     Candidate coverage is exhaustive: per line only the k_near-nearest
     integer points to the direction plane can fall under the certified
     threshold (guard certificate); each of those is tested exactly, and
     survivors of the integer test are re-certified against the true right
-    side with escalating anchors and precision.  skipped_clauses names the
-    size-threshold audit clauses this run fails, for disclosure; the scan's
-    own certificates do not depend on them.
+    side with escalating anchors and precision.  A shell the int64 path
+    cannot reach, or a guard that does not certify, is reported as one
+    undecided entry naming the reason, and nothing is scanned.
+    skipped_clauses names the size-threshold audit clauses the run fails,
+    for disclosure; the scan's own certificates do not depend on them.
     """
-    t_start = time.monotonic()
-    plan = state.plan
-    if psi is None:
-        psi = plan.psi
     if k_near < 1:
         raise InputError("k_near must be at least 1")
     if threads < 1:
@@ -181,47 +169,38 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None,
         b = Fraction(b)
         if b <= 0:
             raise InputError("scan bound must be positive")
-    x1sq = Fraction(plan.x1_sq)
-    cprime_sq = state.scale(2).sq / x1sq
-    b_sq = 4 * cprime_sq if b is None else b * b
-    skipped = starred_ledger_audit(state, max_prec=max_prec).failures
-    if _range_override is not None:
-        lo_sq, hi_sq = (Fraction(v) for v in _range_override)
-    else:
-        if b_sq < cprime_sq:
-            return ScanReport(range_lo_sq=cprime_sq, range_hi_sq=b_sq,
-                              lines=0, candidates=0, fast_passed=0,
-                              slow_checked=0, violations=(), undecided=(),
-                              positivity_failures=(), below_threshold=True,
-                              window_index=2, used_clauses=(),
-                              skipped_clauses=skipped,
-                              wall_time_s=time.monotonic() - t_start,
-                              threads=threads)
-        lo_sq, hi_sq = cprime_sq, min(b_sq, 4 * cprime_sq)
-    if not 0 < lo_sq <= hi_sq:
-        raise InputError("empty or invalid scan range")
+    lo_sq = state.scale(2).sq / Fraction(state.plan.x1_sq)
+    hi_sq = 4 * lo_sq if b is None else min(b * b, 4 * lo_sq)
+    empty = ScanReport(range_lo_sq=lo_sq, range_hi_sq=hi_sq, lines=0,
+                       candidates=0, fast_passed=0, slow_checked=0,
+                       violations=(), undecided=(), positivity_failures=(),
+                       below_threshold=hi_sq < lo_sq, window_index=2,
+                       used_clauses=(), skipped_clauses=tuple(skipped_clauses),
+                       threads=threads)
+    if empty.below_threshold:
+        return empty
 
-    engine = LowerBoundEngine(state, 2, psi.at)
+    engine = LowerBoundEngine(state, 2, state.plan.psi.at)
     m, kappa, err_max = _direction_fixed_point(engine.encs[state.last_index])
-    # |x.u_last|/||u_last|| >= bound decides every x in the shell outright
-    bound = engine.shell_bound(lo_sq, hi_sq, state.last_index)
-    b_up = BallReal.wrap(hi_sq).sqrt().refined_to(96).hi
-    e_m = BallReal.wrap(3).sqrt().refined_to(96).hi * b_up * err_max
-
-    # one-time guard: every non-candidate point on any line clears the bound
-    guard_lhs = ((Fraction(2 * k_near - 1, 2) - FLOAT_SLOP)
-                 * Fraction(abs(m[kappa]), 2 ** M_BITS) - e_m)
-    if guard_lhs < bound:
-        raise UndecidedError("slab_guard_margin", 0)
-    t_int = _ceil_frac((bound + e_m) * 2 ** M_BITS)
-
-    nsq_lo, nsq_hi = _ceil_frac(lo_sq), int(hi_sq.numerator // hi_sq.denominator)
-    b_int = isqrt(nsq_hi)
+    nsq_lo, nsq_hi = math.ceil(lo_sq), math.floor(hi_sq)
+    b_int = math.isqrt(nsq_hi)
     o1, o2 = [c for c in range(3) if c != kappa]
     s_max = b_int * (abs(m[o1]) + abs(m[o2]))
     k_max = s_max // max(abs(m[kappa]), 1) + k_near + 2
     if s_max >= 2 ** 52 or s_max + k_max * abs(m[kappa]) >= 2 ** 62:
-        raise InputError("scan bound too large for the int64 fast path")
+        return replace(empty, undecided=(
+            f"slab_int64_reach:s_max_bits={s_max.bit_length()}",))
+
+    # |x.u_last|/||u_last|| >= bound decides every x in the shell outright
+    bound = engine.shell_bound(lo_sq, hi_sq, state.last_index)
+    b_up = BallReal.wrap(hi_sq).sqrt().refined_to(96).hi
+    e_m = BallReal.wrap(3).sqrt().refined_to(96).hi * b_up * err_max
+    # one-time guard: every non-candidate point on any line clears the bound
+    guard_lhs = ((Fraction(2 * k_near - 1, 2) - FLOAT_SLOP)
+                 * Fraction(abs(m[kappa]), 2 ** M_BITS) - e_m)
+    if guard_lhs < bound:
+        return replace(empty, undecided=("slab_guard_margin",))
+    t_int = math.ceil((bound + e_m) * 2 ** M_BITS)
 
     args = (b_int, m, kappa, k_near, t_int, nsq_lo, nsq_hi)
     lines = candidates = fast = 0
@@ -258,11 +237,7 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None,
         if not pos:
             positivity.append(f"{coords}")
 
-    return ScanReport(range_lo_sq=lo_sq, range_hi_sq=hi_sq, lines=lines,
-                      candidates=candidates, fast_passed=fast,
-                      slow_checked=len(failing), violations=tuple(violations),
-                      undecided=tuple(undecided),
-                      positivity_failures=tuple(positivity),
-                      below_threshold=False, window_index=2, used_clauses=(),
-                      skipped_clauses=skipped,
-                      wall_time_s=time.monotonic() - t_start, threads=threads)
+    return replace(empty, lines=lines, candidates=candidates, fast_passed=fast,
+                   slow_checked=len(failing), violations=tuple(violations),
+                   undecided=tuple(undecided),
+                   positivity_failures=tuple(positivity))

@@ -29,7 +29,7 @@ SCHEMA = 1
 
 
 def _enc(obj):
-    if obj is None or isinstance(obj, (str, bool, float)):
+    if obj is None or isinstance(obj, (str, bool)):
         return obj
     if isinstance(obj, int):
         return str(obj)
@@ -182,9 +182,7 @@ def report_body(obj) -> dict:
     out = {}
     for f in dataclasses.fields(obj):
         val = getattr(obj, f.name)
-        if f.name == "wall_time_s":
-            out[f.name] = float(val)
-        elif dataclasses.is_dataclass(val):
+        if dataclasses.is_dataclass(val):
             out[f.name] = report_body(val)
         elif isinstance(val, (list, tuple)) and val and dataclasses.is_dataclass(val[0]):
             out[f.name] = [report_body(v) for v in val]

@@ -141,6 +141,17 @@ def test_gap_certificate_to_12():
         assert rep.exhaustive_pairs == ((qn - 1) * (2 * qn + 1) if qn <= 300 else 0)
 
 
+@pytest.mark.parametrize("name, n_max", [("sqrt2m1", 12), ("sqrt5m2", 7)])
+def test_gap_min_scaled_matches_per_q_formula(name, n_max):
+    # reference: one Fraction per q, minimized directly
+    t = table(name)
+    for n in range(2, n_max + 1):
+        pn, qn = t.pair(n)
+        ref = min(F(2 * q * min((q * pn) % qn, qn - (q * pn) % qn), qn) * t.c1
+                  for q in range(1, qn))
+        assert convergent_gap_check(t, n).min_scaled == ref
+
+
 def test_gap_brute_force_n5():
     t = table()
     pn, qn = t.pair(5)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammacert import verifier
 from gammacert.cli import (MODES, RunConfig, _config_body, _flag_overrides,
                            build_parser, config_from_sources, main)
 from gammacert.errors import InputError
@@ -59,8 +60,8 @@ TOY_AUDIT_FAILURES = ["q_below_qn", "mid_norm_margin", "mid_norm_const",
 
 
 # sha256 of the canonical toy `verify --mode all --K 3` cert.json body
-# without its per-run fields (the slab wall time, the echoed seed and output
-# directory, the property suites' seed)
+# without its per-run fields (the echoed seed and output directory, the
+# property suites' seed)
 TOY_CERT_DIGEST = "3fcc48b5dedbbbf8eb9079aadd9a867b8155e28f1748d0645fb390547e2ccb63"
 
 
@@ -87,9 +88,57 @@ def test_verify_all_under_optimize(tmp_path):
     assert results["slab"]["violations"] == []
     assert results["slab"]["slow_checked"] == "88"
     body = load_document(str(tmp_path / "cert.json"), "certificate")
-    del body["results"]["slab"]["wall_time_s"], body["config"]["seed"]
-    del body["config"]["out"], body["results"]["properties"]["seed"]
+    assert "wall_time_s" not in _all_keys(body)
+    del body["config"]["seed"], body["config"]["out"]
+    del body["results"]["properties"]["seed"]
     assert body_hash(body) == TOY_CERT_DIGEST
+
+
+def _all_keys(obj):
+    if isinstance(obj, dict):
+        return set(obj).union(*map(_all_keys, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_all_keys, obj))
+    return set()
+
+
+def test_verify_all_runs_the_audit_once(tmp_path, monkeypatch):
+    # the slab takes the audit's failures from cmd_verify: 35 clauses, once
+    calls = []
+    clause = verifier._clause
+
+    def counted(out, name, *args):
+        calls.append(name)
+        clause(out, name, *args)
+
+    monkeypatch.setattr(verifier, "_clause", counted)
+    assert run(["verify", "--mode", "all", "--K", "3"] + TOY_FLAGS, tmp_path) == 1
+    assert len(calls) == len(set(calls)) == 35
+    slab = load_document(str(tmp_path / "cert.json"), "certificate")["results"]["slab"]
+    assert slab["skipped_clauses"] == TOY_AUDIT_FAILURES
+
+
+def test_verify_slab_writes_identical_bytes(tmp_path):
+    # no wall clock or other per-run value enters cert.json
+    assert run(["verify", "--mode", "slab"] + TOY_FLAGS, tmp_path) == 0
+    first = (tmp_path / "cert.json").read_bytes()
+    assert run(["verify", "--mode", "slab"] + TOY_FLAGS, tmp_path) == 0
+    assert (tmp_path / "cert.json").read_bytes() == first
+
+
+def test_honest_slab_out_of_reach_is_undecided(tmp_path):
+    # the honest shell is past the int64 path: the run is written, exit 2
+    rc = run(["verify", "--mode", "slab", "--alpha", "sqrt2m1", "--x0", "0,0,1",
+              "--delta", "1/2", "--steps", "5"], tmp_path)
+    assert rc == 2
+    cert = load_document(str(tmp_path / "cert.json"), "certificate")
+    slab = cert["results"]["slab"]
+    assert slab["undecided"] == ["slab_int64_reach:s_max_bits=128"]
+    assert slab["lines"] == "0" and slab["below_threshold"] is False
+    assert slab["skipped_clauses"] == ["plane_const"]
+    assert cert["summary"]["verdict"] == "undecided"
+    assert "slab: not scanned, undecided: slab_int64_reach" in "\n".join(
+        cert["summary"]["lines"])
 
 
 def test_verify_witness_passes(tmp_path):

@@ -1,11 +1,13 @@
 """Slab scan: frozen counts, brute-force exhaustiveness, guard behavior."""
 
+import dataclasses
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from gammacert import BallReal, InputError, UndecidedError, slab_scan_iv, sqrt_int
+from gammacert import BallReal, InputError, slab_scan_iv, sqrt_int
 from gammacert.builder import enclose_u
 from gammacert.planner import PsiSpec
 from gammacert.verifier import LowerBoundEngine
@@ -13,7 +15,6 @@ from gammacert.scan import (
     FLOAT_SLOP,
     M_BITS,
     _canonical,
-    _ceil_frac,
     _direction_fixed_point,
     _scan_lines,
 )
@@ -40,17 +41,11 @@ def test_full_scan_frozen_counts(toy_scan):
 
 def test_default_bound_scans_capped_shell(toy_state, toy_scan):
     # b=None scans [C', 2 C'] itself, as a bound at or above 2 C' does
-    r = slab_scan_iv(toy_state)
+    r = slab_scan_iv(toy_state, skipped_clauses=toy_scan.skipped_clauses)
     for field in ("range_lo_sq", "range_hi_sq", "lines", "candidates",
                   "fast_passed", "slow_checked", "violations", "undecided",
                   "positivity_failures", "below_threshold", "skipped_clauses"):
         assert getattr(r, field) == getattr(toy_scan, field)
-
-
-def test_override_window_counts(toy_state):
-    r = slab_scan_iv(toy_state, 2403, _range_override=(25, 225))
-    assert (r.lines, r.candidates, r.fast_passed, r.slow_checked) == (355, 925, 919, 6)
-    assert r.all_pass
 
 
 def _threshold_ints(state, psi, lo_sq, hi_sq, k_near):
@@ -69,7 +64,7 @@ def _threshold_ints(state, psi, lo_sq, hi_sq, k_near):
     # the shared engine's shell bound is exactly the scan's threshold plus slack
     engine = LowerBoundEngine(state, 2, psi.at)
     assert engine.shell_bound(F(lo_sq), F(hi_sq), state.last_index) == thr_up + e_u
-    return m, kappa, _ceil_frac((thr_up + e_m + e_u) * 2 ** M_BITS)
+    return m, kappa, math.ceil((thr_up + e_m + e_u) * 2 ** M_BITS)
 
 
 def test_line_enumeration_is_exhaustive(toy_state):
@@ -109,9 +104,10 @@ def test_slow_path_is_the_x1_ray(toy_state):
     assert expect <= set(failing)
 
 
-def test_threads_agree(toy_state):
-    a = slab_scan_iv(toy_state, 2403, _range_override=(25, 225), threads=1)
-    b = slab_scan_iv(toy_state, 2403, _range_override=(25, 225), threads=2)
+def test_threads_agree(toy_state, toy_scan):
+    a = toy_scan
+    b = slab_scan_iv(toy_state, 2403, skipped_clauses=a.skipped_clauses,
+                     threads=2)
     for field in ("range_lo_sq", "range_hi_sq", "lines", "candidates",
                   "fast_passed", "slow_checked", "violations", "undecided",
                   "positivity_failures", "used_clauses", "skipped_clauses"):
@@ -120,7 +116,7 @@ def test_threads_agree(toy_state):
 
 
 def test_below_threshold(toy_state):
-    r = slab_scan_iv(toy_state, 1000)
+    r = slab_scan_iv(toy_state, 1000, skipped_clauses=TOY_AUDIT_FAILURES)
     assert r.below_threshold and r.lines == 0 and r.candidates == 0
     assert r.range_hi_sq == F(10 ** 6) < r.range_lo_sq
     assert r.skipped_clauses == TOY_AUDIT_FAILURES
@@ -128,23 +124,31 @@ def test_below_threshold(toy_state):
 
 
 def test_guard_margin_failure(toy_state):
-    # a tiny psi inflates the threshold past what the guard can certify
-    with pytest.raises(UndecidedError, match="slab_guard_margin"):
-        slab_scan_iv(toy_state, 2403, psi=PsiSpec(F(1, 10 ** 12), 1),
-                     _range_override=(25, 225))
+    # a tiny psi inflates the threshold past what the guard can certify: the
+    # scan records that as undecided instead of scanning
+    plan = dataclasses.replace(toy_state.plan, psi=PsiSpec(F(1, 10 ** 12), 1))
+    r = slab_scan_iv(dataclasses.replace(toy_state, plan=plan), 2403,
+                     skipped_clauses=())
+    assert r.undecided == ("slab_guard_margin",)
+    assert (r.lines, r.candidates) == (0, 0) and not r.below_threshold
+    assert not r.all_pass
+
+
+def test_shell_beyond_int64_reach_is_undecided(honest_state):
+    # C'^2 ~ 2^226 puts the honest shell far past the int64 fast path
+    r = slab_scan_iv(honest_state, skipped_clauses=())
+    assert r.undecided == ("slab_int64_reach:s_max_bits=128",)
+    assert (r.lines, r.candidates) == (0, 0) and not r.below_threshold
+    assert not r.all_pass
 
 
 def test_input_validation(toy_state):
     with pytest.raises(InputError):
-        slab_scan_iv(toy_state, 2403, k_near=0)
+        slab_scan_iv(toy_state, 2403, skipped_clauses=(), k_near=0)
     with pytest.raises(InputError):
-        slab_scan_iv(toy_state, 2403, threads=0)
+        slab_scan_iv(toy_state, 2403, skipped_clauses=(), threads=0)
     with pytest.raises(InputError):
-        slab_scan_iv(toy_state, -5)
-    with pytest.raises(InputError, match="int64"):
-        slab_scan_iv(toy_state, 2403, _range_override=(10 ** 6, 10 ** 14))
-    with pytest.raises(InputError):
-        slab_scan_iv(toy_state, 2403, _range_override=(225, 25))
+        slab_scan_iv(toy_state, -5, skipped_clauses=())
     with pytest.raises(InputError):
         _canonical(0, 0, 0)
 

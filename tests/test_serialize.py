@@ -13,7 +13,8 @@ from gammacert import (
     report_body,
     state_body,
 )
-from gammacert.serialize import body_hash, canonical_bytes, unwrap_document, wrap_document
+from gammacert.serialize import (_enc, body_hash, canonical_bytes, unwrap_document,
+                                 wrap_document)
 from gammacert.verifier import coeff_box_lemma3
 
 
@@ -89,3 +90,12 @@ def test_report_body_generic(toy_state):
     assert body["violations"] == []
     with pytest.raises(InputError):
         report_body({"not": "a dataclass"})
+
+
+def test_floats_are_not_serialized():
+    # report bodies hold decimal strings only; a float would be a second,
+    # lossy number format inside hashed bodies
+    with pytest.raises(InputError, match="float"):
+        _enc(0.5)
+    with pytest.raises(InputError, match="float"):
+        _enc({"wall_time_s": [1.25]})
