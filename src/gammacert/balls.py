@@ -264,10 +264,6 @@ class BallReal:
 
     __pow__ = pow
 
-    def log2(self) -> "BallReal":
-        f = self._fn
-        return BallReal(lambda ctx: ctx.log(f(ctx)) / ctx.log(_iv_from_fraction(ctx, Fraction(2))))
-
 
 # squares modulo 64, 63, 65 and 11; a non-square is rejected by one of them
 # with probability about 0.995, before any isqrt of the full integer

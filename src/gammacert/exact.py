@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import CertificateFailure
+from .errors import CertificateFailure, InputError
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,14 @@ def smith_invariants_3x2(a: IVec3, b: IVec3) -> Tuple[int, int]:
     if d2 == 0:
         return (d1, 0)
     return (d1, d2 // d1)
+
+
+def floor_log2(fr: Fraction) -> int:
+    """Largest e with 2^e <= fr, for fr > 0, read off the bit lengths."""
+    if fr <= 0:
+        raise InputError("positive value required")
+    e = fr.numerator.bit_length() - fr.denominator.bit_length()
+    return e if Fraction(2) ** e <= fr else e - 1
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:

@@ -14,7 +14,6 @@ exactly representable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -22,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from .balls import BallReal, DEFAULT_MAX_PREC, cert_le, sqrt_int
 from .cf import ALPHA_PRESETS
 from .errors import CertificateFailure, InputError, UndecidedError
-from .exact import (IVec3, complete_single, complete_to_basis,
+from .exact import (IVec3, complete_single, complete_to_basis, floor_log2,
                     is_primitive_pair, is_primitive_point, proj_dist_sq)
 
 Rat = Fraction
@@ -271,7 +270,8 @@ def schedule_X(plan: Plan, max_prec: int = DEFAULT_MAX_PREC) -> Schedule:
     witnesses: List[Dict[str, object]] = []
     for i in range(1, plan.n_steps + 1):
         growth = _growth_requirement(scales, i)
-        k = max(1, math.ceil(float(growth.refined_to(96).log2().refined_to(96).hi)))
+        # start at the least k with 2^k >= hi, that is -floor(log2(1/hi))
+        k = max(1, -floor_log2(1 / growth.refined_to(96).hi))
         xi_sq = scales[i].sq
 
         def admissible(kk: int) -> Optional[bool]:

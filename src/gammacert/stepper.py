@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .balls import BallReal, DEFAULT_MAX_PREC, DEFAULT_PREC, cert_le, sqrt_int
+from .balls import BallReal, DEFAULT_MAX_PREC, cert_le, sqrt_int
 from .cf import ConvergentTable, locate_n
 from .errors import CertificateFailure, InputError, UndecidedError
 from .exact import (
@@ -108,20 +108,14 @@ def certify(name: str, lhs, rhs, max_prec: int, verdicts: List[Verdict]) -> None
 
 @dataclass(frozen=True)
 class StepCertificate:
-    det_basis: int  # det3(x*, x, y), must be 1
-    det_qn: int  # det3(x*, x, x'), must equal q_n
-    det_pn: int  # det3(y, x, x'), must equal -p_n
-    h_sq: int  # |x* ^ x|^2
     verdicts: Tuple[Verdict, ...]
-    notes: Tuple[str, ...] = ()
 
 
-def decompose_in_basis(y0: IVec3, x_star: IVec3, x: IVec3) -> Tuple[Rat, Rat, int]:
+def decompose_in_basis(y0: IVec3, x_star: IVec3, x: IVec3) -> Tuple[Rat, Rat]:
     """Coordinates (r, s) of y0 over (x*, x) in the plane they span.
 
     Solves the 2x2 Gram system exactly; the residual y0 - r x* - s x is
-    orthogonal to both inputs (checked). Returns the sign of
-    det3(x*, x, y0) as the third component.
+    orthogonal to both inputs (checked).
     """
     g11, g12, g22 = dot(x_star, x_star), dot(x_star, x), dot(x, x)
     b1, b2 = dot(y0, x_star), dot(y0, x)
@@ -130,23 +124,12 @@ def decompose_in_basis(y0: IVec3, x_star: IVec3, x: IVec3) -> Tuple[Rat, Rat, in
         raise InputError("degenerate pair in decomposition")
     r = Fraction(b1 * g22 - b2 * g12, det)
     s = Fraction(b2 * g11 - b1 * g12, det)
-    t = det3(x_star, x, y0)
-    if t == 0:
-        raise InputError("decomposition needs det3(x*, x, y0) = +-1")
     # exact orthogonality of the residual
     for v, name in ((x_star, "x_star"), (x, "x")):
         res = Fraction(dot(y0, v)) - r * Fraction(dot(x_star, v)) - s * Fraction(dot(x, v))
         if res != 0:
             raise CertificateFailure("residual_orthogonal", f"residual . {name} = {res}")
-    return r, s, 1 if t > 0 else -1
-
-
-def unit_normal_sq(a: IVec3, b: IVec3) -> Tuple[IVec3, int]:
-    """Integer representative of the unit normal of span(a, b), with |rep|^2."""
-    rep = cross(a, b)
-    if rep.is_zero():
-        raise InputError("parallel inputs have no normal direction")
-    return rep, rep.norm_sq()
+    return r, s
 
 
 def _nearest_int(v: Rat) -> int:
@@ -168,7 +151,6 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     c1 = table.c1
     max_prec = inp.max_prec
     verdicts: List[Verdict] = []
-    notes: List[str] = []
 
     nx_star = sqrt_int(x_star.norm_sq())
     nx = sqrt_int(x.norm_sq())
@@ -180,11 +162,9 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     certify("hyp_norms_le_Y", 2 * (nx_star + nx), Y, max_prec, verdicts)
     certify("hyp_Y_le_Xprime", Y, Xp, max_prec, verdicts)
 
-    # (1) basis completion, oriented so det3(x*, x, y0) = +1
+    # (1) basis completion; complete_to_basis certifies det3(x*, x, y0) = 1
     y0 = complete_to_basis(x_star, x)
-    r, s, t_sign = decompose_in_basis(y0, x_star, x)
-    if t_sign < 0:
-        y0, r, s = -y0, -r, -s
+    r, s = decompose_in_basis(y0, x_star, x)
 
     # (2) reduce s into (-1/2, 1/2], ties at the upper end
     ell = -math.ceil(s - Fraction(1, 2))
@@ -192,35 +172,13 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     if not -Fraction(1, 2) < s <= Fraction(1, 2):
         raise CertificateFailure("s_reduced", f"s={s} outside (-1/2, 1/2]")
 
-    # (3) smallest a with (a + r) |x*| >= Y + |x|/2 + 1, by certified compare
+    # (3) smallest a with (a + r) |x*| >= Y + |x|/2 + 1, i.e. a = ceil(target).
+    # Once the enclosure's endpoints share a ceiling, a is certified minimal;
+    # at the precision cap ceil(hi) is still certified sufficient.
     target = (Y + nx / 2 + 1) / nx_star - BallReal.exact(r)
-    target = target.refined_to(DEFAULT_PREC)
-    while target.width > Fraction(1, 4) and target.prec < max_prec:
-        target = target.refined_to(2 * target.prec)
-    lo_f = target.lo
-    a = lo_f.numerator // lo_f.denominator  # conservative start below the target
-
-    def satisfies(cand: int) -> Optional[bool]:
-        # a fresh right side per call: cert_le refines both operands in
-        # lockstep, so a shared ball would carry every earlier call's
-        # precision into the next (up to the 65,536-bit cap)
-        rhs = Y + nx / 2 + 1
-        ok, _ = cert_le(rhs, BallReal.exact(Fraction(cand) + r) * nx_star, max_prec)
-        return ok
-
-    while satisfies(a) is False:
-        a += 1
-    st = satisfies(a)
-    if st is None:
-        notes.append(f"a_selection_undecided_at={a}")
-        a += 1
-        if satisfies(a) is not True:
-            raise UndecidedError("a selection", max_prec)
-    below = satisfies(a - 1)
-    if below is None:
-        notes.append(f"a_minimality_unverified_at={a - 1}")
-    elif below is True:
-        raise CertificateFailure("a_minimality", f"a={a} not minimal")
+    while math.ceil(target.lo) != math.ceil(target.hi) and target.prec < max_prec:
+        target.refine()
+    a = math.ceil(target.hi)
 
     # (4) convergent index from T = 2 X'/Y, then the m correction
     T = BallReal.wrap(2 * Xp) / Y
@@ -235,15 +193,11 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     x_prime = qn * y + pn * x_star + m * x
 
     # (6) certificates
-    d1 = det3(x_star, x, y)
-    if d1 != 1:
-        raise CertificateFailure("det_basis", f"{d1} != 1")
-    d2 = det3(x_star, x, x_prime)
-    if d2 != qn:
-        raise CertificateFailure("det_qn", f"{d2} != {qn}")
-    d3 = det3(y, x, x_prime)
-    if d3 != -pn:
-        raise CertificateFailure("det_pn", f"{d3} != {-pn}")
+    for name, got, want in (("det_basis", det3(x_star, x, y), 1),
+                            ("det_qn", det3(x_star, x, x_prime), qn),
+                            ("det_pn", det3(y, x, x_prime), -pn)):
+        if got != want:
+            raise CertificateFailure(name, f"{got} != {want}")
 
     ny_sq = y.norm_sq()
     certify("y_norm_lower", Y_sq, ny_sq, max_prec, verdicts)
@@ -258,8 +212,8 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     verdicts.append(Verdict("xprime_norm_upper", True))
 
     # part 3: dist(x*, x') <= |x|/(2X') + 2C1/(Y |x*| |x| dist(x*, x))
-    u_rep, h_sq = unit_normal_sq(x_star, x)
-    h = sqrt_int(h_sq)
+    u_rep = cross(x_star, x)
+    h = sqrt_int(u_rep.norm_sq())
     lhs3 = BallReal.wrap(proj_dist_sq(x_star, x_prime)).sqrt()
     rhs3 = nx / (2 * Xp) + BallReal.wrap(2 * c1) / (Y * h)
     certify("part3_dist_bound", lhs3, rhs3, max_prec, verdicts)
@@ -275,12 +229,4 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     verdicts.append(Verdict("output_pair_primitive", True))
 
     out = StepOutput(y=y, x_prime=x_prime, n=n, a=a, m=m, ell=ell, r=r, s=s)
-    cert = StepCertificate(
-        det_basis=d1,
-        det_qn=d2,
-        det_pn=d3,
-        h_sq=h_sq,
-        verdicts=tuple(verdicts),
-        notes=tuple(notes),
-    )
-    return out, cert
+    return out, StepCertificate(verdicts=tuple(verdicts))

