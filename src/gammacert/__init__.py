@@ -20,7 +20,7 @@ from .exact import (IVec3, complete_to_basis, cross, det3, dot,
                     is_primitive_pair, is_primitive_point, proj_dist_sq,
                     smith_invariants_3x2)
 from .planner import (Plan, PsiSpec, Schedule, XScale, choose_companion,
-                      choose_multiplier, make_plan, schedule_X)
+                      make_plan, schedule_X)
 from .scan import ScanReport, slab_scan_iv
 from .serialize import (document_bytes, dump_document, load_document,
                         plan_body, report_body, state_body)

@@ -23,7 +23,12 @@ from .errors import CertificateFailure, InputError, UndecidedError
 
 @dataclass(frozen=True)
 class QF:
-    """Element p + q*sqrt(d) of the real quadratic field Q(sqrt d)."""
+    """Element p + q*sqrt(d) of the real quadratic field Q(sqrt d).
+
+    Arithmetic between two elements takes d from the left operand, so both
+    must share d; the package only combines elements derived from one
+    AlphaSpec.qf().
+    """
 
     p: Fraction
     q: Fraction
@@ -31,7 +36,6 @@ class QF:
 
     def __add__(self, other):
         if isinstance(other, QF):
-            assert other.d == self.d
             return QF(self.p + other.p, self.q + other.q, self.d)
         return QF(self.p + Fraction(other), self.q, self.d)
 
@@ -48,7 +52,6 @@ class QF:
 
     def __mul__(self, other):
         if isinstance(other, QF):
-            assert other.d == self.d
             return QF(
                 self.p * other.p + self.q * other.q * self.d,
                 self.p * other.q + self.q * other.p,
@@ -260,8 +263,10 @@ def locate_n(T: Union[int, Fraction, BallReal], table: ConvergentTable,
 
     Exact for rational T (a hit T == q_k yields n = k + 1). For enclosed T
     the comparisons are certified; an inseparable comparison raises.
-    The table first grows past the upper end of T's current enclosure
-    without any comparison, so only the bracketing rows are compared.
+    The table first grows until its last denominator exceeds floor of the
+    upper end of T's enclosure, so q_len > T holds by integer arithmetic
+    with no comparison; a bisection over rows 1..len then compares
+    O(log len) denominators with T.
     """
     tb = BallReal.wrap(T)
     ok, prec = cert_le(1, tb, max_prec)
@@ -276,11 +281,7 @@ def locate_n(T: Union[int, Fraction, BallReal], table: ConvergentTable,
             raise UndecidedError(f"locate_n vs q_{k}", pr)
         return v
 
-    if len(table) < 2:
-        table.extend_to(2)
     table.extend_to_cover(math.floor(tb.hi))
-    while le(len(table)):
-        table.extend_to(len(table) + 1)
     lo, hi = 1, len(table)  # q_lo <= T < q_hi
     while hi - lo > 1:
         mid = (lo + hi) // 2

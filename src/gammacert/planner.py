@@ -2,7 +2,10 @@
 
 The plan fixes a primitive start x0, a companion x0' with dist(x0, x0') <= d/2,
 and x1 = n x0' + x0 + z (z a basis completion of the pair, which keeps
-(x0, x1) a primitive pair) for the smallest n passing all entry conditions.
+(x0, x1) a primitive pair), with n found by a doubling search and a bisection
+on the entry conditions.  plan_clauses states the starred audit's clauses
+that depend on the plan alone; the entry conditions are certified on those
+same expressions, and verifier.starred_ledger_audit records all of them.
 The schedule then picks each X_{i+1} as the smallest power of two satisfying
 the growth requirement X_{i+1} >= X_{i-1} X_i^(gamma+2) and the psi requirement
 psi(X_{i+1}/X_1) >= X_1^3 X_i, and re-verifies every schedule invariant.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .balls import BallReal, DEFAULT_MAX_PREC, cert_le, sqrt_int
+from .balls import BallReal, DEFAULT_MAX_PREC, Number, cert_le, sqrt_int
 from .cf import ALPHA_PRESETS
 from .errors import CertificateFailure, InputError, UndecidedError
 from .exact import (IVec3, complete_single, complete_to_basis, floor_log2,
@@ -59,7 +62,6 @@ class XScale:
 
     @property
     def value_int(self) -> int:
-        assert self.pow2_exp is not None
         return 1 << self.pow2_exp
 
     def ball(self) -> BallReal:
@@ -125,101 +127,93 @@ def choose_companion(x0: IVec3, delta: Rat) -> IVec3:
         m += 1
 
 
-def _auto_theta_holds(d0sq: Rat, x1_sq: int, c1: Rat) -> bool:
-    # delta0^2 X_1 >= 2 (8 C1)^3 / delta0^2, squared to stay rational
-    k = 2 * (8 * c1) ** 3
-    return d0sq ** 4 * x1_sq >= k * k
+def plan_clauses(plan: Plan) -> List[Tuple[str, Number, Number]]:
+    """The starred audit's clauses that depend on the plan alone, in its order.
 
-
-def _conditions_hold(x0: IVec3, x0_comp: IVec3, z: IVec3, n: int, delta: Rat,
-                     c1: Rat, theta: Optional[Rat], toy: bool,
-                     max_prec: int) -> Tuple[bool, Optional[IVec3], Optional[Rat]]:
-    x1 = n * x0_comp + x0 + z
-    d0sq = proj_dist_sq(x0, x1) / 4
-    if d0sq == 0:
-        return False, None, None
-    x1_sq = x1.norm_sq()
-    if 9 * d0sq > delta * delta:
-        return False, None, None
-    if theta is None:
-        if not _auto_theta_holds(d0sq, x1_sq, c1):
-            return False, None, None
-    else:
-        if theta > 0 and d0sq * d0sq * x1_sq < theta * theta:
-            return False, None, None
-    x0_sq = x0.norm_sq()
-    x1b = sqrt_int(x1_sq)
-    gamma = BallReal.golden()
-    if toy:
-        # just enough for the first step hypothesis: 2(X0 + X1) <= X1^gamma
-        ok, _ = cert_le(2 * (sqrt_int(x0_sq) + x1b),
-                        BallReal.wrap(Fraction(x1_sq)) ** (gamma / 2), max_prec)
-        if ok is not True:
-            return False, None, None
-        return True, x1, d0sq
-    if x1_sq < 25 * x0_sq:
-        return False, None, None
-    ok, _ = cert_le(BallReal.wrap(12 * c1) ** gamma, x1b, max_prec)
-    if ok is not True:
-        return False, None, None
-    # entry contraction: 5C1 X1^(1-gamma) + 4C1/(d0 X0 X1^(gamma+1)) <= d0
-    d0 = BallReal.wrap(d0sq).sqrt()
-    x1_pow_1mg = BallReal.wrap(Fraction(x1_sq)) ** ((1 - gamma) / 2)
-    x1_pow_g1 = BallReal.wrap(Fraction(x1_sq)) ** ((gamma + 1) / 2)
-    lhs = 5 * c1 * x1_pow_1mg + BallReal.wrap(4 * c1) / (d0 * sqrt_int(x0_sq) * x1_pow_g1)
-    ok, _ = cert_le(lhs, d0, max_prec)
-    if ok is not True:
-        return False, None, None
-    return True, x1, d0sq
-
-
-def choose_multiplier(x0: IVec3, x0_comp: IVec3, delta: Rat, c1: Rat,
-                      theta: Optional[Rat], toy: bool = False,
-                      max_prec: int = DEFAULT_MAX_PREC) -> Tuple[int, IVec3, Rat]:
-    """Smallest multiplier n >= 1 passing all entry conditions.
-
-    x1 = n*x0_comp + x0 + z, where z completes (x0, x0_comp) to a basis:
-    cross(x0, x1) = n*cross(x0, x0_comp) + cross(x0, z) then has content 1
-    for every n, keeping (x0, x1) a primitive pair, while the direction of
-    x1 still approaches x0_comp as n grows.  Linear scan up to a cap, then
-    exponential plus binary search on the (eventually monotone) tail.
-    Minimality follows from the search: the bisection ends with n - 1 a
-    probe that failed (in the linear scan, the doubling or the bisection).
-    The returned n is re-checked to satisfy the conditions.
+    Each entry is (name, lhs, rhs) for an instantiated "lhs <= rhs", with
+    C2 = (8 C1)^3 / delta0^2 and C3 = 25 C1^3 C2:
+      large_q_margin     delta0^2 <= 2 C1 X1^(2-gamma)       (large-|q| close)
+      q_below_qn         C2 <= 2 X1                          (|q| < q_n step)
+      mid_norm_margin    16 C1 C3 <= delta0^2 X1^(gamma+1)   (mid-|q| margin)
+      mid_norm_const     2 C3 C2^(gamma-1) <= X1^3           (mid-|q| close)
+      plane_const        (6 C1)^3 <= X1^(2-gamma)            (in-plane close)
+      scale_floor        (12 C1)^gamma <= X1
+      scale_seed         25 X0^2 <= X1^2                      (exact)
+      gap_budget         9 delta0^2 <= delta^2                (exact)
+      contraction_seed   5 C1 X1^(1-gamma) + 4 C1/(delta0 X0 X1^(gamma+1)) <= delta0
+      regime_product     theta <= delta0^2 X1   (auto rule: theta = 2 C2)
+    Needs delta0 > 0.  make_plan certifies the entry clauses among these;
+    verifier.starred_ledger_audit records all of them.
     """
-    z = complete_to_basis(x0, x0_comp)
+    c1, d0sq = plan.c1, plan.delta0_sq
+    x1sq = Fraction(plan.x1_sq)
+    gamma = BallReal.golden()
+    c2 = (8 * c1) ** 3 / d0sq
+    c3 = 25 * c1 ** 3 * c2
+    d0 = BallReal.wrap(d0sq).sqrt()
+    x1 = XScale.of_norm_sq(plan.x1_sq).ball()
+    seed_lhs = (BallReal.wrap(5 * c1) * BallReal.wrap(x1sq).pow((1 - gamma) / 2)
+                + BallReal.wrap(4 * c1)
+                / (d0 * sqrt_int(plan.x0_sq) * BallReal.wrap(x1sq).pow((gamma + 1) / 2)))
+    theta = plan.theta if plan.theta is not None else 2 * c2
+    return [
+        ("large_q_margin", d0sq,
+         BallReal.wrap(2 * c1) * BallReal.wrap(x1sq).pow((2 - gamma) / 2)),
+        ("q_below_qn", c2, 2 * x1),
+        ("mid_norm_margin", 16 * c1 * c3,
+         BallReal.wrap(d0sq) * BallReal.wrap(x1sq).pow((gamma + 1) / 2)),
+        # 1/gamma = gamma - 1 turns C2^(1/gamma) into an exact-exponent power
+        ("mid_norm_const", BallReal.wrap(2 * c3) * BallReal.wrap(c2).pow(gamma - 1),
+         BallReal.wrap(x1sq).pow(Fraction(3, 2))),
+        ("plane_const", (6 * c1) ** 3, BallReal.wrap(x1sq).pow((2 - gamma) / 2)),
+        ("scale_floor", BallReal.wrap(12 * c1).pow(gamma), x1),
+        ("scale_seed", 25 * Fraction(plan.x0_sq), x1sq),
+        ("gap_budget", 9 * d0sq, plan.delta * plan.delta),
+        ("contraction_seed", seed_lhs, d0),
+        ("regime_product", theta, BallReal.wrap(d0sq) * x1),
+    ]
 
-    def probe(n: int):
-        return _conditions_hold(x0, x0_comp, z, n, delta, c1, theta, toy, max_prec)
 
-    def ok(n: int) -> bool:
-        return probe(n)[0]
+# the plan clauses the multiplier search certifies, cheapest first; toy runs
+# enforce only the first two
+_ENTRY_CLAUSES = ("gap_budget", "regime_product", "scale_seed", "scale_floor",
+                  "contraction_seed")
 
-    scan_cap = 4096
-    for n in range(1, scan_cap + 1):
-        good, x1, d0sq = probe(n)
-        if good:
-            return n, x1, d0sq
-    lo, hi = scan_cap, 2 * scan_cap
-    while not ok(hi):
-        lo, hi = hi, 2 * hi
-        if hi > 1 << 62:
-            raise InputError("no admissible multiplier below 2^62")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    good, x1, d0sq = probe(hi)
-    if not good:
-        raise CertificateFailure("multiplier_admissible", f"multiplier {hi}")
-    return hi, x1, d0sq
+
+def _enters(plan: Plan, max_prec: int) -> bool:
+    """Whether the candidate plan certifiably passes its entry conditions.
+
+    Non-toy runs: every clause of _ENTRY_CLAUSES.  Toy runs: gap_budget,
+    regime_product and the first step's hypothesis 2(X0 + X1) <= X1^gamma.
+    An undecided comparison counts as a failure.
+    """
+    if plan.delta0_sq == 0:
+        return False
+    clauses = {name: (lhs, rhs) for name, lhs, rhs in plan_clauses(plan)}
+    names = _ENTRY_CLAUSES[:2] if plan.toy else _ENTRY_CLAUSES
+    if any(cert_le(*clauses[name], max_prec)[0] is not True for name in names):
+        return False
+    if not plan.toy:
+        return True
+    x1_sq = plan.x1_sq
+    ok, _ = cert_le(2 * (sqrt_int(plan.x0_sq) + sqrt_int(x1_sq)),
+                    BallReal.wrap(Fraction(x1_sq)) ** (BallReal.golden() / 2), max_prec)
+    return ok is True
 
 
 def make_plan(alpha: str, x0: IVec3, delta: Rat, psi: PsiSpec, n_steps: int,
               theta: Optional[Rat] = None, c1: Optional[Rat] = None,
               toy: bool = False, max_prec: int = DEFAULT_MAX_PREC) -> Plan:
+    """The plan for x0 with x1 = n x0' + x0 + z.
+
+    z completes (x0, x0') to a basis: cross(x0, x1) = n cross(x0, x0') +
+    cross(x0, z) then has content 1 for every n, keeping (x0, x1) a
+    primitive pair, while the direction of x1 still approaches x0' as n
+    grows.  n comes from a doubling search from n = 1, then a bisection: the
+    returned n passes the entry conditions (see _enters) and n - 1 fails
+    them (or n = 1).  Smaller passing n are not excluded where the passing
+    set is not an upward-closed range.
+    """
     if alpha not in ALPHA_PRESETS:
         raise InputError(f"unknown alpha preset {alpha!r}")
     spec = ALPHA_PRESETS[alpha]
@@ -233,11 +227,26 @@ def make_plan(alpha: str, x0: IVec3, delta: Rat, psi: PsiSpec, n_steps: int,
     if not is_primitive_point(x0):
         raise InputError("x0 must be primitive")
     comp = choose_companion(x0, delta)
-    mult, x1, d0sq = choose_multiplier(x0, comp, delta, c1v, theta, toy=toy,
-                                       max_prec=max_prec)
-    return Plan(alpha=alpha, c1=c1v, x0=x0, x0_companion=comp, multiplier=mult,
-                x1=x1, delta=delta, delta0_sq=d0sq, theta=theta, psi=psi,
-                n_steps=n_steps, toy=toy)
+    z = complete_to_basis(x0, comp)
+
+    def candidate(n: int) -> Plan:
+        x1 = n * comp + x0 + z
+        return Plan(alpha=alpha, c1=c1v, x0=x0, x0_companion=comp, multiplier=n,
+                    x1=x1, delta=delta, delta0_sq=proj_dist_sq(x0, x1) / 4,
+                    theta=theta, psi=psi, n_steps=n_steps, toy=toy)
+
+    lo, hi = 0, 1  # lo fails (or is 0); hi is the next probe
+    while not _enters(candidate(hi), max_prec):
+        if hi >= 1 << 62:
+            raise InputError("no admissible multiplier up to 2^62")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _enters(candidate(mid), max_prec):
+            hi = mid
+        else:
+            lo = mid
+    return candidate(hi)
 
 
 def _psi_condition_exact(psi: PsiSpec, k: int, x1_sq: Rat, xi_sq: Rat) -> bool:
@@ -326,15 +335,10 @@ def _verify_invariants(plan: Plan, scales: List[XScale], max_prec: int) -> List[
         check(f"growth_upper_i{i}", ok)
         ok, _ = cert_le(_growth_requirement(scales, i), xi1.ball(), max_prec)
         check(f"growth_main_i{i}", ok)
-        if not _psi_condition_exact(plan.psi, _log2_exact(xi1), Fraction(plan.x1_sq), xi.sq):
+        if not _psi_condition_exact(plan.psi, xi1.pow2_exp, Fraction(plan.x1_sq), xi.sq):
             fails.append(f"psi_i{i}")
         if i + 2 <= last:
             # 2 X_{i+1}^2 <= X_i X_{i+2}, exact on squares
             if 4 * xi1.sq * xi1.sq > xi.sq * scales[i + 2].sq:
                 fails.append(f"ratio_i{i}")
     return fails
-
-
-def _log2_exact(s: XScale) -> int:
-    assert s.pow2_exp is not None
-    return s.pow2_exp

@@ -3,7 +3,10 @@
 Contents:
   - starred_ledger_audit: instantiate every threshold inequality that the
     case analysis behind the slab bound takes for granted, with the run's
-    actual delta0, X scales and C1, and record certified verdicts.
+    actual delta0, X scales and C1, and record certified verdicts.  The
+    clauses that depend on the plan alone come from planner.plan_clauses,
+    the same expressions the multiplier search certifies; the audit adds
+    the per-step clauses.
   - check_condition_iii: on a norm grid, select the witness point by the
     interval rule 5 C1 X_{i-1} <= X < 5 C1 X_i and certify the three
     small-value bounds with constant C4 = (6 C1)^5 / delta0^2.
@@ -37,17 +40,10 @@ from .cf import ALPHA_PRESETS, ConvergentTable, convergent_gap_check
 from .errors import CertificateFailure, InputError
 from .exact import (IVec3, complete_to_basis, cross, det3, dot, floor_log2,
                     is_primitive_pair, proj_dist_sq, smith_invariants_3x2)
+from .planner import plan_clauses
 from .stepper import Verdict
 
 Rat = Fraction
-
-
-def c2_of(plan) -> Rat:
-    return (8 * plan.c1) ** 3 / plan.delta0_sq
-
-
-def c3_of(plan) -> Rat:
-    return 25 * plan.c1 ** 3 * c2_of(plan)
 
 
 def c4_of(plan) -> Rat:
@@ -102,22 +98,14 @@ def starred_ledger_audit(state: ConstructionState,
                          max_prec: int = DEFAULT_MAX_PREC) -> StarredLedger:
     """Audit every run-size threshold the slab bound's case analysis assumes.
 
-    Clause inventory (each is an instantiated "lhs <= rhs"):
-      large_q_margin        delta0^2 <= 2 C1 X1^(2-gamma)       (large-|q| close)
-      q_below_qn            C2 <= 2 X1                          (|q| < q_n step)
-      mid_norm_margin       16 C1 C3 <= delta0^2 X1^(gamma+1)   (mid-|q| margin)
-      mid_norm_const        2 C3 C2^(gamma-1) <= X1^3           (mid-|q| close)
+    First the clauses that depend on the plan alone, planner.plan_clauses
+    (large_q_margin .. regime_product), then per step i = 1..n_steps (each
+    an instantiated "lhs <= rhs"):
       plane_p_margin_i*     200 C1^3 X_i^gamma <= delta0^2 X1 X_{i+1}^gamma
       plane_dist_transfer_i* 9 <= delta0 X1 X_{i-1} X_i X_{i+1}^gamma
-      plane_const           (6 C1)^3 <= X1^(2-gamma)            (in-plane close)
       axis_rep_bound_i*     ||x_{i-1}||^2 <= X1^2 X_{i-1}^2      (exact)
       axis_gap_i*           X1^4 X_{i-1}^2 <= X_{i+1}^2          (exact)
       axis_const_i*         (6 C1)^4 <= delta0 (X_i/X1)^(gamma+1) X1^3 X_{i-1}
-      scale_floor           (12 C1)^gamma <= X1
-      scale_seed            25 X0^2 <= X1^2                      (exact)
-      gap_budget            9 delta0^2 <= delta^2                (exact)
-      contraction_seed      5 C1 X1^(1-gamma) + 4 C1/(delta0 X0 X1^(gamma+1)) <= delta0
-      regime_product        theta <= delta0^2 X1   (auto rule: theta = 2 C2)
 
     A Fail marks the run as outside the regime where the case analysis is
     self-sufficient; toy runs stay usable, flagged by the failing names.
@@ -125,12 +113,9 @@ def starred_ledger_audit(state: ConstructionState,
     plan = state.plan
     c1 = plan.c1
     d0sq = plan.delta0_sq
-    x0sq = Fraction(plan.x0_sq)
     x1sq = Fraction(plan.x1_sq)
     gamma = BallReal.golden()
     s = state.n_steps
-    c2 = c2_of(plan)
-    c3 = c3_of(plan)
     d0 = state.delta0_ball()
     x1 = state.scale(1).ball()
     out: List[StarredClause] = []
@@ -138,29 +123,8 @@ def starred_ledger_audit(state: ConstructionState,
     # the large-|q| margin step is parameter-free: C2/(2(5C1)^2) >= 10 C1/delta0^2
     if (8 * c1) ** 3 / (50 * c1 * c1) < 10 * c1:
         raise CertificateFailure("large_q_margin_const", f"fails at C1={c1}")
-    _clause(out, "large_q_margin", d0sq,
-            BallReal.wrap(2 * c1) * BallReal.wrap(x1sq).pow((2 - gamma) / 2),
-            max_prec)
-    _clause(out, "q_below_qn", c2, 2 * x1, max_prec)
-    _clause(out, "mid_norm_margin", 16 * c1 * c3,
-            BallReal.wrap(d0sq) * BallReal.wrap(x1sq).pow((gamma + 1) / 2),
-            max_prec)
-    # 1/gamma = gamma - 1 turns C2^(1/gamma) into an exact-exponent power
-    _clause(out, "mid_norm_const",
-            BallReal.wrap(2 * c3) * BallReal.wrap(c2).pow(gamma - 1),
-            BallReal.wrap(x1sq).pow(Fraction(3, 2)), max_prec)
-    _clause(out, "plane_const", (6 * c1) ** 3,
-            BallReal.wrap(x1sq).pow((2 - gamma) / 2), max_prec)
-    _clause(out, "scale_floor", BallReal.wrap(12 * c1).pow(gamma), x1, max_prec)
-    _clause(out, "scale_seed", 25 * x0sq, x1sq, max_prec)
-    _clause(out, "gap_budget", 9 * d0sq, plan.delta * plan.delta, max_prec)
-    seed_lhs = (BallReal.wrap(5 * c1) * BallReal.wrap(x1sq).pow((1 - gamma) / 2)
-                + BallReal.wrap(4 * c1)
-                / (d0 * sqrt_int(plan.x0_sq) * BallReal.wrap(x1sq).pow((gamma + 1) / 2)))
-    _clause(out, "contraction_seed", seed_lhs, d0, max_prec)
-    theta_eff = plan.theta if plan.theta is not None else 2 * c2
-    _clause(out, "regime_product", theta_eff,
-            BallReal.wrap(d0sq) * x1, max_prec)
+    for name, lhs, rhs in plan_clauses(plan):
+        _clause(out, name, lhs, rhs, max_prec)
 
     for i in range(1, s + 1):
         xi_g = state.scale(i).pow_gamma_plus(0)

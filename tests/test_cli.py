@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, artifacts, config plumbing."""
 
+import ast
 import copy
 import json
 import os
@@ -92,6 +93,37 @@ def test_verify_all_under_optimize(tmp_path):
     del body["config"]["seed"], body["config"]["out"]
     del body["results"]["properties"]["seed"]
     assert body_hash(body) == TOY_CERT_DIGEST
+
+
+def test_src_has_no_assert():
+    # `python -O` strips asserts, so no check in the package may be one
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src", "gammacert")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+# sha256 of the canonical honest `verify --mode audit` cert.json body, the
+# same rule as TOY_CERT_DIGEST; it pins every plan-only and per-step audit
+# interval of the default honest config
+HONEST_AUDIT_DIGEST = "a13c78a3a5ebc2e533321d71d956dc1232e208e7329152d619f6fbea4a3c448e"
+
+
+def test_honest_audit_bytes_pinned(tmp_path):
+    rc = run(["verify", "--mode", "audit", "--alpha", "sqrt2m1", "--x0", "0,0,1",
+              "--delta", "1/2", "--steps", "5", "--threads", "1"], tmp_path)
+    assert rc == 1
+    body = load_document(str(tmp_path / "cert.json"), "certificate")
+    assert [c["name"] for c in body["results"]["audit"]["clauses"]
+            if c["passed"] is not True] == ["plane_const"]
+    del body["config"]["seed"], body["config"]["out"]
+    assert body_hash(body) == HONEST_AUDIT_DIGEST
 
 
 def _all_keys(obj):

@@ -1,6 +1,8 @@
 """Plan assembly: companion, multiplier, schedule exponents, invariants."""
 
 from fractions import Fraction as F
+from itertools import product
+from typing import Optional
 
 import pytest
 
@@ -15,7 +17,9 @@ from gammacert import (
     make_plan,
     schedule_X,
 )
-from gammacert.exact import IVec3, proj_dist_sq
+from gammacert.balls import DEFAULT_MAX_PREC, cert_le, sqrt_int
+from gammacert.cf import ALPHA_PRESETS
+from gammacert.exact import IVec3, complete_to_basis, proj_dist_sq
 
 E3 = IVec3(0, 0, 1)
 PSI = PsiSpec(F(1), 1)
@@ -124,3 +128,87 @@ def test_schedule_scale_matches_plan():
     assert isinstance(sch, Schedule)
     for i in range(2, p.n_steps + 2):
         assert sch.scale(i, p).sq == F(1) * (1 << (2 * sch.exponents[i - 2]))
+
+
+# ---------------------------------------------------------------------------
+# the multiplier search against the exact-square probe and linear scan it
+# replaced
+
+
+def _reference_conditions_hold(x0, x0_comp, z, n, delta, c1, theta: Optional[F],
+                               toy, max_prec):
+    x1 = n * x0_comp + x0 + z
+    d0sq = proj_dist_sq(x0, x1) / 4
+    if d0sq == 0:
+        return False
+    x1_sq = x1.norm_sq()
+    if 9 * d0sq > delta * delta:
+        return False
+    if theta is None:
+        # delta0^2 X_1 >= 2 (8 C1)^3 / delta0^2, squared to stay rational
+        k = 2 * (8 * c1) ** 3
+        if d0sq ** 4 * x1_sq < k * k:
+            return False
+    elif theta > 0 and d0sq * d0sq * x1_sq < theta * theta:
+        return False
+    x0_sq = x0.norm_sq()
+    x1b = sqrt_int(x1_sq)
+    gamma = BallReal.golden()
+    if toy:
+        ok, _ = cert_le(2 * (sqrt_int(x0_sq) + x1b),
+                        BallReal.wrap(F(x1_sq)) ** (gamma / 2), max_prec)
+        return ok is True
+    if x1_sq < 25 * x0_sq:
+        return False
+    ok, _ = cert_le(BallReal.wrap(12 * c1) ** gamma, x1b, max_prec)
+    if ok is not True:
+        return False
+    d0 = BallReal.wrap(d0sq).sqrt()
+    x1_pow_1mg = BallReal.wrap(F(x1_sq)) ** ((1 - gamma) / 2)
+    x1_pow_g1 = BallReal.wrap(F(x1_sq)) ** ((gamma + 1) / 2)
+    lhs = 5 * c1 * x1_pow_1mg + BallReal.wrap(4 * c1) / (d0 * sqrt_int(x0_sq) * x1_pow_g1)
+    ok, _ = cert_le(lhs, d0, max_prec)
+    return ok is True
+
+
+def reference_multiplier(x0, delta, c1, theta, toy, max_prec=DEFAULT_MAX_PREC):
+    """(n, x1): linear scan over n <= 4096, then doubling and bisection."""
+    comp = choose_companion(x0, delta)
+    z = complete_to_basis(x0, comp)
+
+    def ok(n):
+        return _reference_conditions_hold(x0, comp, z, n, delta, c1, theta, toy, max_prec)
+
+    scan_cap = 4096
+    for n in range(1, scan_cap + 1):
+        if ok(n):
+            return n, n * comp + x0 + z
+    lo, hi = scan_cap, 2 * scan_cap
+    while not ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, hi * comp + x0 + z
+
+
+MULTIPLIER_GRID = list(product(
+    [IVec3(0, 0, 1), IVec3(1, 2, 3)], [F(1, 2), F(4, 5)], ["sqrt2m1", "sqrt5m2"],
+    [(None, False), (F(3, 10), True), (F(1), False)])) + [
+    # the search ends at n = 1 and at n = 2 (n = 1 fails)
+    (IVec3(1, 2, 3), F(1), "sqrt2m1", (F(1, 100), True)),
+    (E3, F(1), "sqrt2m1", (F(1, 100), True)),
+]
+
+
+@pytest.mark.parametrize("x0,delta,alpha,theta_toy", MULTIPLIER_GRID, ids=[
+    f"x0={','.join(map(str, x0.as_tuple()))}-delta={d}-{a}-theta={t}{'-toy' * toy}"
+    for x0, d, a, (t, toy) in MULTIPLIER_GRID])
+def test_multiplier_matches_reference_search(x0, delta, alpha, theta_toy):
+    theta, toy = theta_toy
+    plan = make_plan(alpha, x0, delta, PSI, 3, theta=theta, toy=toy)
+    want = reference_multiplier(x0, delta, ALPHA_PRESETS[alpha].c1_min, theta, toy)
+    assert (plan.multiplier, plan.x1) == want

@@ -1,5 +1,6 @@
 """Audit clauses, witness grid, coefficient boxes, sandwich, exports."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -14,12 +15,10 @@ from gammacert import (
 from gammacert.balls import DEFAULT_MAX_PREC, BallReal
 from gammacert.builder import build, enclose_vw
 from gammacert.exact import IVec3, det3
-from gammacert.planner import PsiSpec
+from gammacert.planner import PsiSpec, plan_clauses
 from gammacert.verifier import (
     BoxReport,
     LowerBoundEngine,
-    c2_of,
-    c3_of,
     c4_of,
     check_condition_iii,
     coeff_box_lemma3,
@@ -40,8 +39,14 @@ TOY_AUDIT_FAILURES = (
 def test_derived_constants(toy_state):
     p = toy_state.plan
     d0 = p.delta0_sq
-    assert c2_of(p) == (8 * p.c1) ** 3 / d0 == F(24379392, 17)
-    assert c3_of(p) == 25 * p.c1 ** 3 * c2_of(p)
+    c2 = (8 * p.c1) ** 3 / d0
+    assert c2 == F(24379392, 17)
+    lhs = {name: left for name, left, _ in plan_clauses(p)}
+    assert lhs["q_below_qn"] == c2
+    assert lhs["mid_norm_margin"] == 16 * p.c1 * 25 * p.c1 ** 3 * c2  # 16 C1 C3
+    assert lhs["regime_product"] == p.theta == F(3, 10)
+    auto = {name: left for name, left, _ in plan_clauses(replace(p, theta=None))}
+    assert auto["regime_product"] == 2 * c2  # the automatic rule theta = 2 C2
     assert c4_of(p) == (6 * p.c1) ** 5 / d0 == F(5924192256, 17)
 
 
