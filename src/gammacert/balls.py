@@ -201,10 +201,8 @@ class BallReal:
 
     def __add__(self, other: Number) -> "BallReal":
         o = BallReal.wrap(other)
-        ex = None
         if self._exact is not None and o._exact is not None:
-            ex = self._exact + o._exact
-            return BallReal.exact(ex)
+            return BallReal.exact(self._exact + o._exact)
         f, g = self._fn, o._fn
         return BallReal(lambda ctx: f(ctx) + g(ctx))
 
@@ -360,13 +358,9 @@ def ball_payload(x: BallReal, prec: int = PAYLOAD_PREC) -> dict:
     Evaluating the handle fresh (not the intersected cache) makes the payload
     independent of incidental refinement history.
     """
-    if x.is_exact:
-        v = x.exact_value
-        got = None
-        if (v.denominator & (v.denominator - 1)) == 0:
-            got = (v, v)
-        if got is None:
-            got = x._eval_at(prec)
+    v = x.exact_value
+    if v is not None and (v.denominator & (v.denominator - 1)) == 0:
+        got = (v, v)
     else:
         got = x._eval_at(prec)
     if got is None:

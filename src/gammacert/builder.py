@@ -40,7 +40,6 @@ Rat = Fraction
 class DirectionEnclosure:
     """Integer representative plus a certified squared-radius bound."""
 
-    kind: str  # "U" | "V" | "W"
     rep: IVec3
     radius_sq_ub: Rat
     anchor_index: int
@@ -216,7 +215,7 @@ def enclose_u(state: ConstructionState, i: int) -> DirectionEnclosure:
         raise InputError(f"u anchor {i} out of range")
     rep = cross(state.xs[i - 1], state.xs[i])
     radius_sq = _u_term_sq(state, i) * 4
-    return DirectionEnclosure(kind="U", rep=rep,
+    return DirectionEnclosure(rep=rep,
                               radius_sq_ub=radius_sq.refined_to(PAYLOAD_PREC).hi,
                               anchor_index=i)
 
@@ -236,7 +235,7 @@ def enclose_vw(state: ConstructionState, kind: str) -> DirectionEnclosure:
     if (m % 2 == 1) != want_odd:
         m -= 1
     radius = state.delta_upper(m + 1) * 2
-    return DirectionEnclosure(kind=kind, rep=state.xs[m],
+    return DirectionEnclosure(rep=state.xs[m],
                               radius_sq_ub=(radius ** 2).refined_to(PAYLOAD_PREC).hi,
                               anchor_index=m)
 

@@ -197,7 +197,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.mode in ("all", "audit"):
         results["audit"] = report_body(ledger)
         bad = ledger.failures
-        violations += len(bad)
+        violations += sum(c.passed is False for c in ledger.clauses)
+        undecided += sum(c.passed is None for c in ledger.clauses)
         note(f"audit: {len(ledger.clauses)} clauses, "
              + ("all pass" if not bad else f"failing: {', '.join(bad)}"))
 

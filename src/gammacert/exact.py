@@ -71,11 +71,6 @@ class IVec3:
         return (self.x, self.y, self.z)
 
 
-E1 = IVec3(1, 0, 0)
-E2 = IVec3(0, 1, 0)
-E3 = IVec3(0, 0, 1)
-
-
 def dot(a: IVec3, b: IVec3) -> int:
     return a.dot(b)
 

@@ -2,14 +2,19 @@
 
 Layout of every file: {"schema": 1, "kind": <str>, "body": {...},
 "sha256": <hex of the canonical body bytes>}.  Canonical bytes use sorted
-keys and tight separators; integers are decimal strings (they routinely
-exceed any interoperable numeric range), rationals are "num/den", interval
-enclosures are dyadic mid/rad payloads at 192 bits.  Loading verifies the
-hash and rejects unknown schema versions.
+keys and tight separators.  One encoder, `_enc`, decides every field value:
+integers are decimal strings (they routinely exceed any interoperable
+numeric range), rationals are "num/den", vectors are lists of three such
+strings, interval enclosures are dyadic mid/rad payloads at 192 bits, and
+any other dataclass is an object of its encoded fields, so the plan, the
+verdict lists and every verifier or scan report take their layout from
+their dataclass.  Loading verifies the hash and rejects unknown schema
+versions.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -37,6 +42,8 @@ def _enc(obj):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, IVec3):
         return [str(c) for c in obj.as_tuple()]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _enc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, BallReal):
         return ball_payload(obj)
     if isinstance(obj, (list, tuple)):
@@ -99,32 +106,13 @@ def dump_document(path: str, kind: str, body: dict) -> None:
 
 
 def plan_body(plan: Plan, schedule: Schedule) -> dict:
-    return {
-        "alpha": plan.alpha,
-        "c1": _enc(plan.c1),
-        "x0": _enc(plan.x0),
-        "x0_companion": _enc(plan.x0_companion),
-        "multiplier": _enc(plan.multiplier),
-        "x1": _enc(plan.x1),
-        "delta": _enc(plan.delta),
-        "delta0_sq": _enc(plan.delta0_sq),
-        "theta": _enc(plan.theta),
-        "psi": {"c": _enc(plan.psi.c), "e": _enc(plan.psi.e)},
-        "n_steps": _enc(plan.n_steps),
-        "toy": plan.toy,
-        "exponents": _enc(schedule.exponents),
-        "schedule_witnesses": _enc(schedule.witnesses),
-        "invariant_failures": _enc(schedule.invariant_failures),
-    }
+    return dict(_enc(plan), exponents=_enc(schedule.exponents),
+                schedule_witnesses=_enc(schedule.witnesses),
+                invariant_failures=_enc(schedule.invariant_failures))
 
 
 # ---------------------------------------------------------------------------
 # construction state
-
-
-def _verdicts_doc(verdicts) -> list:
-    return [{"name": v.name, "passed": v.passed, "prec": _enc(v.prec)}
-            for v in verdicts]
 
 
 def state_body(state: ConstructionState) -> dict:
@@ -159,33 +147,19 @@ def state_body(state: ConstructionState) -> dict:
              "ell": _enc(so.ell), "r": _enc(so.r), "s": _enc(so.s)}
             for so in state.step_outputs
         ],
-        "step_verdicts": [_verdicts_doc(sc.verdicts) for sc in state.step_certs],
-        "base_verdicts": _verdicts_doc(state.base_verdicts),
-        "ledger": [
-            {"index": _enc(le.index), "delta_ub": _enc(le.delta_ub),
-             "verdicts": _verdicts_doc(le.verdicts)} for le in state.ledger
-        ],
+        "step_verdicts": [_enc(sc.verdicts) for sc in state.step_certs],
+        "base_verdicts": _enc(state.base_verdicts),
+        "ledger": _enc(state.ledger),
         "series": series,
     }
 
 
 # ---------------------------------------------------------------------------
-# report bodies (plain dataclass -> dict laydowns)
+# reports
 
 
 def report_body(obj) -> dict:
-    """Generic dataclass-to-body encoder for verifier/scan reports."""
-    import dataclasses
-
+    """Body of a verifier or scan report (any dataclass)."""
     if not dataclasses.is_dataclass(obj):
         raise InputError(f"not a report: {type(obj).__name__}")
-    out = {}
-    for f in dataclasses.fields(obj):
-        val = getattr(obj, f.name)
-        if dataclasses.is_dataclass(val):
-            out[f.name] = report_body(val)
-        elif isinstance(val, (list, tuple)) and val and dataclasses.is_dataclass(val[0]):
-            out[f.name] = [report_body(v) for v in val]
-        else:
-            out[f.name] = _enc(val)
-    return out
+    return _enc(obj)

@@ -75,12 +75,6 @@ class StarredLedger:
     def all_pass(self) -> bool:
         return not self.failures
 
-    def clause(self, name: str) -> StarredClause:
-        for c in self.clauses:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def _interval(v: Union[int, Rat, BallReal]) -> Tuple[Rat, Rat]:
     if isinstance(v, BallReal):
@@ -453,12 +447,6 @@ class PropertyReport:
     @property
     def all_pass(self) -> bool:
         return all(not fails for _, _, fails in self.suites)
-
-    def to_bytes(self) -> bytes:
-        lines = [f"seed={self.seed}"]
-        for name, cases, fails in self.suites:
-            lines.append(f"{name}:{cases}:{';'.join(fails)}")
-        return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def _rand_vec(rng: random.Random, bound: int = 9) -> IVec3:

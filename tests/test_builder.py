@@ -115,7 +115,7 @@ def test_vw_separation(toy_state):
 
 
 def test_x_dot_u_lower_exact():
-    enc = DirectionEnclosure(kind="U", rep=IVec3(1, 0, 0),
+    enc = DirectionEnclosure(rep=IVec3(1, 0, 0),
                              radius_sq_ub=F(0), anchor_index=1)
     b = x_dot_u_lower(IVec3(3, 4, 0), enc)
     assert b.is_exact and b.lo == 3

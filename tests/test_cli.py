@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammacert import verifier
+from gammacert.balls import sqrt_int
 from gammacert.cli import (MODES, RunConfig, _config_body, _flag_overrides,
                            build_parser, config_from_sources, main)
 from gammacert.errors import InputError
@@ -66,13 +67,28 @@ TOY_AUDIT_FAILURES = ["q_below_qn", "mid_norm_margin", "mid_norm_const",
 TOY_CERT_DIGEST = "3fcc48b5dedbbbf8eb9079aadd9a867b8155e28f1748d0645fb390547e2ccb63"
 
 
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def _run_python(argv, timeout):
+    """`python <argv>` in a subprocess, with this checkout's src first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable] + argv, env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
 def _run_module(argv, timeout, python_flags=()):
     """`python -m gammacert` in a subprocess, with this checkout's src first."""
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *python_flags, "-m", "gammacert"] + argv,
-                          env=env, capture_output=True, text=True, timeout=timeout)
+    return _run_python([*python_flags, "-m", "gammacert"] + argv, timeout)
+
+
+def test_toy_pipeline_script(tmp_path):
+    got = _run_python([os.path.join(ROOT, "scripts", "run_toy_pipeline.py"),
+                       "--out", str(tmp_path)], 600)
+    assert got.returncode == 0, got.stdout + got.stderr
+    assert "[FAIL]" not in got.stdout
 
 
 def test_verify_all_under_optimize(tmp_path):
@@ -97,8 +113,7 @@ def test_verify_all_under_optimize(tmp_path):
 
 def test_src_has_no_assert():
     # `python -O` strips asserts, so no check in the package may be one
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                       "src", "gammacert")
+    src = os.path.join(ROOT, "src", "gammacert")
     found = []
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
@@ -114,16 +129,50 @@ def test_src_has_no_assert():
 # interval of the default honest config
 HONEST_AUDIT_DIGEST = "a13c78a3a5ebc2e533321d71d956dc1232e208e7329152d619f6fbea4a3c448e"
 
+HONEST_FLAGS = ["--alpha", "sqrt2m1", "--x0", "0,0,1", "--delta", "1/2",
+                "--steps", "5"]
+
 
 def test_honest_audit_bytes_pinned(tmp_path):
-    rc = run(["verify", "--mode", "audit", "--alpha", "sqrt2m1", "--x0", "0,0,1",
-              "--delta", "1/2", "--steps", "5", "--threads", "1"], tmp_path)
+    rc = run(["verify", "--mode", "audit", "--threads", "1"] + HONEST_FLAGS, tmp_path)
     assert rc == 1
     body = load_document(str(tmp_path / "cert.json"), "certificate")
     assert [c["name"] for c in body["results"]["audit"]["clauses"]
             if c["passed"] is not True] == ["plane_const"]
     del body["config"]["seed"], body["config"]["out"]
     assert body_hash(body) == HONEST_AUDIT_DIGEST
+
+
+def test_undecided_audit_clause_exits_2(tmp_path, monkeypatch):
+    # a clause still undecided at --max-prec is no certified violation; at
+    # theta = 2^31 every real clause passes, so the run is undecided
+    clauses = verifier.plan_clauses
+    monkeypatch.setattr(verifier, "plan_clauses", lambda plan: clauses(plan) + [
+        ("tie", sqrt_int(2) * sqrt_int(2), 2)])
+    rc = run(["verify", "--mode", "audit", "--theta", "2147483648",
+              "--max-prec", "256"] + HONEST_FLAGS, tmp_path)
+    assert rc == 2
+    summary = load_document(str(tmp_path / "cert.json"), "certificate")["summary"]
+    assert (summary["violations"], summary["undecided"]) == ("0", "1")
+    assert summary["verdict"] == "undecided"
+
+
+# plan.json and state.json bodies hold no per-run field, so the benchmark's
+# digest rule is their plain body hash; the honest pair are the benchmark's pins
+BODY_DIGESTS = {
+    ("toy", "plan"): "09236e5932f1f6d8c0a4d06615cb78688e7f715a0fcd23d5be87d2d94781725c",
+    ("toy", "state"): "c43c0317fcd0bbd18773f0b3e4bbdab79ad580b77b27112b6029ab01919f035c",
+    ("honest", "plan"): "0f93a10459cd31d974baf333cd48d8d3bd6f6e639913ea5d933101ec623d6245",
+    ("honest", "state"): "ad08949f4272d902348a8b6b2861e77bbb6bd395f48d8f4636ba00682eaf0959",
+}
+
+
+@pytest.mark.parametrize("config, kind", sorted(BODY_DIGESTS))
+def test_plan_and_state_bytes_pinned(tmp_path, config, kind):
+    flags = TOY_FLAGS if config == "toy" else HONEST_FLAGS
+    assert run(["plan" if kind == "plan" else "build"] + flags, tmp_path) == 0
+    body = load_document(str(tmp_path / f"{kind}.json"), kind)
+    assert body_hash(body) == BODY_DIGESTS[config, kind]
 
 
 def _all_keys(obj):
@@ -160,8 +209,7 @@ def test_verify_slab_writes_identical_bytes(tmp_path):
 
 def test_honest_slab_out_of_reach_is_undecided(tmp_path):
     # the honest shell is past the int64 path: the run is written, exit 2
-    rc = run(["verify", "--mode", "slab", "--alpha", "sqrt2m1", "--x0", "0,0,1",
-              "--delta", "1/2", "--steps", "5"], tmp_path)
+    rc = run(["verify", "--mode", "slab"] + HONEST_FLAGS, tmp_path)
     assert rc == 2
     cert = load_document(str(tmp_path / "cert.json"), "certificate")
     slab = cert["results"]["slab"]
