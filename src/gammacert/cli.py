@@ -196,11 +196,14 @@ def cmd_verify(cfg: RunConfig) -> int:
         ledger = starred_ledger_audit(state, max_prec=cfg.max_prec)
     if cfg.mode in ("all", "audit"):
         results["audit"] = report_body(ledger)
-        bad = ledger.failures
-        violations += sum(c.passed is False for c in ledger.clauses)
-        undecided += sum(c.passed is None for c in ledger.clauses)
+        failing = [c.name for c in ledger.clauses if c.passed is False]
+        open_clauses = [c.name for c in ledger.clauses if c.passed is None]
+        violations += len(failing)
+        undecided += len(open_clauses)
+        parts = [f"{label}: {', '.join(names)}" for label, names
+                 in (("failing", failing), ("undecided", open_clauses)) if names]
         note(f"audit: {len(ledger.clauses)} clauses, "
-             + ("all pass" if not bad else f"failing: {', '.join(bad)}"))
+             + ("; ".join(parts) or "all pass"))
 
     if cfg.mode in ("all", "witness"):
         wit = check_condition_iii(state, max_prec=cfg.max_prec)

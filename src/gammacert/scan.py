@@ -14,6 +14,16 @@ point on the line clears t* outright.  The per-line test is exact int64
 arithmetic against the threshold of verifier.LowerBoundEngine; points that
 fail it take the engine's interval path against the true right side.
 
+The kernel, _scan_lines, walks the shell one row of lines (fixed first free
+coordinate t1) at a time.  A row is a slice of arrays precomputed once
+over t2 in [-b, b], and its candidate offsets are stacked into one int64
+array, so membership and the threshold test are one pass each.  Most rows
+need no threshold test at all: with e0 = m . x at the selected point, a row
+where every |e0| lies in [t_int, |m_kappa| - t_int] passes at every offset,
+since |e0 + off m_kappa| >= |m_kappa| - |e0| >= t_int for off != 0.  numpy is
+imported inside the kernel, so the commands that never scan a slab start
+without it.
+
 Nothing is decided in floating point: float64 only *selects* candidate
 points, and the guard certificate absorbs its worst-case selection error.
 """
@@ -26,8 +36,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, sqrt_int
 from .builder import ConstructionState, x_dot_u_lower
 from .errors import CertificateFailure, InputError
@@ -38,6 +46,7 @@ Rat = Fraction
 
 M_BITS = 40  # fixed-point scale of the integer direction vector
 FLOAT_SLOP = Fraction(1, 2 ** 20)  # covers candidate-selection rounding
+OFFSET_GROUP = 3  # candidate offsets stacked per pass: 2*2-1 at the default K_near
 
 
 @dataclass(frozen=True)
@@ -75,41 +84,66 @@ def _scan_lines(t1_lo: int, t1_hi: int, b_int: int, m: Tuple[int, int, int],
                 ) -> Tuple[int, int, int, List[Tuple[int, int, int]]]:
     """Scan lines with first free coordinate in [t1_lo, t1_hi).
 
-    Returns (lines, candidates, fast_passed, failing canonical coords).
-    Candidate selection uses float64; membership, dedup and the threshold
-    test are exact in int64.
+    Returns (lines, candidates, fast_passed, failing canonical coords), with
+    failing ordered by t1, then offset, then ascending t2.  The lines of one
+    t1 form a row, t2 in [-w, w] with w = isqrt(nsq_hi - t1^2) ([0, w] for
+    t1 = 0): a slice of t2, t2*m2 and t2^2 computed once per call.  Candidate
+    selection a* = rint(-s/m_kappa), s = t1 m1 + t2 m2, uses float64;
+    membership and the threshold test are exact in int64, on the row's
+    offsets stacked OFFSET_GROUP at a time.  A row whose residuals
+    e0 = s + a* m_kappa all lie in [t_int, |m_kappa| - t_int] passes at every
+    offset, so only its in-slab points are counted.
     """
+    # imported here, the one function that uses numpy: plan, build, report
+    # and the non-slab verify modes then start without it, and a process-pool
+    # worker imports it on its first call
+    import numpy as np
+
     o1, o2 = [c for c in range(3) if c != kappa]
     mk, m1, m2 = m[kappa], m[o1], m[o2]
-    offs = list(range(-(k_near - 1), k_near))
+    t2_all = np.arange(-b_int, b_int + 1, dtype=np.int64)
+    t2m2_all = t2_all * m2
+    t2sq_all = t2_all * t2_all
+    offs = np.arange(-(k_near - 1), k_near, dtype=np.int64)[:, None]
+    # each pass holds at most OFFSET_GROUP x row int64 values, whatever k_near
+    groups = [offs[g:g + OFFSET_GROUP] for g in range(0, len(offs), OFFSET_GROUP)]
+    neg_mk = -float(mk)  # s / -mk is bit-identical to -s / mk
+    width = nsq_hi - nsq_lo
+    skip_hi = abs(mk) - t_int
     lines = candidates = fast = 0
     failing: List[Tuple[int, int, int]] = []
-    hi_line = nsq_hi  # a line can host slab points only if t1^2+t2^2 <= hi
     for t1 in range(t1_lo, t1_hi):
-        t2_lo = 0 if t1 == 0 else -b_int
-        t2 = np.arange(t2_lo, b_int + 1, dtype=np.int64)
-        t2 = t2[t1 * t1 + t2 * t2 <= hi_line]
-        if t2.size == 0:
-            continue
-        lines += int(t2.size)
-        s = t1 * m1 + t2 * m2
-        a_star = np.rint(-(s.astype(np.float64)) / float(mk)).astype(np.int64)
-        for off in offs:
+        w = math.isqrt(nsq_hi - t1 * t1)  # the row's lines: t1^2 + t2^2 <= nsq_hi
+        lo, hi = (b_int if t1 == 0 else b_int - w), b_int + w + 1
+        lines += hi - lo
+        s = t2m2_all[lo:hi] + t1 * m1
+        r = t2sq_all[lo:hi] + (t1 * t1 - nsq_lo)  # ||x||^2 - nsq_lo - a^2
+        q = np.divide(s, neg_mk)
+        a_star = np.rint(q, out=q).astype(np.int64)
+        e0 = a_star * mk
+        e0 += s
+        ae0 = np.abs(e0)
+        skip = ae0.min() >= t_int and ae0.max() <= skip_hi
+        for off in groups:
             a = a_star + off
-            nsq = a * a + t1 * t1 + t2 * t2
-            in_slab = (nsq >= nsq_lo) & (nsq <= nsq_hi)
-            if not in_slab.any():
+            excess = a * a
+            excess += r
+            # nsq_lo <= ||x||^2 <= nsq_hi as one unsigned compare of the excess
+            in_slab = excess.view(np.uint64) <= width
+            n_in = int(np.count_nonzero(in_slab))
+            candidates += n_in
+            if skip:
+                fast += n_in
                 continue
-            av, t2v, sv = a[in_slab], t2[in_slab], s[in_slab]
-            dotm = np.abs(sv + av * mk)
-            ok = dotm >= t_int
-            candidates += int(av.size)
-            fast += int(np.count_nonzero(ok))
-            for j in np.nonzero(~ok)[0]:
+            low = np.abs(e0 + off * mk) < t_int
+            low &= in_slab
+            g_at, j_at = np.nonzero(low)  # offset-major, t2 ascending
+            fast += n_in - len(g_at)
+            for g, j in zip(g_at.tolist(), j_at.tolist()):
                 coords = [0, 0, 0]
-                coords[kappa] = int(av[j])
+                coords[kappa] = int(a[g, j])
                 coords[o1] = t1
-                coords[o2] = int(t2v[j])
+                coords[o2] = lo - b_int + j
                 failing.append(_canonical(*coords))
     return lines, candidates, fast, failing
 

@@ -91,6 +91,34 @@ def test_toy_pipeline_script(tmp_path):
     assert "[FAIL]" not in got.stdout
 
 
+# runs toy commands in process and prints, after the import and after each
+# command, its exit code and whether numpy is loaded
+NUMPY_PROBE = """
+import json, os, sys
+from gammacert import cli
+out, flags = sys.argv[1], sys.argv[2:]
+seen = [["import", None, "numpy" in sys.modules]]
+for name, argv in (("plan", ["plan"]), ("build", ["build"]),
+                   ("report", ["report", "--state",
+                               os.path.join(out, "state.json")]),
+                   ("audit", ["verify", "--mode", "audit"]),
+                   ("slab", ["verify", "--mode", "slab"])):
+    rc = cli.main(argv + flags + ["--out", out])
+    seen.append([name, rc, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_loads_only_for_the_slab(tmp_path):
+    # only the slab kernel uses numpy, so plan, build, report and the other
+    # verify modes start without paying for its import
+    got = _run_python(["-c", NUMPY_PROBE, str(tmp_path)] + TOY_FLAGS, 600)
+    assert got.returncode == 0, got.stderr
+    assert json.loads(got.stdout.splitlines()[-1]) == [
+        ["import", None, False], ["plan", 0, False], ["build", 0, False],
+        ["report", 0, False], ["audit", 1, False], ["slab", 0, True]]
+
+
 def test_verify_all_under_optimize(tmp_path):
     # no certificate rests on an assert: `python -O` strips them, and the
     # full toy verification must still reach the same verdicts
@@ -155,6 +183,10 @@ def test_undecided_audit_clause_exits_2(tmp_path, monkeypatch):
     summary = load_document(str(tmp_path / "cert.json"), "certificate")["summary"]
     assert (summary["violations"], summary["undecided"]) == ("0", "1")
     assert summary["verdict"] == "undecided"
+    # the summary line names the clause as undecided, not as failing
+    (line,) = [ln for ln in summary["lines"] if ln.startswith("audit:")]
+    assert line.endswith("clauses, undecided: tie")
+    assert "failing: tie" not in line
 
 
 # plan.json and state.json bodies hold no per-run field, so the benchmark's

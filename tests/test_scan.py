@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from gammacert import BallReal, InputError, slab_scan_iv, sqrt_int
+from gammacert import BallReal, InputError, scan, slab_scan_iv, sqrt_int
 from gammacert.builder import enclose_u
 from gammacert.planner import PsiSpec
 from gammacert.verifier import LowerBoundEngine
@@ -46,6 +47,122 @@ def test_default_bound_scans_capped_shell(toy_state, toy_scan):
                   "fast_passed", "slow_checked", "violations", "undecided",
                   "positivity_failures", "below_threshold", "skipped_clauses"):
         assert getattr(r, field) == getattr(toy_scan, field)
+
+
+def reference_scan_lines(t1_lo, t1_hi, b_int, m, kappa, k_near, t_int,
+                         nsq_lo, nsq_hi):
+    """The per-line kernel the stacked _scan_lines replaced: one arange and
+    mask per line, one pass per offset, no residual skip."""
+    o1, o2 = [c for c in range(3) if c != kappa]
+    mk, m1, m2 = m[kappa], m[o1], m[o2]
+    offs = list(range(-(k_near - 1), k_near))
+    lines = candidates = fast = 0
+    failing = []
+    for t1 in range(t1_lo, t1_hi):
+        t2_lo = 0 if t1 == 0 else -b_int
+        t2 = np.arange(t2_lo, b_int + 1, dtype=np.int64)
+        t2 = t2[t1 * t1 + t2 * t2 <= nsq_hi]
+        if t2.size == 0:
+            continue
+        lines += int(t2.size)
+        s = t1 * m1 + t2 * m2
+        a_star = np.rint(-(s.astype(np.float64)) / float(mk)).astype(np.int64)
+        for off in offs:
+            a = a_star + off
+            nsq = a * a + t1 * t1 + t2 * t2
+            in_slab = (nsq >= nsq_lo) & (nsq <= nsq_hi)
+            if not in_slab.any():
+                continue
+            av, t2v, sv = a[in_slab], t2[in_slab], s[in_slab]
+            ok = np.abs(sv + av * mk) >= t_int
+            candidates += int(av.size)
+            fast += int(np.count_nonzero(ok))
+            for j in np.nonzero(~ok)[0]:
+                coords = [0, 0, 0]
+                coords[kappa] = int(av[j])
+                coords[o1] = t1
+                coords[o2] = int(t2v[j])
+                failing.append(_canonical(*coords))
+    return lines, candidates, fast, failing
+
+
+def _recorded_toy_scan(monkeypatch, state, k_near):
+    """Run the toy slab scan and return its report and the kernel's
+    (arguments, result) of its one call."""
+    calls = []
+
+    def recording(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    real = scan._scan_lines
+    monkeypatch.setattr(scan, "_scan_lines", recording)
+    report = slab_scan_iv(state, 2403, skipped_clauses=(), k_near=k_near)
+    (call,) = calls
+    return report, call
+
+
+@pytest.mark.parametrize("k_near", [2, 3])
+def test_kernel_matches_reference_on_toy_shell(monkeypatch, toy_state, k_near):
+    # same counts and the same failing points in the same order; at
+    # k_near = 3 the five offsets take two stacked passes per row
+    report, (args, got) = _recorded_toy_scan(monkeypatch, toy_state, k_near)
+    assert args[5] == k_near
+    assert got == reference_scan_lines(*args)
+    assert (report.lines, report.slow_checked) == (9067865, 88)
+    assert report.all_pass
+    if k_near == 2:
+        assert report.candidates == 19841341
+
+
+def _synthetic_cases():
+    """Small kernel inputs: every kappa, both signs of m[kappa], k_near 1-3,
+    and t_int tiny (most rows take the residual skip) or above |m_kappa|/2
+    (none can, so every row runs the exact test)."""
+    rng = random.Random(11)
+    cases = []
+    for kappa in (0, 1, 2):
+        for k_near in (1, 2, 3):
+            for sign in (1, -1):
+                mk = sign * rng.randrange(50, 5000)
+                m = [rng.randrange(-abs(mk), abs(mk) + 1) for _ in range(3)]
+                m[kappa] = mk
+                nsq_hi = rng.randrange(40, 700)
+                b_int = math.isqrt(nsq_hi)
+                nsq_lo = rng.randrange(0, nsq_hi)
+                t1_lo = rng.choice([0, rng.randrange(0, b_int)])
+                t1_hi = rng.randrange(t1_lo + 1, b_int + 2)
+                for t_int in (rng.randrange(1, abs(mk) // 100 + 2),
+                              rng.randrange(abs(mk) // 2 + 1, abs(mk) + 2)):
+                    cases.append((t1_lo, t1_hi, b_int, tuple(m), kappa,
+                                  k_near, t_int, nsq_lo, nsq_hi))
+    return cases
+
+
+@pytest.mark.parametrize("args", _synthetic_cases())
+def test_kernel_matches_reference_synthetic(args):
+    assert _scan_lines(*args) == reference_scan_lines(*args)
+
+
+# Past the int64 reach check float64 selection can miss the nearest integer:
+# with K = 2^53, m_kappa = 2K and s = (2j+1) K + 1 (j even, |s| >= 2^53),
+# fl(s) drops the +1 and rint breaks the tie the wrong way, so on every line
+# of row t1 = 1 the residual is |e0| = K + 1, inside [t_int, inf) but above
+# |m_kappa| - t_int for t_int = K.  Those rows must take the exact test: the
+# nearest integer point, |m.x| = K - 1, is below t_int.
+K53 = 2 ** 53
+
+
+@pytest.mark.parametrize("kappa", [0, 1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kernel_exact_when_selection_misses(kappa, sign):
+    m = [-3 * K53 + 1, 4 * K53]
+    m.insert(kappa, sign * 2 * K53)
+    args = (0, 11, 10, tuple(m), kappa, 2, K53, 1, 100)
+    got = _scan_lines(*args)
+    assert got == reference_scan_lines(*args)
+    o1 = min(c for c in range(3) if c != kappa)
+    assert any(abs(p[o1]) == 1 for p in got[3])
 
 
 def _threshold_ints(state, psi, lo_sq, hi_sq, k_near):
