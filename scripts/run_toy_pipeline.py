@@ -73,7 +73,8 @@ def main() -> int:
 
     audit = starred_ledger_audit(state)
     print(f"[info] size-threshold audit: {len(audit.clauses)} clauses, "
-          f"not met at this scale: {', '.join(audit.failures) or 'none'}")
+          f"not met at this scale: {', '.join(audit.refuted) or 'none'}; "
+          f"undecided: {', '.join(audit.undecided) or 'none'}")
 
     witness = check_condition_iii(state)
     stage("witness grid", witness.all_pass,
@@ -85,7 +86,7 @@ def main() -> int:
               f"{rep.in_window} points in window")
 
     t_scan = time.monotonic()
-    scan = slab_scan_iv(state, 2403, skipped_clauses=audit.failures,
+    scan = slab_scan_iv(state, 2403, skipped_clauses=audit.refuted,
                         threads=args.threads)
     stage("slab scan", scan.all_pass,
           f"{scan.candidates} candidates, {scan.slow_checked} slow-path, "

@@ -303,30 +303,16 @@ class Cmp(enum.Enum):
 
 
 def certified_compare(a: Number, b: Number, max_prec: int = DEFAULT_MAX_PREC) -> Cmp:
-    """Strict order of two enclosed reals, refining until separated or capped.
+    """Strict order of two enclosed reals, as refuted non-strict orders.
 
-    Equal exact rationals (and equal reals generally) come back UNDECIDED:
-    strict order genuinely does not hold.
+    a < b holds exactly when b <= a is refuted. Equal reals (exact or not)
+    come back UNDECIDED: strict order genuinely does not hold.
     """
-    x, y = BallReal.wrap(a), BallReal.wrap(b)
-    if x.is_exact and y.is_exact:
-        if x.exact_value < y.exact_value:
-            return Cmp.LESS
-        if x.exact_value > y.exact_value:
-            return Cmp.GREATER
-        return Cmp.UNDECIDED
-    while True:
-        if x.hi < y.lo:
-            return Cmp.LESS
-        if x.lo > y.hi:
-            return Cmp.GREATER
-        worked = False
-        for t in (x, y):
-            if not t.is_exact and t.prec < max_prec:
-                t.refine()
-                worked = True
-        if not worked:
-            return Cmp.UNDECIDED
+    if cert_le(b, a, max_prec)[0] is False:
+        return Cmp.LESS
+    if cert_le(a, b, max_prec)[0] is False:
+        return Cmp.GREATER
+    return Cmp.UNDECIDED
 
 
 def cert_le(a: Number, b: Number, max_prec: int = DEFAULT_MAX_PREC) -> Tuple[Optional[bool], int]:

@@ -30,8 +30,8 @@ from .errors import CertificateFailure, InputError
 from .exact import (IVec3, cross, det3, dot, is_primitive_pair,
                     proj_dist_sq, smith_invariants_3x2)
 from .planner import Plan, Schedule, XScale
-from .stepper import (StepCertificate, StepInput, StepOutput, Verdict, YSpec,
-                      certify, recursive_step)
+from .stepper import (StepCertificate, StepOutput, Verdict, YSpec, certify,
+                      recursive_step)
 
 Rat = Fraction
 
@@ -196,10 +196,9 @@ def build(plan: Plan, schedule: Schedule,
     state.base_verdicts = _base_verdicts(state, max_prec)
     delta = state.delta0_ball()
     for i in range(1, plan.n_steps + 1):
-        out, cert = recursive_step(StepInput(
-            x_star=state.xs[i - 1], x=state.xs[i],
-            Y_spec=YSpec.of_power(state.scale(i).sq),
-            X_prime=state.scale(i + 1).value_int, table=table, max_prec=max_prec))
+        out, cert = recursive_step(state.xs[i - 1], state.xs[i],
+                                   YSpec.of_power(state.scale(i).sq),
+                                   state.scale(i + 1).value_int, table, max_prec)
         state.xs.append(out.x_prime)
         state.ys.append(out.y)
         state.step_outputs.append(out)

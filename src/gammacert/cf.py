@@ -163,10 +163,10 @@ _MAX_TABLE_ROWS = 10 ** 7
 class ConvergentTable:
     """Convergents p_n/q_n of alpha, n >= 1, with per-row certificates.
 
-    Index 1 is the pair (0, 1); row n+1 is a (row n) + (row n-1), where a is
-    the floor of the complete quotient x that the surd stream holds after
-    n steps, and the recurrence starts from (p_0, q_0) = (1, 0) (slot 0 of
-    the lists is unused). Checked exactly:
+    Slot 0 of the lists holds (p_0, q_0) = (1, 0), where the recurrence
+    starts, and index 1 is the pair (0, 1); row n+1 is a (row n) + (row n-1),
+    where a is the floor of the complete quotient x that the surd stream
+    holds after n steps. Checked exactly:
 
     - once: alpha lies in (0, 1/2), the surd stream starts at alpha, its
       first quotient (the integer part) is 0, the radicand is not a square,
@@ -207,9 +207,8 @@ class ConvergentTable:
         a0 = st.next()
         if a0 != 0:
             raise InputError("alpha must have zero integer part")
-        self.p: List[int] = [0, 0]  # 1-based; p[1] = 0
-        self.q: List[int] = [0, 1]  # q[1] = 1
-        self._h_prev, self._k_prev = 1, 0  # h_{-1}, k_{-1}
+        self.p: List[int] = [1, 0]  # p_0, p_1
+        self.q: List[int] = [0, 1]  # q_0, q_1
 
     def __len__(self) -> int:
         return len(self.p) - 1
@@ -227,11 +226,9 @@ class ConvergentTable:
         if len(self) >= _MAX_TABLE_ROWS:
             raise InputError("convergent table exhausted")
         ak = self._stream.next()
-        h = ak * self.p[-1] + self._h_prev
-        kk = ak * self.q[-1] + self._k_prev
-        self._h_prev, self._k_prev = self.p[-1], self.q[-1]
-        self.p.append(h)
-        self.q.append(kk)
+        p, q = self.p, self.q
+        p.append(ak * p[-1] + p[-2])
+        q.append(ak * q[-1] + q[-2])
         self._verify_new_row(ak)
 
     def _verify_new_row(self, ak: int) -> None:

@@ -196,12 +196,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         ledger = starred_ledger_audit(state, max_prec=cfg.max_prec)
     if cfg.mode in ("all", "audit"):
         results["audit"] = report_body(ledger)
-        failing = [c.name for c in ledger.clauses if c.passed is False]
-        open_clauses = [c.name for c in ledger.clauses if c.passed is None]
-        violations += len(failing)
-        undecided += len(open_clauses)
+        violations += len(ledger.refuted)
+        undecided += len(ledger.undecided)
         parts = [f"{label}: {', '.join(names)}" for label, names
-                 in (("failing", failing), ("undecided", open_clauses)) if names]
+                 in (("failing", ledger.refuted), ("undecided", ledger.undecided))
+                 if names]
         note(f"audit: {len(ledger.clauses)} clauses, "
              + ("; ".join(parts) or "all pass"))
 
@@ -227,7 +226,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         results["boxes"] = boxes
 
     if cfg.mode in ("all", "slab"):
-        rep = slab_scan_iv(state, cfg.b, skipped_clauses=ledger.failures,
+        rep = slab_scan_iv(state, cfg.b, skipped_clauses=ledger.refuted,
                            k_near=cfg.k_near, threads=cfg.threads,
                            max_prec=cfg.max_prec)
         results["slab"] = report_body(rep)

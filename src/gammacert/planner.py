@@ -222,6 +222,8 @@ def make_plan(alpha: str, x0: IVec3, delta: Rat, psi: PsiSpec, n_steps: int,
         raise InputError(f"C1 must be >= {spec.c1_min} for alpha {alpha}")
     if delta <= 0 or delta > 2:
         raise InputError("delta must lie in (0, 2]")
+    if theta is not None and theta <= 0:
+        raise InputError("theta must be positive")
     if n_steps < 1:
         raise InputError("need at least one step")
     if not is_primitive_point(x0):
@@ -297,9 +299,10 @@ def schedule_X(plan: Plan, max_prec: int = DEFAULT_MAX_PREC) -> Schedule:
             if verdict is None:
                 raise UndecidedError(f"schedule X_{i + 1} at exponent {k}", max_prec)
             k += 1
-        while k > 1 and admissible(k - 1) is True:
-            k -= 1
         below = admissible(k - 1)
+        while below is True and k > 1:
+            k -= 1
+            below = admissible(k - 1)
         if below is None:
             raise UndecidedError(f"schedule X_{i + 1} minimality at {k - 1}", max_prec)
         scales.append(XScale.of_pow2(k))

@@ -64,16 +64,6 @@ class YSpec:
 
 
 @dataclass(frozen=True)
-class StepInput:
-    x_star: IVec3
-    x: IVec3
-    Y_spec: YSpec
-    X_prime: int
-    table: ConvergentTable
-    max_prec: int = DEFAULT_MAX_PREC
-
-
-@dataclass(frozen=True)
 class StepOutput:
     y: IVec3
     x_prime: IVec3
@@ -143,24 +133,27 @@ def _nearest_int(v: Rat) -> int:
     return f if abs(f) < abs(f + 1) else f + 1
 
 
-def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
-    x_star, x = inp.x_star, inp.x
+def recursive_step(x_star: IVec3, x: IVec3, Y_spec: YSpec, X_prime: int,
+                   table: ConvergentTable, max_prec: int = DEFAULT_MAX_PREC
+                   ) -> Tuple[StepOutput, StepCertificate]:
+    """One step from the primitive pair (x*, x) toward the targets Y and X'.
+
+    table supplies q_n and p_n, and every comparison is certified up to
+    max_prec bits. Returns (y, x') with the step data, and the verdicts.
+    """
     if not is_primitive_pair(x_star, x):
         raise InputError("recursive_step needs a primitive pair")
-    table = inp.table
     c1 = table.c1
-    max_prec = inp.max_prec
     verdicts: List[Verdict] = []
 
     nx_star = sqrt_int(x_star.norm_sq())
     nx = sqrt_int(x.norm_sq())
-    Y = inp.Y_spec.ball()
-    Y_sq = inp.Y_spec.sq_ball()
-    Xp = inp.X_prime
+    Y = Y_spec.ball()
+    Y_sq = Y_spec.sq_ball()
 
     # hypothesis: 2(|x*| + |x|) <= Y <= X'
     certify("hyp_norms_le_Y", 2 * (nx_star + nx), Y, max_prec, verdicts)
-    certify("hyp_Y_le_Xprime", Y, Xp, max_prec, verdicts)
+    certify("hyp_Y_le_Xprime", Y, X_prime, max_prec, verdicts)
 
     # (1) basis completion; complete_to_basis certifies det3(x*, x, y0) = 1
     y0 = complete_to_basis(x_star, x)
@@ -181,7 +174,7 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     a = math.ceil(target.hi)
 
     # (4) convergent index from T = 2 X'/Y, then the m correction
-    T = BallReal.wrap(2 * Xp) / Y
+    T = BallReal.wrap(2 * X_prime) / Y
     n = locate_n(T, table, max_prec)
     pn, qn = table.pair(n)
     m = _nearest_int(-s * qn)
@@ -204,9 +197,9 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     certify("y_norm_upper", ny_sq, 4 * Y_sq, max_prec, verdicts)
 
     nxp_sq = x_prime.norm_sq()
-    if not Fraction(Xp * Xp) <= nxp_sq:
-        raise CertificateFailure("xprime_norm_lower", f"{nxp_sq} < {Xp}^2")
-    if not Fraction(nxp_sq) <= 25 * c1 * c1 * Xp * Xp:
+    if not Fraction(X_prime * X_prime) <= nxp_sq:
+        raise CertificateFailure("xprime_norm_lower", f"{nxp_sq} < {X_prime}^2")
+    if not Fraction(nxp_sq) <= 25 * c1 * c1 * X_prime * X_prime:
         raise CertificateFailure("xprime_norm_upper", f"{nxp_sq} too large")
     verdicts.append(Verdict("xprime_norm_lower", True))
     verdicts.append(Verdict("xprime_norm_upper", True))
@@ -215,7 +208,7 @@ def recursive_step(inp: StepInput) -> Tuple[StepOutput, StepCertificate]:
     u_rep = cross(x_star, x)
     h = sqrt_int(u_rep.norm_sq())
     lhs3 = BallReal.wrap(proj_dist_sq(x_star, x_prime)).sqrt()
-    rhs3 = nx / (2 * Xp) + BallReal.wrap(2 * c1) / (Y * h)
+    rhs3 = nx / (2 * X_prime) + BallReal.wrap(2 * c1) / (Y * h)
     certify("part3_dist_bound", lhs3, rhs3, max_prec, verdicts)
 
     # part 4: dist(u, u') H H' = q_n |x| exactly, and q_n Y <= 2 C1 |x'|

@@ -68,12 +68,12 @@ class StarredLedger:
     clauses: Tuple[StarredClause, ...]
 
     @property
-    def failures(self) -> Tuple[str, ...]:
-        return tuple(c.name for c in self.clauses if c.passed is not True)
+    def refuted(self) -> Tuple[str, ...]:
+        return tuple(c.name for c in self.clauses if c.passed is False)
 
     @property
-    def all_pass(self) -> bool:
-        return not self.failures
+    def undecided(self) -> Tuple[str, ...]:
+        return tuple(c.name for c in self.clauses if c.passed is None)
 
 
 def _interval(v: Union[int, Rat, BallReal]) -> Tuple[Rat, Rat]:

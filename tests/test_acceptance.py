@@ -16,7 +16,7 @@ from gammacert.builder import build
 from gammacert.exact import IVec3, cross, det3, proj_dist_sq, smith_invariants_3x2
 from gammacert.planner import PsiSpec, make_plan, schedule_X
 from gammacert.serialize import canonical_bytes, report_body
-from gammacert.stepper import StepInput, YSpec, recursive_step
+from gammacert.stepper import YSpec, recursive_step
 from gammacert.verifier import c4_of, check_condition_iii, coeff_box_lemma3, property_suites
 
 from conftest import TOY, PSI_LINEAR, build_run, record_criterion
@@ -96,7 +96,7 @@ def test_criterion_3():
 def test_criterion_4():
     table = ConvergentTable(ALPHA_PRESETS["sqrt2m1"])
     x_star, x = IVec3(1, 0, 0), IVec3(0, 1, 0)
-    out, _ = recursive_step(StepInput(x_star, x, YSpec.of_rational(4), 10, table))
+    out, _ = recursive_step(x_star, x, YSpec.of_rational(4), 10, table)
     ok = (out.y == IVec3(6, 0, 1) and out.x_prime == IVec3(77, 0, 12)
           and out.n == 4
           and (det3(x_star, x, out.y), det3(x_star, x, out.x_prime),

@@ -79,6 +79,56 @@ def test_certified_compare():
                              max_prec=256) is Cmp.UNDECIDED
 
 
+def reference_certified_compare(a, b, max_prec=1 << 16):
+    """certified_compare as its own refine-until-separated loop."""
+    x, y = BallReal.wrap(a), BallReal.wrap(b)
+    if x.is_exact and y.is_exact:
+        if x.exact_value < y.exact_value:
+            return Cmp.LESS
+        if x.exact_value > y.exact_value:
+            return Cmp.GREATER
+        return Cmp.UNDECIDED
+    while True:
+        if x.hi < y.lo:
+            return Cmp.LESS
+        if x.lo > y.hi:
+            return Cmp.GREATER
+        worked = False
+        for t in (x, y):
+            if not t.is_exact and t.prec < max_prec:
+                t.refine()
+                worked = True
+        if not worked:
+            return Cmp.UNDECIDED
+
+
+@given(rational, rational)
+def test_certified_compare_matches_reference_on_rationals(a, b):
+    assert certified_compare(a, b) is reference_certified_compare(a, b)
+    assert certified_compare(a, a) is reference_certified_compare(a, a) is Cmp.UNDECIDED
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), rational)
+def test_certified_compare_matches_reference_on_surds(n, b):
+    # fresh balls per call: the reference must not start from refined ones
+    for left, right in ((lambda: sqrt_int(n), lambda: b), (lambda: b, lambda: sqrt_int(n))):
+        assert certified_compare(left(), right()) is reference_certified_compare(left(), right())
+
+
+@pytest.mark.parametrize("left, right", [
+    (lambda: sqrt_int(2) + sqrt_int(2), lambda: sqrt_int(8)),
+    (lambda: sqrt_int(8), lambda: sqrt_int(2) + sqrt_int(2)),
+    (lambda: sqrt_int(2) * sqrt_int(2), lambda: F(2)),
+    (lambda: sqrt_int(3) * sqrt_int(12), lambda: F(6)),
+    (lambda: BallReal.golden() * 2 - 1, lambda: sqrt_int(5)),
+])
+def test_certified_compare_matches_reference_on_equal_reals(left, right):
+    got = certified_compare(left(), right(), max_prec=256)
+    assert got is reference_certified_compare(left(), right(), max_prec=256)
+    assert got is Cmp.UNDECIDED
+
+
 def test_ball_payload_roundtrip():
     p = ball_payload(sqrt_int(186))
     mid = F(int(p["mid_man"])) * F(2) ** int(p["mid_exp"])

@@ -171,14 +171,20 @@ def test_honest_audit_bytes_pinned(tmp_path):
     assert body_hash(body) == HONEST_AUDIT_DIGEST
 
 
-def test_undecided_audit_clause_exits_2(tmp_path, monkeypatch):
-    # a clause still undecided at --max-prec is no certified violation; at
-    # theta = 2^31 every real clause passes, so the run is undecided
+@pytest.fixture
+def tie_clause(monkeypatch):
+    # an audit clause that stays undecided at --max-prec 256; at theta = 2^31
+    # every real clause passes
     clauses = verifier.plan_clauses
     monkeypatch.setattr(verifier, "plan_clauses", lambda plan: clauses(plan) + [
         ("tie", sqrt_int(2) * sqrt_int(2), 2)])
-    rc = run(["verify", "--mode", "audit", "--theta", "2147483648",
-              "--max-prec", "256"] + HONEST_FLAGS, tmp_path)
+    return ["--theta", "2147483648", "--max-prec", "256"] + HONEST_FLAGS
+
+
+def test_undecided_audit_clause_exits_2(tmp_path, tie_clause):
+    # a clause still undecided at --max-prec is no certified violation, so
+    # the run is undecided
+    rc = run(["verify", "--mode", "audit"] + tie_clause, tmp_path)
     assert rc == 2
     summary = load_document(str(tmp_path / "cert.json"), "certificate")["summary"]
     assert (summary["violations"], summary["undecided"]) == ("0", "1")
@@ -187,6 +193,22 @@ def test_undecided_audit_clause_exits_2(tmp_path, monkeypatch):
     (line,) = [ln for ln in summary["lines"] if ln.startswith("audit:")]
     assert line.endswith("clauses, undecided: tie")
     assert "failing: tie" not in line
+
+
+def test_undecided_audit_clause_is_not_skipped_by_the_slab(tmp_path, tie_clause, capsys):
+    # the slab names only refuted clauses as not satisfied at this scale
+    rc = run(["verify", "--mode", "slab"] + tie_clause, tmp_path)
+    assert rc == 2
+    cert = load_document(str(tmp_path / "cert.json"), "certificate")
+    assert "tie" not in cert["results"]["slab"]["skipped_clauses"]
+    lines = cert["summary"]["lines"] + capsys.readouterr().out.splitlines()
+    assert not [ln for ln in lines if "not satisfied" in ln and "tie" in ln]
+
+
+@pytest.mark.parametrize("theta", ["0", "-5"])
+def test_nonpositive_theta_exits_3(tmp_path, theta):
+    assert run(["plan"] + TOY_FLAGS + ["--theta", theta], tmp_path) == 3
+    assert not (tmp_path / "plan.json").exists()
 
 
 # plan.json and state.json bodies hold no per-run field, so the benchmark's

@@ -10,10 +10,9 @@ import pytest
 from conftest import TOY, build_run
 from gammacert import (ALPHA_PRESETS, CertificateFailure, ConvergentTable,
                        InputError, UndecidedError, sqrt_int)
-from gammacert.balls import DEFAULT_PREC, BallReal, cert_le
+from gammacert.balls import DEFAULT_MAX_PREC, DEFAULT_PREC, BallReal, cert_le
 from gammacert.exact import IVec3, complete_to_basis, cross, det3
 from gammacert.stepper import (
-    StepInput,
     Verdict,
     YSpec,
     certify,
@@ -59,24 +58,24 @@ def test_a_selection_precision_stays_low(monkeypatch):
     assert seen and max(seen) <= 4096, sorted(set(seen))
 
 
-def reference_a(inp):
+def reference_a(x_star, x, Y_spec, X_prime, table, max_prec=DEFAULT_MAX_PREC):
     """The certified-compare search for a that recursive_step used to run.
 
-    It tests (a + r)|x*| >= Y + |x|/2 + 1 one candidate at a time, upward
-    from the floor of a target enclosure of width <= 1/4.
+    It takes recursive_step's arguments and tests
+    (a + r)|x*| >= Y + |x|/2 + 1 one candidate at a time, upward from the
+    floor of a target enclosure of width <= 1/4.
     """
-    x_star, x = inp.x_star, inp.x
     nx_star, nx = sqrt_int(x_star.norm_sq()), sqrt_int(x.norm_sq())
-    Y = inp.Y_spec.ball()
+    Y = Y_spec.ball()
     r, _ = decompose_in_basis(complete_to_basis(x_star, x), x_star, x)
     target = ((Y + nx / 2 + 1) / nx_star - BallReal.exact(r)).refined_to(DEFAULT_PREC)
-    while target.width > F(1, 4) and target.prec < inp.max_prec:
+    while target.width > F(1, 4) and target.prec < max_prec:
         target = target.refined_to(2 * target.prec)
     a = math.floor(target.lo)
 
     def satisfies(cand):
         ok, _ = cert_le(Y + nx / 2 + 1, BallReal.exact(F(cand) + r) * nx_star,
-                        inp.max_prec)
+                        max_prec)
         return ok
 
     while satisfies(a) is False:
@@ -89,8 +88,8 @@ def reference_a(inp):
 
 
 def _build_inputs(state):
-    return [(StepInput(state.xs[i - 1], state.xs[i], YSpec.of_power(state.scale(i).sq),
-                       state.scale(i + 1).value_int, state.table),
+    return [((state.xs[i - 1], state.xs[i], YSpec.of_power(state.scale(i).sq),
+              state.scale(i + 1).value_int, state.table),
              state.step_outputs[i - 1].a)
             for i in range(1, state.n_steps + 1)]
 
@@ -99,15 +98,15 @@ def test_a_matches_reference_search(toy_state, honest_state):
     t = table()
     cases = _build_inputs(toy_state) + _build_inputs(honest_state)
     for Y, Xp in RATIONAL_Y_CASES:
-        inp = StepInput(E1, E2, YSpec.of_rational(Y), Xp, t)
-        cases.append((inp, recursive_step(inp)[0].a))
+        args = (E1, E2, YSpec.of_rational(Y), Xp, t)
+        cases.append((args, recursive_step(*args)[0].a))
     assert len(cases) == 13
-    for inp, a in cases:
-        assert a == reference_a(inp)
+    for args, a in cases:
+        assert a == reference_a(*args)
 
 
 def test_hand_fixture():
-    out, _ = recursive_step(StepInput(E1, E2, YSpec.of_rational(4), 10, table()))
+    out, _ = recursive_step(E1, E2, YSpec.of_rational(4), 10, table())
     assert out.y == IVec3(6, 0, 1)
     assert out.x_prime == IVec3(77, 0, 12)
     assert out.n == 4
@@ -116,7 +115,7 @@ def test_hand_fixture():
 
 
 def test_hand_fixture_details():
-    out, cert = recursive_step(StepInput(E1, E2, YSpec.of_rational(4), 10, table()))
+    out, cert = recursive_step(E1, E2, YSpec.of_rational(4), 10, table())
     assert (out.a, out.m, out.ell) == (6, 0, 0)
     assert out.r == 0 and out.s == 0
     assert len(cert.verdicts) == 9 and all(v.passed for v in cert.verdicts)
@@ -135,13 +134,13 @@ RATIONAL_Y_CASES = {
 def test_rational_Y_sweep():
     t = table()
     for (Y, Xp), (y, xp, n) in RATIONAL_Y_CASES.items():
-        out, _ = recursive_step(StepInput(E1, E2, YSpec.of_rational(Y), Xp, t))
+        out, _ = recursive_step(E1, E2, YSpec.of_rational(Y), Xp, t)
         assert (out.y, out.x_prime, out.n) == (y, xp, n)
 
 
 def test_power_Y_spec():
     # Y = 17^(gamma/2) ~ 9.9 forces certified (not rational) comparisons
-    out, cert = recursive_step(StepInput(E1, E2, YSpec.of_power(17), 11, table()))
+    out, cert = recursive_step(E1, E2, YSpec.of_power(17), 11, table())
     assert out.y == IVec3(12, 0, 1)
     assert out.x_prime == IVec3(62, 0, 5)
     assert out.n == 3
@@ -158,7 +157,7 @@ def test_randomized_steps_hold_identities():
         nx = math.isqrt(x.norm_sq()) + 1
         Y = F(2 * (ns + nx) + rng.randint(0, 5))
         Xp = int(Y) * rng.randint(1, 8) + rng.randint(0, 9)
-        out, cert = recursive_step(StepInput(xs, x, YSpec.of_rational(Y), Xp, t))
+        out, cert = recursive_step(xs, x, YSpec.of_rational(Y), Xp, t)
         pn, qn = t.pair(out.n)
         assert (det3(xs, x, out.y), det3(xs, x, out.x_prime),
                 det3(out.y, x, out.x_prime)) == (1, qn, -pn)
@@ -171,12 +170,11 @@ def test_randomized_steps_hold_identities():
 def test_hypothesis_gating():
     t = table()
     with pytest.raises(CertificateFailure, match="hyp_norms_le_Y"):
-        recursive_step(StepInput(E1, E2, YSpec.of_rational(3), 10, t))
+        recursive_step(E1, E2, YSpec.of_rational(3), 10, t)
     with pytest.raises(CertificateFailure, match="hyp_Y_le_Xprime"):
-        recursive_step(StepInput(E1, E2, YSpec.of_rational(6), 5, t))
+        recursive_step(E1, E2, YSpec.of_rational(6), 5, t)
     with pytest.raises(InputError):
-        recursive_step(StepInput(IVec3(2, 0, 0), IVec3(0, 2, 0),
-                                 YSpec.of_rational(9), 20, t))
+        recursive_step(IVec3(2, 0, 0), IVec3(0, 2, 0), YSpec.of_rational(9), 20, t)
 
 
 def test_decompose_in_basis():

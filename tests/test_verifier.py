@@ -54,12 +54,10 @@ def test_derived_constants(toy_state):
 def test_toy_audit_flags_size_clauses(toy_state):
     led = starred_ledger_audit(toy_state)
     assert len(led.clauses) == 35
-    assert led.failures == TOY_AUDIT_FAILURES
-    assert not led.all_pass
-    clauses = {c.name: c for c in led.clauses}
+    assert led.refuted == TOY_AUDIT_FAILURES
     # every failure is a definite False, never an undecided comparison
-    for name in led.failures:
-        assert clauses[name].passed is False
+    assert led.undecided == ()
+    clauses = {c.name: c for c in led.clauses}
     assert clauses["large_q_margin"].passed is True
     assert clauses["gap_budget"].prec == 0  # exact rational clause
 
@@ -71,7 +69,7 @@ def test_audit_clean_at_scale():
     st = build(plan, schedule_X(plan))
     led = starred_ledger_audit(st)
     assert len(led.clauses) == 25
-    assert led.all_pass
+    assert led.refuted == () and led.undecided == ()
 
 
 def test_witness_grid_shape(toy_state):
