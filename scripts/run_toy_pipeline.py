@@ -23,7 +23,7 @@ from gammacert import (
     slab_scan_iv,
     state_body,
 )
-from gammacert.builder import build
+from gammacert.builder import build, enclose_u
 from gammacert.exact import IVec3
 from gammacert.planner import PsiSpec
 from gammacert.verifier import (
@@ -95,7 +95,8 @@ def main() -> int:
     props = property_suites(seed=0, cases=1000)
     stage("property suites", props.all_pass, f"{len(props.suites)} suites")
 
-    (a_lo, a_hi), (b_lo, b_hi) = export_alpha_beta(state)
+    (a_lo, a_hi), (b_lo, b_hi) = export_alpha_beta(
+        enclose_u(state, state.last_index))
     stage("direction export", a_hi > a_lo and b_hi > b_lo,
           f"alpha ~ {float((a_lo + a_hi) / 2):.12f}, "
           f"beta ~ {float((b_lo + b_hi) / 2):.12f}")

@@ -338,8 +338,8 @@ def cert_le(a: Number, b: Number, max_prec: int = DEFAULT_MAX_PREC) -> Tuple[Opt
             return (None, max(x.prec, y.prec))
 
 
-def ball_payload(x: BallReal, prec: int = PAYLOAD_PREC) -> dict:
-    """Canonical dyadic mid/rad payload, from a fresh evaluation.
+def ball_payload(x: BallReal) -> dict:
+    """Canonical dyadic mid/rad payload at PAYLOAD_PREC, from a fresh evaluation.
 
     Evaluating the handle fresh (not the intersected cache) makes the payload
     independent of incidental refinement history.
@@ -348,9 +348,10 @@ def ball_payload(x: BallReal, prec: int = PAYLOAD_PREC) -> dict:
     if v is not None and (v.denominator & (v.denominator - 1)) == 0:
         got = (v, v)
     else:
-        got = x._eval_at(prec)
+        got = x._eval_at(PAYLOAD_PREC)
     if got is None:
-        raise UndecidedError("ball serialization hit a non-finite enclosure", prec)
+        raise UndecidedError("ball serialization hit a non-finite enclosure",
+                             PAYLOAD_PREC)
     lo, hi = got
     mid = (lo + hi) / 2
     rad = (hi - lo) / 2

@@ -5,9 +5,9 @@ Everything observable is certified exactly: the convergent rows (the
 unimodular cross identity, the alternating sign and approximation quality of
 each convergent, bounded denominator growth) by small-integer checks on the
 surd state of the continued fraction, see ConvergentTable; the badly
-approximable lower bound |q*alpha - p| >= 1/(C1 |q|) by exact sign
-computations in Q(sqrt d); and the cross gap |q p_n - p q_n| >= q_n/(2 C1 |q|)
-by integer arithmetic.
+approximable lower bound |q*alpha - p| >= 1/(C1 |q|) by one exact sign
+computation in Q(sqrt d) per convergent block; and the cross gap
+|q p_n - p q_n| >= q_n/(2 C1 |q|) by integer arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .balls import BallReal, DEFAULT_MAX_PREC, cert_le, _iv_from_fraction
+from .balls import BallReal, DEFAULT_MAX_PREC, cert_le
 from .errors import CertificateFailure, InputError, UndecidedError
 
 
@@ -78,26 +78,6 @@ class QF:
         if p > 0:  # q < 0
             return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
         return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
-
-    def floor(self) -> int:
-        """Exact floor, via a dyadic first guess then certified adjustment."""
-        s = math.isqrt(self.d << 64)
-        lo = Fraction(s, 1 << 32)
-        hi = Fraction(s + 1, 1 << 32)
-        approx = self.p + self.q * (lo if self.q >= 0 else hi)
-        f = math.floor(approx)
-        while (self - (f + 1)).sign() >= 0:
-            f += 1
-        while (self - f).sign() < 0:
-            f -= 1
-        return f
-
-    def to_ball(self) -> BallReal:
-        p, q, d = self.p, self.q, self.d
-        return BallReal(
-            lambda ctx: _iv_from_fraction(ctx, p)
-            + _iv_from_fraction(ctx, q) * ctx.sqrt(_iv_from_fraction(ctx, Fraction(d)))
-        )
 
 
 @dataclass(frozen=True)
@@ -293,71 +273,42 @@ def locate_n(T: Union[int, Fraction, BallReal], table: ConvergentTable,
 class BadApproxReport:
     q_max: int
     blocks: int
-    direct_checked: int
-    min_product_lo: Fraction  # enclosure of min over blocks of q_n |q_n a - p_n|
-    min_product_hi: Fraction
-    c1: Fraction
 
 
-def certify_bad_approx(table: ConvergentTable, q_max: int,
-                       direct_limit: int = 400) -> BadApproxReport:
+def certify_bad_approx(table: ConvergentTable, q_max: int) -> BadApproxReport:
     """Certify |q*alpha - p| >= 1/(C1 q) for all 1 <= q <= q_max and p in Z.
 
     Block argument: for q in [q_n, q_{n+1}) every (p, q) decomposes integrally over
     the rows n, n+1 (cross identity = +-1); the two row errors carry opposite
     signs (certified alternation), so |q alpha - p| >= |q_n alpha - p_n|.
-    Hence the block check C1 q_n |q_n alpha - p_n| >= 1 covers the block.
-    Small q are additionally checked literally.
+    Hence the block check C1 q_n |q_n alpha - p_n| >= 1 covers the block, and
+    the blocks n = 1, 2, ... cover every q >= q_1 = 1.
     """
     table.extend_to_cover(q_max)
-    c1 = table.c1
     blocks = 0
-    best: Optional[QF] = None
     n = 1
     while table.q[n] <= q_max:
         eps = table.eps(n) * ((-1) ** (n + 1))  # = |q_n alpha - p_n| > 0
-        prod = eps * (c1 * table.q[n])
-        if (prod - 1).sign() < 0:
+        if (eps * (table.c1 * table.q[n]) - 1).sign() < 0:
             raise CertificateFailure("bad_approx_block", f"n={n}")
-        scaled = eps * table.q[n]
-        if best is None or (scaled - best).sign() < 0:
-            best = scaled
         blocks += 1
         n += 1
-    direct = 0
-    alpha = table.alpha
-    for q in range(1, min(q_max, direct_limit) + 1):
-        v = alpha * q
-        f = v.floor()
-        # nearest integer to q*alpha among {f, f+1}
-        for p in (f, f + 1):
-            err = v - p
-            if err.sign() < 0:
-                err = -err
-            if ((err * (c1 * q)) - 1).sign() < 0:
-                raise CertificateFailure("bad_approx_direct", f"q={q}, p={p}")
-        direct += 1
-    b = best.to_ball().refined_to(128)
-    return BadApproxReport(q_max, blocks, direct, b.lo, b.hi, c1)
+    return BadApproxReport(q_max, blocks)
 
 
 @dataclass
 class GapReport:
     n: int
-    q_count: int
     min_scaled: Fraction  # min over q of 2 C1 q min_p |q p_n - p q_n| / q_n
-    exhaustive_pairs: int
 
 
-def convergent_gap_check(table: ConvergentTable, n: int,
-                         exhaustive_limit: int = 300) -> GapReport:
+def convergent_gap_check(table: ConvergentTable, n: int) -> GapReport:
     """Certify |q p_n - p q_n| >= q_n/(2 C1 |q|) for 1 <= |q| < q_n, all p.
 
     For fixed q the inner minimum over p is the distance from q p_n to the
     nearest multiple of q_n, computed by one modular reduction; the
     minimizing p lies within |p| <= q_n and its neighbors only increase the
-    value (checked). Negative q follows by symmetry (p -> -p). For small
-    tables a literal double loop over the stated window re-verifies.
+    value (checked). Negative q follows by symmetry (p -> -p).
     """
     pn, qn = table.pair(n)
     c1 = table.c1
@@ -377,13 +328,5 @@ def convergent_gap_check(table: ConvergentTable, n: int,
             raise CertificateFailure("gap_bound", f"n={n}, q={q}")
         if min_qbest is None or q * best < min_qbest:
             min_qbest = q * best
-    pairs = 0
-    if qn <= exhaustive_limit:
-        for q in range(1, qn):
-            for p in range(-qn, qn + 1):
-                lhs = abs(q * pn - p * qn)
-                if 2 * c1.numerator * q * lhs < c1.denominator * qn:
-                    raise CertificateFailure("gap_exhaustive", f"n={n}, q={q}, p={p}")
-                pairs += 1
     min_scaled = Fraction(0) if min_qbest is None else Fraction(2 * min_qbest, qn) * c1
-    return GapReport(n, qn - 1, min_scaled, pairs)
+    return GapReport(n, min_scaled)

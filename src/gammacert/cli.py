@@ -16,11 +16,12 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .balls import DEFAULT_MAX_PREC
+from .balls import DEFAULT_MAX_PREC, DEFAULT_PREC
 from .builder import ConstructionState, build
 from .errors import CertificateFailure, GammaCertError, InputError, UndecidedError
 from .exact import IVec3
@@ -133,6 +134,8 @@ def config_from_sources(config_path: Optional[str],
         raise InputError(f"mode must be one of {', '.join(MODES)}")
     if cfg.steps < 1:
         raise InputError("steps must be positive")
+    if cfg.max_prec < DEFAULT_PREC:
+        raise InputError(f"max_prec must be at least {DEFAULT_PREC}")
     return cfg
 
 
@@ -152,9 +155,15 @@ def _mk_state(cfg: RunConfig) -> ConstructionState:
     return build(*_plan(cfg), max_prec=cfg.max_prec)
 
 
-def _outpath(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    return os.path.join(cfg.out, name)
+@contextmanager
+def _output(cfg: RunConfig, name: str) -> Iterator[str]:
+    """The path of `name` under --out; failing to create or write it is an input error."""
+    path = os.path.join(cfg.out, name)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+        yield path
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +172,8 @@ def _outpath(cfg: RunConfig, name: str) -> str:
 
 def cmd_plan(cfg: RunConfig) -> int:
     plan, schedule = _plan(cfg)
-    path = _outpath(cfg, "plan.json")
-    dump_document(path, "plan", plan_body(plan, schedule))
+    with _output(cfg, "plan.json") as path:
+        dump_document(path, "plan", plan_body(plan, schedule))
     print(f"plan: x1 norm^2 {plan.x1_sq}, exponents {schedule.exponents}")
     print(f"wrote {path}")
     return 0
@@ -172,8 +181,8 @@ def cmd_plan(cfg: RunConfig) -> int:
 
 def cmd_build(cfg: RunConfig) -> int:
     state = _mk_state(cfg)
-    path = _outpath(cfg, "state.json")
-    dump_document(path, "state", state_body(state))
+    with _output(cfg, "state.json") as path:
+        dump_document(path, "state", state_body(state))
     n_verdicts = (len(state.base_verdicts)
                   + sum(len(e.verdicts) for e in state.ledger)
                   + sum(len(c.verdicts) for c in state.step_certs))
@@ -261,8 +270,8 @@ def cmd_verify(cfg: RunConfig) -> int:
                     "verdict": ("pass", "violation", "undecided")[rank],
                     "lines": lines},
     }
-    path = _outpath(cfg, "cert.json")
-    dump_document(path, "certificate", body)
+    with _output(cfg, "cert.json") as path:
+        dump_document(path, "certificate", body)
     print(f"wrote {path}")
     return rank
 
@@ -342,11 +351,9 @@ def cmd_report(cfg: RunConfig, state_path: str, cert_path: Optional[str]) -> int
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed document, missing or mistyped field: {exc}") from None
 
-    md_path = _outpath(cfg, "report.md")
-    with open(md_path, "wb") as fh:
+    with _output(cfg, "report.md") as md_path, open(md_path, "wb") as fh:
         fh.write(md)
-    csv_path = _outpath(cfg, "series.csv")
-    with open(csv_path, "wb") as fh:
+    with _output(cfg, "series.csv") as csv_path, open(csv_path, "wb") as fh:
         fh.write(csv_rows)
     print(f"wrote {md_path} and {csv_path}")
     return 0

@@ -166,12 +166,12 @@ class WitnessReport:
         return not self.failures and not self.undecided
 
 
-def witness_grid(state: ConstructionState, count: int = 32) -> List[Rat]:
-    """count log-spaced sample norms as exact squares in [5C1 X0, 5C1 X_N]."""
+def witness_grid(state: ConstructionState) -> List[Rat]:
+    """32 log-spaced sample norms as exact squares in [5C1 X0, 5C1 X_N]."""
     plan = state.plan
     base = 25 * plan.c1 * plan.c1 * Fraction(plan.x0_sq)
     e_max = floor_log2(state.scale(state.n_steps).sq / Fraction(plan.x0_sq))
-    return [base * Fraction(2) ** ((j * e_max) // (count - 1)) for j in range(count)]
+    return [base * Fraction(2) ** ((j * e_max) // 31) for j in range(32)]
 
 
 def check_condition_iii(state: ConstructionState,
@@ -449,10 +449,9 @@ class PropertyReport:
         return all(not fails for _, _, fails in self.suites)
 
 
-def _rand_vec(rng: random.Random, bound: int = 9) -> IVec3:
+def _rand_vec(rng: random.Random) -> IVec3:
     while True:
-        v = IVec3(rng.randint(-bound, bound), rng.randint(-bound, bound),
-                  rng.randint(-bound, bound))
+        v = IVec3(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
         if not v.is_zero():
             return v
 
@@ -555,8 +554,7 @@ def property_suites(seed: int = 0, cases: int = 1000) -> PropertyReport:
 # coordinate export
 
 
-def export_alpha_beta(arg: Union[ConstructionState, DirectionEnclosure],
-                      prec: int = PAYLOAD_PREC
+def export_alpha_beta(enc: DirectionEnclosure
                       ) -> Tuple[Tuple[Rat, Rat], Tuple[Rat, Rat]]:
     """Rational intervals for alpha = u1/u0 and beta = u2/u0.
 
@@ -566,16 +564,12 @@ def export_alpha_beta(arg: Union[ConstructionState, DirectionEnclosure],
     The ratios are sign-invariant, so the +- ambiguity drops out.  Requires
     the first coordinate separated from zero.
     """
-    if isinstance(arg, ConstructionState):
-        enc = enclose_u(arg, arg.last_index)
-    else:
-        enc = arg
     rep = enc.rep
-    norm = sqrt_int(rep.norm_sq()).refined_to(prec)
+    norm = sqrt_int(rep.norm_sq()).refined_to(PAYLOAD_PREC)
     n_lo, n_up = norm.lo, norm.hi
     if n_lo <= 0:
         raise InputError("representative norm not separated from zero")
-    e = BallReal.wrap(2 * Fraction(enc.radius_sq_ub)).sqrt().refined_to(prec).hi
+    e = BallReal.wrap(2 * Fraction(enc.radius_sq_ub)).sqrt().refined_to(PAYLOAD_PREC).hi
 
     def coord_bounds(c: int) -> Tuple[Rat, Rat]:
         if c >= 0:

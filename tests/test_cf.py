@@ -28,15 +28,25 @@ def table(name="sqrt2m1", c1=None):
     return ConvergentTable(ALPHA_PRESETS[name], c1=c1)
 
 
+def qf_floor(x):
+    """Exact floor of x in Q(sqrt d): a dyadic first guess, then certified steps."""
+    s = math.isqrt(x.d << 64)
+    f = math.floor(x.p + x.q * F(s if x.q >= 0 else s + 1, 1 << 32))
+    while (x - (f + 1)).sign() >= 0:
+        f += 1
+    while (x - f).sign() < 0:
+        f -= 1
+    return f
+
+
 def test_qf_arithmetic():
     a = ALPHA_PRESETS["sqrt2m1"].qf()  # sqrt(2) - 1
     sq = a * a
     assert sq.p == 3 and sq.q == -2 and sq.d == 2  # (sqrt2-1)^2 = 3 - 2 sqrt2
     assert a.sign() == 1 and (-a).sign() == -1 and (a - a).sign() == 0
-    assert (a * 5).floor() == 2
-    assert (a * F(1, 3)).floor() == 0
-    b = a.to_ball().refined_to(96)
-    assert F(414213, 10 ** 6) < b.lo and b.hi < F(414214, 10 ** 6)
+    assert qf_floor(a * 5) == 2
+    assert qf_floor(a * F(1, 3)) == 0
+    assert (a - F(414213, 10 ** 6)).sign() == 1 and (a - F(414214, 10 ** 6)).sign() == -1
 
 
 def test_pell_convergents():
@@ -107,22 +117,28 @@ def test_bad_approx_certificate():
     q60 = t.q[60]
     rep = certify_bad_approx(t, q60)
     assert isinstance(rep, BadApproxReport)
-    assert rep.q_max == q60 and rep.blocks == 60 and rep.direct_checked == 400
-    # q_n |q_n a - p_n| decreases toward 1/(2 sqrt 2); C1 = 4 leaves margin
-    assert F(1, 4) < rep.min_product_lo <= rep.min_product_hi < F(1, 2)
+    assert rep.q_max == q60 and rep.blocks == 60
+    # q_n |q_n a - p_n| tends to 1/(2 sqrt 2); C1 = 4 leaves margin
+    for n in range(1, 61):
+        prod = t.eps(n) * ((-1) ** (n + 1) * t.q[n])
+        assert (prod - F(1, 4)).sign() == 1 and (prod - F(1, 2)).sign() == -1
 
 
-def test_bad_approx_brute_force_small_q():
-    t = table()
-    alpha = t.alpha
+@pytest.mark.parametrize("name, c1", [("sqrt2m1", 4), ("sqrt5m2", 5)])
+def test_bad_approx_brute_force_small_q(name, c1):
+    # the literal loop over q that the block argument replaces
+    t = table(name)
+    assert t.c1 == c1
     for q in range(1, 1001):
-        v = alpha * q
-        f = v.floor()
+        v = t.alpha * q
+        f = qf_floor(v)
         for p in (f, f + 1):
             err = v - p
             if err.sign() < 0:
                 err = -err
-            assert (err * (4 * q) - 1).sign() >= 0
+            assert (err * (c1 * q) - 1).sign() >= 0
+    rep = certify_bad_approx(t, 1000)
+    assert rep.blocks == sum(1 for qn in t.q[1:] if qn <= 1000)
 
 
 def test_bad_approx_rejects_small_c1():
@@ -135,10 +151,7 @@ def test_gap_certificate_to_12():
     t = table()
     for n in range(2, 13):
         rep = convergent_gap_check(t, n)
-        _, qn = t.pair(n)
-        assert rep.q_count == qn - 1
-        assert rep.min_scaled >= 1
-        assert rep.exhaustive_pairs == ((qn - 1) * (2 * qn + 1) if qn <= 300 else 0)
+        assert rep.n == n and rep.min_scaled >= 1
 
 
 @pytest.mark.parametrize("name, n_max", [("sqrt2m1", 12), ("sqrt5m2", 7)])
@@ -152,12 +165,20 @@ def test_gap_min_scaled_matches_per_q_formula(name, n_max):
         assert convergent_gap_check(t, n).min_scaled == ref
 
 
-def test_gap_brute_force_n5():
-    t = table()
-    pn, qn = t.pair(5)
-    for q in range(1, qn):
-        for p in range(-qn - 1, qn + 2):
-            assert 8 * q * abs(q * pn - p * qn) >= qn
+# every row n >= 2 with q_n <= 300, on both presets
+SMALL_ROWS = [(name, n) for name in ("sqrt2m1", "sqrt5m2") for n in range(2, 12)
+              if table(name).pair(n)[1] <= 300]
+
+
+@pytest.mark.parametrize("name, n", SMALL_ROWS)
+def test_gap_brute_force_small_tables(name, n):
+    # the literal double loop over q and p that one modular reduction replaces
+    t = table(name)
+    pn, qn = t.pair(n)
+    lit = min(q * abs(q * pn - p * qn) for q in range(1, qn)
+              for p in range(-qn - 1, qn + 2))
+    assert 2 * t.c1 * lit >= qn
+    assert convergent_gap_check(t, n).min_scaled == F(2 * lit, qn) * t.c1
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,9 +227,9 @@ def test_surd_floor_matches_qf(a, b, c, d):
     stream = _SurdQuotients(spec)
     x = spec.qf()  # independent expansion: x -> 1/(x - floor x) in Q(sqrt d)
     for _ in range(40):
-        state_floor = QF(F(stream.P, stream.Q), F(1, stream.Q), stream.D).floor()
+        state_floor = qf_floor(QF(F(stream.P, stream.Q), F(1, stream.Q), stream.D))
         ak = stream.next()
-        assert ak == state_floor == x.floor()
+        assert ak == state_floor == qf_floor(x)
         x = _qf_inverse(x - ak)
 
 

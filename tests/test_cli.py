@@ -152,6 +152,56 @@ def test_src_has_no_assert():
     assert found == []
 
 
+# defaulted parameters that no call in src/, scripts/ or perfbench/ sets, each
+# kept on purpose
+UNSET_DEFAULTS_ALLOWED = {
+    # certified_compare goes with the benchmark re-pin, which also moves its
+    # tracer span in perfbench/spans.py to cert_le
+    "certified_compare.max_prec",
+    # recertify replays build's ledger and takes build's precision cap
+    "recertify.max_prec",
+}
+
+
+def _parsed(*dirs):
+    for d in dirs:
+        for dirpath, _, names in os.walk(os.path.join(ROOT, d)):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    path = os.path.join(dirpath, name)
+                    with open(path, encoding="utf-8") as fh:
+                        yield ast.parse(fh.read(), path)
+
+
+def _sets(call, index, name):
+    """Whether `call` passes parameter `name` (position `index`, None for keyword-only)."""
+    if any(k.arg in (name, None) for k in call.keywords):  # None: a **mapping
+        return True
+    return index is not None and (len(call.args) > index or any(
+        isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_src_defaults_are_set_by_some_caller():
+    # a default that no caller overrides is a constant spelled as a parameter
+    calls = [(getattr(node.func, "id", None) or getattr(node.func, "attr", None), node)
+             for tree in _parsed("src", "scripts", "perfbench")
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unset = set()
+    for tree in _parsed(os.path.join("src", "gammacert")):
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            pos = a.posonlyargs + a.args
+            params = list(enumerate(p.arg for p in pos))[len(pos) - len(a.defaults):]
+            params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                       if d is not None]
+            unset |= {f"{fn.name}.{name}" for index, name in params
+                      if not any(callee == fn.name and _sets(call, index, name)
+                                 for callee, call in calls)}
+    assert unset == UNSET_DEFAULTS_ALLOWED
+
+
 # sha256 of the canonical honest `verify --mode audit` cert.json body, the
 # same rule as TOY_CERT_DIGEST; it pins every plan-only and per-step audit
 # interval of the default honest config
@@ -209,6 +259,27 @@ def test_undecided_audit_clause_is_not_skipped_by_the_slab(tmp_path, tie_clause,
 def test_nonpositive_theta_exits_3(tmp_path, theta):
     assert run(["plan"] + TOY_FLAGS + ["--theta", theta], tmp_path) == 3
     assert not (tmp_path / "plan.json").exists()
+
+
+@pytest.mark.parametrize("max_prec, rc", [("0", 3), ("-5", 3), ("63", 3), ("64", 0)])
+def test_max_prec_below_default_prec_exits_3(tmp_path, max_prec, rc):
+    # every enclosure starts at 64 bits, so a lower cap could never bind
+    assert run(["plan"] + TOY_FLAGS + ["--max-prec", max_prec], tmp_path) == rc
+    assert (tmp_path / "plan.json").exists() == (rc == 0)
+
+
+@pytest.mark.parametrize("blocker", ["out_is_a_file", "artifact_is_a_directory"])
+def test_unwritable_output_exits_3(tmp_path, capsys, blocker):
+    out = tmp_path / "out"
+    if blocker == "out_is_a_file":
+        out.write_text("")
+        named = out
+    else:
+        named = out / "plan.json"
+        named.mkdir(parents=True)
+    assert run(["plan"] + TOY_FLAGS, out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(named) in err
 
 
 # plan.json and state.json bodies hold no per-run field, so the benchmark's

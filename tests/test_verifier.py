@@ -13,7 +13,7 @@ from gammacert import (
     schedule_X,
 )
 from gammacert.balls import DEFAULT_MAX_PREC, BallReal
-from gammacert.builder import build, enclose_vw
+from gammacert.builder import build, enclose_u, enclose_vw
 from gammacert.exact import IVec3, det3
 from gammacert.planner import PsiSpec, plan_clauses
 from gammacert.serialize import canonical_bytes, report_body
@@ -234,7 +234,8 @@ def test_export_alpha_beta_exact_rep():
 
 
 def test_export_alpha_beta_toy(toy_state):
-    (a_lo, a_hi), (b_lo, b_hi) = export_alpha_beta(toy_state)
+    (a_lo, a_hi), (b_lo, b_hi) = export_alpha_beta(
+        enclose_u(toy_state, toy_state.last_index))
     assert F(23953829612540, 10 ** 14) < a_lo <= a_hi < F(23953829612542, 10 ** 14)
     assert F(3218985807048, 10 ** 15) < b_lo <= b_hi < F(3218985807050, 10 ** 15)
     assert a_hi - a_lo < F(1, 1 << 120)
