@@ -183,10 +183,6 @@ class BallReal:
         return self._hi
 
     @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
     def prec(self) -> int:
         return self._prec
 

@@ -42,7 +42,6 @@ class DirectionEnclosure:
 
     rep: IVec3
     radius_sq_ub: Rat
-    anchor_index: int
 
 
 @dataclass(frozen=True)
@@ -214,9 +213,7 @@ def enclose_u(state: ConstructionState, i: int) -> DirectionEnclosure:
         raise InputError(f"u anchor {i} out of range")
     rep = cross(state.xs[i - 1], state.xs[i])
     radius_sq = _u_term_sq(state, i) * 4
-    return DirectionEnclosure(rep=rep,
-                              radius_sq_ub=radius_sq.refined_to(PAYLOAD_PREC).hi,
-                              anchor_index=i)
+    return DirectionEnclosure(rep=rep, radius_sq_ub=radius_sq.refined_to(PAYLOAD_PREC).hi)
 
 
 def enclose_vw(state: ConstructionState, kind: str) -> DirectionEnclosure:
@@ -235,8 +232,7 @@ def enclose_vw(state: ConstructionState, kind: str) -> DirectionEnclosure:
         m -= 1
     radius = state.delta_upper(m + 1) * 2
     return DirectionEnclosure(rep=state.xs[m],
-                              radius_sq_ub=(radius ** 2).refined_to(PAYLOAD_PREC).hi,
-                              anchor_index=m)
+                              radius_sq_ub=(radius ** 2).refined_to(PAYLOAD_PREC).hi)
 
 
 def x_dot_u_lower(x: IVec3, enc: DirectionEnclosure) -> BallReal:

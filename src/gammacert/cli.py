@@ -106,6 +106,9 @@ _PARSERS = {
 }
 _FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
+# the least value of each bounded integer parameter; b, when set, must be positive
+_LEAST = {"steps": 1, "k": 1, "k_near": 1, "threads": 1, "max_prec": DEFAULT_PREC}
+
 
 def config_from_sources(config_path: Optional[str],
                         overrides: Dict[str, object]) -> RunConfig:
@@ -132,10 +135,11 @@ def config_from_sources(config_path: Optional[str],
                        for name, v in values.items()})
     if cfg.mode not in MODES:
         raise InputError(f"mode must be one of {', '.join(MODES)}")
-    if cfg.steps < 1:
-        raise InputError("steps must be positive")
-    if cfg.max_prec < DEFAULT_PREC:
-        raise InputError(f"max_prec must be at least {DEFAULT_PREC}")
+    for name, least in _LEAST.items():
+        if getattr(cfg, name) < least:
+            raise InputError(f"{name} must be at least {least}")
+    if cfg.b is not None and cfg.b <= 0:
+        raise InputError("b must be positive")
     return cfg
 
 
@@ -192,6 +196,9 @@ def cmd_build(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    # box indexes run over 2..steps-1 and the v/w enclosures need three steps
+    if cfg.mode in ("all", "box", "slab") and cfg.steps < 3:
+        raise InputError(f"verify --mode {cfg.mode} needs at least 3 steps")
     state = _mk_state(cfg)
     results: Dict[str, object] = {}
     lines: List[str] = []

@@ -8,7 +8,7 @@ that depend on the plan alone; the entry conditions are certified on those
 same expressions, and verifier.starred_ledger_audit records all of them.
 The schedule then picks each X_{i+1} as the smallest power of two satisfying
 the growth requirement X_{i+1} >= X_{i-1} X_i^(gamma+2) and the psi requirement
-psi(X_{i+1}/X_1) >= X_1^3 X_i, and re-verifies every schedule invariant.
+psi(X_{i+1}/X_1) >= X_1^3 X_i, then certifies the remaining invariants.
 
 X_0 and X_1 are norms (square roots of integers), carried by their exact
 squares; X_2 onward are integers (powers of two), so all ratios X_i/X_1 stay
@@ -25,7 +25,7 @@ from .balls import BallReal, DEFAULT_MAX_PREC, Number, cert_le, sqrt_int
 from .cf import ALPHA_PRESETS
 from .errors import CertificateFailure, InputError, UndecidedError
 from .exact import (IVec3, complete_single, complete_to_basis, floor_log2,
-                    is_primitive_pair, is_primitive_point, proj_dist_sq)
+                    is_primitive_point, proj_dist_sq)
 
 Rat = Fraction
 
@@ -121,9 +121,7 @@ def choose_companion(x0: IVec3, delta: Rat) -> IVec3:
     while True:
         cand = base + m * x0
         if proj_dist_sq(x0, cand) <= bound:
-            if not is_primitive_pair(x0, cand):
-                raise CertificateFailure("companion_primitive", f"m={m}")
-            return cand
+            return cand  # primitive: cross(x0, cand) = cross(x0, base)
         m += 1
 
 
@@ -264,13 +262,8 @@ def _psi_condition_exact(psi: PsiSpec, k: int, x1_sq: Rat, xi_sq: Rat) -> bool:
     return lhs >= rhs
 
 
-def _growth_requirement(scales: List[XScale], i: int) -> BallReal:
-    # X_{i-1} X_i^(gamma+2)
-    return scales[i - 1].ball() * scales[i].pow_gamma_plus(2)
-
-
 def schedule_X(plan: Plan, max_prec: int = DEFAULT_MAX_PREC) -> Schedule:
-    """Smallest admissible power of two per index, then invariant re-verification.
+    """Smallest admissible power of two per index, then the remaining invariants.
 
     Toy runs drop the psi floor from the selection (it would push C' = X_2/X_1
     beyond any scannable range) and instead record psi failures with the other
@@ -280,7 +273,8 @@ def schedule_X(plan: Plan, max_prec: int = DEFAULT_MAX_PREC) -> Schedule:
     exps: List[int] = []
     witnesses: List[Dict[str, object]] = []
     for i in range(1, plan.n_steps + 1):
-        growth = _growth_requirement(scales, i)
+        # X_{i-1} X_i^(gamma+2)
+        growth = scales[i - 1].ball() * scales[i].pow_gamma_plus(2)
         # start at the least k with 2^k >= hi, that is -floor(log2(1/hi))
         k = max(1, -floor_log2(1 / growth.refined_to(96).hi))
         xi_sq = scales[i].sq
@@ -316,28 +310,22 @@ def schedule_X(plan: Plan, max_prec: int = DEFAULT_MAX_PREC) -> Schedule:
 
 
 def _verify_invariants(plan: Plan, scales: List[XScale], max_prec: int) -> List[str]:
-    """Certify every schedule invariant; return the failing clause names."""
+    """Certify the invariants schedule_X's selection leaves open; return the
+    failing names (its cert_le accepted X_{i+1} >= X_{i-1} X_i^(gamma+2),
+    which gives X_{i+1} >= X_i^gamma too, as X_{i-1} X_i^2 >= 1)."""
     fails: List[str] = []
     c1 = plan.c1
     last = len(scales) - 1  # == n_steps + 1
-
-    def check(name: str, ok: Optional[bool]) -> None:
-        if ok is None:
-            raise UndecidedError(name, max_prec)
-        if not ok:
-            fails.append(name)
-
     for i in range(1, last + 1):
         xi = scales[i]
         ok, _ = cert_le(12 * c1 * xi.ball(), xi.pow_gamma_plus(0), max_prec)
-        check(f"growth_lower_i{i}", ok)
+        if ok is None:
+            raise UndecidedError(f"growth_lower_i{i}", max_prec)
+        if not ok:
+            fails.append(f"growth_lower_i{i}")
         if i == last:
             break
         xi1 = scales[i + 1]
-        ok, _ = cert_le(xi.pow_gamma_plus(0), xi1.ball(), max_prec)
-        check(f"growth_upper_i{i}", ok)
-        ok, _ = cert_le(_growth_requirement(scales, i), xi1.ball(), max_prec)
-        check(f"growth_main_i{i}", ok)
         if not _psi_condition_exact(plan.psi, xi1.pow2_exp, Fraction(plan.x1_sq), xi.sq):
             fails.append(f"psi_i{i}")
         if i + 2 <= last:

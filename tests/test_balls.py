@@ -24,11 +24,11 @@ def test_golden_value():
     lo = F("16180339887498948482045868343656381177203091798057") / 10 ** 49
     hi = F("16180339887498948482045868343656381177203091798058") / 10 ** 49
     assert lo < g.lo and g.hi < hi
-    assert g.width < F(1, 2 ** 150)
+    assert g.hi - g.lo < F(1, 2 ** 150)
     # (2g - 1)^2 = 5 exactly
     alg = (F(2) * BallReal.golden() - F(1)).pow(2).refined_to(192)
     assert alg.lo <= F(5) <= alg.hi
-    assert alg.width < F(1, 2 ** 120)
+    assert alg.hi - alg.lo < F(1, 2 ** 120)
     ok, _ = cert_le(BallReal.golden() * BallReal.golden() - BallReal.golden(),
                     F(10001, 10000))
     assert ok is True
@@ -36,8 +36,9 @@ def test_golden_value():
 
 def test_refinement_shrinks():
     b = sqrt_int(186)
-    w64 = b.refined_to(64).width
-    w256 = b.refined_to(256).width
+    # refined_to refines in place, so each width is read before the next call
+    w64 = b.refined_to(64).hi - b.lo
+    w256 = b.refined_to(256).hi - b.lo
     assert w256 < w64
     assert b.refined_to(64).lo ** 2 <= 186 <= b.refined_to(64).hi ** 2
 
@@ -51,7 +52,7 @@ def test_exact_values():
 def test_pow_integer_exact():
     b = BallReal.wrap(F(3, 2)).pow(3).refined_to(64)
     assert b.lo <= F(27, 8) <= b.hi
-    assert b.width < F(1, 2 ** 40)
+    assert b.hi - b.lo < F(1, 2 ** 40)
 
 
 def test_pow_gamma():

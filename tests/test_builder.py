@@ -101,7 +101,6 @@ def test_enclose_u_orthogonal_and_shrinking(toy_state):
 def test_enclose_vw(toy_state):
     V = enclose_vw(toy_state, "V")
     W = enclose_vw(toy_state, "W")
-    assert (V.anchor_index, W.anchor_index) == (5, 6)
     assert V.rep == toy_state.xs[5] and W.rep == toy_state.xs[6]
     assert log2f(V.radius_sq_ub) == -18404
     assert log2f(W.radius_sq_ub) == -71375
@@ -115,8 +114,7 @@ def test_vw_separation(toy_state):
 
 
 def test_x_dot_u_lower_exact():
-    enc = DirectionEnclosure(rep=IVec3(1, 0, 0),
-                             radius_sq_ub=F(0), anchor_index=1)
+    enc = DirectionEnclosure(rep=IVec3(1, 0, 0), radius_sq_ub=F(0))
     b = x_dot_u_lower(IVec3(3, 4, 0), enc)
     assert b.is_exact and b.lo == 3
 

@@ -268,6 +268,25 @@ def test_max_prec_below_default_prec_exits_3(tmp_path, max_prec, rc):
     assert (tmp_path / "plan.json").exists() == (rc == 0)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--steps", "0"), ("--K", "0"), ("--K", "-4"), ("--K-near", "0"),
+    ("--threads", "0"), ("--B", "0"), ("--B", "-1")])
+def test_out_of_range_parameter_exits_3(tmp_path, capsys, flag, value):
+    assert run(["plan"] + TOY_FLAGS + [flag, value], tmp_path) == 3
+    assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "plan.json").exists()
+
+
+@pytest.mark.parametrize("mode, rc", [("all", 3), ("box", 3), ("slab", 3),
+                                      ("witness", 0)])
+def test_verify_box_and_slab_need_three_steps(tmp_path, capsys, mode, rc):
+    # box indexes run over 2..steps-1 and the v/w enclosures need three
+    # steps, so a shorter run is refused before anything is checked
+    assert run(["verify", "--mode", mode] + TOY_FLAGS + ["--steps", "2"], tmp_path) == rc
+    assert (tmp_path / "cert.json").exists() == (rc == 0)
+    assert ("witness:" in capsys.readouterr().out) == (mode == "witness")
+
+
 @pytest.mark.parametrize("blocker", ["out_is_a_file", "artifact_is_a_directory"])
 def test_unwritable_output_exits_3(tmp_path, capsys, blocker):
     out = tmp_path / "out"

@@ -19,7 +19,8 @@ from gammacert import (
 )
 from gammacert.balls import DEFAULT_MAX_PREC, cert_le, sqrt_int
 from gammacert.cf import ALPHA_PRESETS
-from gammacert.exact import IVec3, complete_to_basis, proj_dist_sq
+from gammacert.exact import (IVec3, complete_to_basis, is_primitive_pair,
+                             proj_dist_sq)
 
 E3 = IVec3(0, 0, 1)
 PSI = PsiSpec(F(1), 1)
@@ -89,6 +90,25 @@ def test_honest_plan_values(honest_state):
     assert p.theta is None
     assert honest_state.schedule.exponents == (141, 539, 2092, 8108, 31428)
     assert honest_state.schedule.invariant_failures == ()
+
+
+@pytest.mark.parametrize("source", ["toy", "honest", "sqrt5m2"])
+def test_growth_invariants_hold(request, source):
+    # X_{i+1} >= X_{i-1} X_i^(gamma+2) (growth_main) and X_{i+1} >= X_i^gamma
+    # (growth_upper): schedule_X accepts each exponent on the first, which
+    # implies the second, so it certifies neither again
+    if source == "sqrt5m2":
+        plan = make_plan("sqrt5m2", E3, F(4, 5), PSI, 5, theta=F(3, 10), toy=True)
+        sch = schedule_X(plan)
+    else:
+        state = request.getfixturevalue(f"{source}_state")
+        plan, sch = state.plan, state.schedule
+    scales = [sch.scale(i, plan) for i in range(plan.n_steps + 2)]
+    for i in range(1, plan.n_steps + 1):
+        prev, cur, nxt = scales[i - 1], scales[i], scales[i + 1]
+        main = prev.ball() * cur.pow_gamma_plus(2)
+        assert cert_le(main, nxt.ball())[0] is True
+        assert cert_le(cur.pow_gamma_plus(0), nxt.ball())[0] is True
 
 
 def test_make_plan_validation():
@@ -212,3 +232,4 @@ def test_multiplier_matches_reference_search(x0, delta, alpha, theta_toy):
     plan = make_plan(alpha, x0, delta, PSI, 3, theta=theta, toy=toy)
     want = reference_multiplier(x0, delta, ALPHA_PRESETS[alpha].c1_min, theta, toy)
     assert (plan.multiplier, plan.x1) == want
+    assert is_primitive_pair(x0, plan.x0_companion)

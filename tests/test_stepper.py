@@ -11,7 +11,7 @@ from conftest import TOY, build_run
 from gammacert import (ALPHA_PRESETS, CertificateFailure, ConvergentTable,
                        InputError, UndecidedError, sqrt_int)
 from gammacert.balls import DEFAULT_MAX_PREC, DEFAULT_PREC, BallReal, cert_le
-from gammacert.exact import IVec3, complete_to_basis, cross, det3
+from gammacert.exact import IVec3, complete_to_basis, cross, det3, dot
 from gammacert.stepper import (
     Verdict,
     YSpec,
@@ -69,7 +69,7 @@ def reference_a(x_star, x, Y_spec, X_prime, table, max_prec=DEFAULT_MAX_PREC):
     Y = Y_spec.ball()
     r, _ = decompose_in_basis(complete_to_basis(x_star, x), x_star, x)
     target = ((Y + nx / 2 + 1) / nx_star - BallReal.exact(r)).refined_to(DEFAULT_PREC)
-    while target.width > F(1, 4) and target.prec < max_prec:
+    while target.hi - target.lo > F(1, 4) and target.prec < max_prec:
         target = target.refined_to(2 * target.prec)
     a = math.floor(target.lo)
 
@@ -165,6 +165,24 @@ def test_randomized_steps_hold_identities():
         assert all(v.passed for v in cert.verdicts)
         assert Xp * Xp <= out.x_prime.norm_sq() <= 400 * Xp * Xp
         assert -F(1, 2) < out.s <= F(1, 2)
+
+
+@pytest.mark.parametrize("state_name", ["toy_state", "honest_state"])
+def test_step_facts_hold_on_built_states(request, state_name):
+    # the facts recursive_step no longer re-checks, because Cramer's rule,
+    # the ceiling, the nearest integer and det_qn already prove them
+    state = request.getfixturevalue(state_name)
+    for i, out in enumerate(state.step_outputs, start=1):
+        x_star, x, x_next = state.xs[i - 1], state.xs[i], state.xs[i + 1]
+        y0 = complete_to_basis(x_star, x)
+        s0 = out.s - out.ell  # the coordinate before the reduction
+        for v in (x_star, x):
+            assert dot(y0, v) - out.r * dot(x_star, v) - s0 * dot(x, v) == 0
+        assert -F(1, 2) < out.s <= F(1, 2)
+        _, qn = state.table.pair(out.n)
+        assert abs(out.s * qn + out.m) <= F(1, 2)
+        w = cross(cross(x_star, x), cross(x, x_next))
+        assert w.norm_sq() == qn * qn * x.norm_sq()
 
 
 def test_hypothesis_gating():

@@ -14,7 +14,7 @@ from gammacert import (
 )
 from gammacert.balls import DEFAULT_MAX_PREC, BallReal
 from gammacert.builder import build, enclose_u, enclose_vw
-from gammacert.exact import IVec3, det3
+from gammacert.exact import IVec3, det3, dot
 from gammacert.planner import PsiSpec, plan_clauses
 from gammacert.serialize import canonical_bytes, report_body
 from gammacert.verifier import (
@@ -42,6 +42,8 @@ def test_derived_constants(toy_state):
     d0 = p.delta0_sq
     c2 = (8 * p.c1) ** 3 / d0
     assert c2 == F(24379392, 17)
+    # the large-|q| margin step: (8 C1)^3 / (50 C1^2) = 10.24 C1 >= 10 C1
+    assert (8 * p.c1) ** 3 / (50 * p.c1 ** 2) == F(256, 25) * p.c1
     lhs = {name: left for name, left, _ in plan_clauses(p)}
     assert lhs["q_below_qn"] == c2
     assert lhs["mid_norm_margin"] == 16 * p.c1 * 25 * p.c1 ** 3 * c2  # 16 C1 C3
@@ -90,6 +92,14 @@ def test_condition_iii_toy(toy_state):
     assert idx[0] == 0 and idx[-1] == 5
     assert all(a <= b for a, b in zip(idx, idx[1:]))
     assert rep.c == c4_of(toy_state.plan)
+
+
+@pytest.mark.parametrize("state_name", ["toy_state", "honest_state"])
+def test_witness_orthogonal_to_next_anchor(request, state_name):
+    # x_m . u_{m+1} = det3(x_m, x_m, x_{m+1}) = 0, which witness_xu rests on
+    state = request.getfixturevalue(state_name)
+    for m in range(state.last_index):
+        assert dot(state.xs[m], enclose_u(state, m + 1).rep) == 0
 
 
 def test_coeff_box_counts(toy_state):
@@ -226,8 +236,7 @@ def test_dist_vw_upper_tail_anchor(toy_state):
 
 
 def test_export_alpha_beta_exact_rep():
-    enc = DirectionEnclosure(rep=IVec3(2, 1, 1),
-                             radius_sq_ub=F(0), anchor_index=1)
+    enc = DirectionEnclosure(rep=IVec3(2, 1, 1), radius_sq_ub=F(0))
     (a_lo, a_hi), (b_lo, b_hi) = export_alpha_beta(enc)
     assert a_lo <= F(1, 2) <= a_hi and a_hi - a_lo < F(1, 1 << 180)
     assert b_lo <= F(1, 2) <= b_hi and b_hi - b_lo < F(1, 1 << 180)
@@ -242,8 +251,7 @@ def test_export_alpha_beta_toy(toy_state):
 
 
 def test_export_alpha_beta_needs_separation():
-    enc = DirectionEnclosure(rep=IVec3(0, 1, 1),
-                             radius_sq_ub=F(0), anchor_index=1)
+    enc = DirectionEnclosure(rep=IVec3(0, 1, 1), radius_sq_ub=F(0))
     with pytest.raises(InputError):
         export_alpha_beta(enc)
 
