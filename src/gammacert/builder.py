@@ -250,10 +250,11 @@ def x_dot_u_lower(x: IVec3, enc: DirectionEnclosure) -> BallReal:
 def recertify(state: ConstructionState, max_prec: int = DEFAULT_MAX_PREC) -> List[Verdict]:
     """Re-run every base and ledger certificate from the stored vectors.
 
-    Returns the base verdicts followed by the ledger verdicts, as build
-    recorded them; raises on any regression, and raises ledger_record_i{i}
-    when a recomputed ledger entry differs from the stored one, so a
-    reloaded certificate reproduces identical verdicts or fails loudly.
+    Works on a state in memory (nothing reloads a state from state.json) and
+    walks its convergent table again from row 1. Returns the base verdicts
+    followed by the ledger verdicts, as build recorded them; raises on any
+    regression, and raises ledger_record_i{i} when a recomputed ledger entry
+    differs from the stored one.
     """
     verdicts = _base_verdicts(state, max_prec)
     delta = state.delta0_ball()

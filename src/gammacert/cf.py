@@ -4,10 +4,11 @@ The target numbers have the form (a + b sqrt(d))/c and sit in (0, 1/2).
 Everything observable is certified exactly: the convergent rows (the
 unimodular cross identity, the alternating sign and approximation quality of
 each convergent, bounded denominator growth) by small-integer checks on the
-surd state of the continued fraction, see ConvergentTable; the badly
-approximable lower bound |q*alpha - p| >= 1/(C1 |q|) by one exact sign
-computation in Q(sqrt d) per convergent block; and the cross gap
-|q p_n - p q_n| >= q_n/(2 C1 |q|) by integer arithmetic.
+surd state of the continued fraction, see ConvergentTable, a cursor over two
+rows that restarts from alpha to go back; the badly approximable lower bound
+|q*alpha - p| >= 1/(C1 |q|) by one exact sign computation in Q(sqrt d) per
+convergent block; and the cross gap |q p_n - p q_n| >= q_n/(2 C1 |q|) by
+integer arithmetic. locate_n walks the cursor forward with q_{n-1} <= T.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .balls import BallReal, DEFAULT_MAX_PREC, cert_le
 from .errors import CertificateFailure, InputError, UndecidedError
@@ -136,21 +137,24 @@ class _SurdQuotients:
         return ak
 
 
-# a table never grows past this many rows, whichever call extends it
+# a walk never passes this many rows, whichever call extends it; the cursor
+# holds two rows, so this bounds the length of a walk, not memory
 _MAX_TABLE_ROWS = 10 ** 7
 
 
 class ConvergentTable:
-    """Convergents p_n/q_n of alpha, n >= 1, with per-row certificates.
+    """Cursor over the convergents p_n/q_n of alpha, n >= 1, with per-row certificates.
 
-    Slot 0 of the lists holds (p_0, q_0) = (1, 0), where the recurrence
-    starts, and index 1 is the pair (0, 1); row n+1 is a (row n) + (row n-1),
-    where a is the floor of the complete quotient x that the surd stream
-    holds after n steps. Checked exactly:
+    p and q hold rows n-1 and n only, and len(table) is n. The cursor starts
+    at n = 1 with row 0, (p_0, q_0) = (1, 0), where the recurrence starts,
+    and row 1, (0, 1); row n+1 is a (row n) + (row n-1), where a is the floor
+    of the complete quotient x that the surd stream holds after n steps.
+    Asking for a row before n-1 restarts the surd stream from alpha and walks
+    forward again, re-certifying every row. Checked exactly:
 
-    - once: alpha lies in (0, 1/2), the surd stream starts at alpha, its
-      first quotient (the integer part) is 0, the radicand is not a square,
-      and the cross identity q_1 p_2 - p_1 q_2 = 1 holds;
+    - at each (re)start: alpha lies in (0, 1/2), the surd stream starts at
+      alpha, its first quotient (the integer part) is 0, the radicand is not
+      a square, and the cross identity q_1 p_2 - p_1 q_2 = 1 holds;
     - per step of the surd stream: Q | D - P'^2, so each x is exactly
       1/(previous x - its floor) and each a is exactly that floor;
     - per row: a >= 1, 0 <= p_{n+1} <= q_{n+1}, and q_n < q_{n+1} <= C1 q_n.
@@ -170,68 +174,68 @@ class ConvergentTable:
       1/(q_{n+1} + q_n) < |q_n alpha - p_n| < 1/q_{n+1}.
 
     tests/test_cf.py re-checks these derived facts with exact arithmetic in
-    Q(sqrt d) on every row up to n = 2000 for both presets.
+    Q(sqrt d), and every row against the plain recurrence, up to n = 2000.
     """
 
     def __init__(self, spec: AlphaSpec, c1: Optional[Fraction] = None):
         self.spec = spec
         self.c1 = Fraction(c1 if c1 is not None else spec.c1_min)
         self.alpha = spec.qf()
+        self._restart()
+
+    def _restart(self) -> None:
+        """Back to n = 1, with the surd stream at alpha."""
         if self.alpha.sign() <= 0 or (self.alpha - Fraction(1, 2)).sign() >= 0:
             raise InputError("alpha must lie in (0, 1/2)")
-        self._stream = st = _SurdQuotients(spec)
+        self._stream = st = _SurdQuotients(self.spec)
         if (Fraction(st.P, st.Q) != self.alpha.p
-                or Fraction(st.D, st.Q * st.Q) != self.alpha.q ** 2 * spec.d
+                or Fraction(st.D, st.Q * st.Q) != self.alpha.q ** 2 * self.spec.d
                 or (st.Q > 0) != (self.alpha.q > 0)):
-            raise CertificateFailure("cf_surd_start", f"{spec.name}")
-        a0 = st.next()
-        if a0 != 0:
+            raise CertificateFailure("cf_surd_start", f"{self.spec.name}")
+        if st.next() != 0:
             raise InputError("alpha must have zero integer part")
-        self.p: List[int] = [1, 0]  # p_0, p_1
-        self.q: List[int] = [0, 1]  # q_0, q_1
+        self._n, self.p, self.q = 1, [1, 0], [0, 1]  # p, q hold rows n-1 and n
 
     def __len__(self) -> int:
-        return len(self.p) - 1
+        return self._n
 
     def extend_to(self, n: int) -> None:
-        while len(self) < n:
+        while self._n < n:
             self._append_row()
 
     def extend_to_cover(self, bound: int) -> None:
-        """Grow until the last denominator strictly exceeds `bound`."""
-        while self.q[-1] <= bound:
+        """Grow until the current denominator q_n strictly exceeds `bound`."""
+        while self.q[1] <= bound:
             self._append_row()
 
     def _append_row(self) -> None:
-        if len(self) >= _MAX_TABLE_ROWS:
+        n = self._n  # certify row n+1 against row n
+        if n >= _MAX_TABLE_ROWS:
             raise InputError("convergent table exhausted")
         ak = self._stream.next()
-        p, q = self.p, self.q
-        p.append(ak * p[-1] + p[-2])
-        q.append(ak * q[-1] + q[-2])
-        self._verify_new_row(ak)
-
-    def _verify_new_row(self, ak: int) -> None:
-        n = len(self) - 1  # row n+1 was appended; certify facts at n
         if ak < 1:
             raise CertificateFailure("cf_partial_quotient", f"row {n + 1}: a={ak}")
-        pn1, qn1 = self.p[n + 1], self.q[n + 1]
+        (pm, pn), (qm, qn) = self.p, self.q
+        pn1, qn1 = ak * pn + pm, ak * qn + qm
         if not (0 <= pn1 <= qn1):
             raise CertificateFailure("cf_range", f"row {n + 1}")
-        pn, qn = self.p[n], self.q[n]
         if n == 1 and qn * pn1 - pn * qn1 != 1:
             raise CertificateFailure("cf_cross_identity", "row 1")
         if not (qn < qn1 and qn1 * self.c1.denominator <= self.c1.numerator * qn):
             raise CertificateFailure("cf_growth", f"row {n}: q={qn}->{qn1}")
+        self._n, self.p, self.q = n + 1, [pn, pn1], [qn, qn1]
 
     def pair(self, n: int) -> Tuple[int, int]:
+        if n < self._n - 1:
+            self._restart()
         self.extend_to(n)
-        return self.p[n], self.q[n]
+        k = n - self._n + 1  # row n sits in slot 0 or 1
+        return self.p[k], self.q[k]
 
     def eps(self, n: int) -> QF:
         """q_n alpha - p_n, sign (-1)^(n+1)."""
-        self.extend_to(n)
-        return self.alpha * self.q[n] - self.p[n]
+        pn, qn = self.pair(n)
+        return self.alpha * qn - pn
 
 
 def locate_n(T: Union[int, Fraction, BallReal], table: ConvergentTable,
@@ -240,10 +244,10 @@ def locate_n(T: Union[int, Fraction, BallReal], table: ConvergentTable,
 
     Exact for rational T (a hit T == q_k yields n = k + 1). For enclosed T
     the comparisons are certified; an inseparable comparison raises.
-    The table first grows until its last denominator exceeds floor of the
-    upper end of T's enclosure, so q_len > T holds by integer arithmetic
-    with no comparison; a bisection over rows 1..len then compares
-    O(log len) denominators with T.
+    The table walks forward and keeps q_{n-1} <= T: it restarts if q_{n-1}
+    exceeds floor of the lower end of T's enclosure, grows by integer
+    comparison while q_n is at most that floor, then certifies q_n <= T row
+    by row until a row exceeds T. The answer is the row it stops at.
     """
     tb = BallReal.wrap(T)
     ok, prec = cert_le(1, tb, max_prec)
@@ -251,22 +255,17 @@ def locate_n(T: Union[int, Fraction, BallReal], table: ConvergentTable,
         raise UndecidedError("locate_n lower bound", prec)
     if not ok:
         raise InputError("locate_n needs T >= 1")
-
-    def le(k: int) -> bool:  # q_k <= T
-        v, pr = cert_le(table.q[k], tb, max_prec)
-        if v is None:
-            raise UndecidedError(f"locate_n vs q_{k}", pr)
-        return v
-
-    table.extend_to_cover(math.floor(tb.hi))
-    lo, hi = 1, len(table)  # q_lo <= T < q_hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if le(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo + 1
+    floor_lo = math.floor(tb.lo)
+    if table.q[0] > floor_lo:
+        table._restart()
+    table.extend_to_cover(floor_lo)  # q_{n-1} <= floor(T.lo) < q_n
+    while True:  # q_{n-1} <= T
+        below, pr = cert_le(table.q[1], tb, max_prec)
+        if below is None:
+            raise UndecidedError(f"locate_n vs q_{len(table)}", pr)
+        if not below:
+            return len(table)
+        table.extend_to(len(table) + 1)
 
 
 @dataclass
@@ -282,18 +281,16 @@ def certify_bad_approx(table: ConvergentTable, q_max: int) -> BadApproxReport:
     the rows n, n+1 (cross identity = +-1); the two row errors carry opposite
     signs (certified alternation), so |q alpha - p| >= |q_n alpha - p_n|.
     Hence the block check C1 q_n |q_n alpha - p_n| >= 1 covers the block, and
-    the blocks n = 1, 2, ... cover every q >= q_1 = 1.
+    the blocks n = 1, 2, ... cover every q >= q_1 = 1. The table's cursor
+    walks them from row 1, restarting if it stands past row 2.
     """
-    table.extend_to_cover(q_max)
-    blocks = 0
     n = 1
-    while table.q[n] <= q_max:
+    while (qn := table.pair(n)[1]) <= q_max:
         eps = table.eps(n) * ((-1) ** (n + 1))  # = |q_n alpha - p_n| > 0
-        if (eps * (table.c1 * table.q[n]) - 1).sign() < 0:
+        if (eps * (table.c1 * qn) - 1).sign() < 0:
             raise CertificateFailure("bad_approx_block", f"n={n}")
-        blocks += 1
         n += 1
-    return BadApproxReport(q_max, blocks)
+    return BadApproxReport(q_max, n - 1)  # one block per row 1..n-1
 
 
 @dataclass

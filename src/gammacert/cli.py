@@ -166,7 +166,7 @@ def _output(cfg: RunConfig, name: str) -> Iterator[str]:
     try:
         os.makedirs(cfg.out, exist_ok=True)
         yield path
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InputError(f"cannot write {path}: {exc}") from None
 
 

@@ -17,6 +17,7 @@ exactly representable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -117,7 +118,13 @@ def choose_companion(x0: IVec3, delta: Rat) -> IVec3:
         raise InputError("delta must be positive")
     base = complete_single(x0)
     bound = delta * delta / 4
+    # cross(x0, base + m x0) = cross(x0, base) = w, so by Lagrange's identity
+    # the test is (|x0|^2 m + x0.base)^2 >= |w|^2 (1/bound - 1); when m = 0
+    # fails, so does every m below the larger root: the scan starts just below
     m = 0
+    if proj_dist_sq(x0, base) > bound:
+        disc = x0.cross(base).norm_sq() * (1 / bound - 1)
+        m = (math.isqrt(math.floor(disc)) - x0.dot(base)) // x0.norm_sq()
     while True:
         cand = base + m * x0
         if proj_dist_sq(x0, cand) <= bound:

@@ -524,7 +524,6 @@ def property_suites(seed: int = 0, cases: int = 1000) -> PropertyReport:
     suites.append(("convergent_gap", 11, tuple(fails)))
 
     fails = []
-    table.extend_to(60)
     for n in range(1, 60):
         pn, qn = table.pair(n)
         pn1, qn1 = table.pair(n + 1)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -26,6 +27,18 @@ from gammacert.cf import AlphaSpec, QF, _SurdQuotients
 
 def table(name="sqrt2m1", c1=None):
     return ConvergentTable(ALPHA_PRESETS[name], c1=c1)
+
+
+def dense_rows(spec, n):
+    """Rows 0..n of the plain recurrence as two lists, with no checks."""
+    stream = _SurdQuotients(spec)
+    stream.next()  # the integer part, 0
+    p, q = [1, 0], [0, 1]
+    while len(p) <= n:
+        ak = stream.next()
+        p.append(ak * p[-1] + p[-2])
+        q.append(ak * q[-1] + q[-2])
+    return p, q
 
 
 def qf_floor(x):
@@ -97,7 +110,7 @@ def test_locate_n_exact():
     assert locate_n(12, t) == 5
     assert locate_n(10 ** 6, t) == 17
     pn, qn = t.pair(17)
-    assert t.q[16] <= 10 ** 6 < qn
+    assert t.pair(16)[1] <= 10 ** 6 < qn
     q30 = t.pair(30)[1]  # a hit on a fresh table, rational and enclosed
     assert locate_n(q30, table()) == 31
     assert locate_n(sqrt_int(q30 * q30), table()) == 31
@@ -114,13 +127,13 @@ def test_locate_n_enclosed_and_errors():
 def test_bad_approx_certificate():
     t = table()
     t.extend_to(60)
-    q60 = t.q[60]
+    q60 = t.pair(60)[1]
     rep = certify_bad_approx(t, q60)
     assert isinstance(rep, BadApproxReport)
     assert rep.q_max == q60 and rep.blocks == 60
     # q_n |q_n a - p_n| tends to 1/(2 sqrt 2); C1 = 4 leaves margin
     for n in range(1, 61):
-        prod = t.eps(n) * ((-1) ** (n + 1) * t.q[n])
+        prod = t.eps(n) * ((-1) ** (n + 1) * t.pair(n)[1])
         assert (prod - F(1, 4)).sign() == 1 and (prod - F(1, 2)).sign() == -1
 
 
@@ -138,7 +151,8 @@ def test_bad_approx_brute_force_small_q(name, c1):
                 err = -err
             assert (err * (c1 * q) - 1).sign() >= 0
     rep = certify_bad_approx(t, 1000)
-    assert rep.blocks == sum(1 for qn in t.q[1:] if qn <= 1000)
+    _, qs = dense_rows(t.spec, 40)
+    assert rep.blocks == sum(1 for qn in qs[1:] if qn <= 1000)
 
 
 def test_bad_approx_rejects_small_c1():
@@ -195,8 +209,8 @@ def test_cross_identity_property(n):
 
 def _exact_row_facts(t, n):
     """Cross identity, sign and quality bracket of row n, by exact products in Q(sqrt d)."""
-    pn, qn = t.p[n], t.q[n]
-    pm, qm = t.p[n + 1], t.q[n + 1]
+    pn, qn = t.pair(n)
+    pm, qm = t.pair(n + 1)
     one = QF(F(1), F(0), t.alpha.d)
     aeps = t.eps(n) * ((-1) ** (n + 1))
     return (qn * pm - pn * qm == (-1) ** (n + 1)
@@ -211,6 +225,33 @@ def test_derived_row_facts_match_exact_oracle(name):
     t.extend_to(2001)
     bad = [n for n in range(1, 2001) if not _exact_row_facts(t, n)]
     assert bad == []
+
+
+@pytest.mark.parametrize("name", ["sqrt2m1", "sqrt5m2"])
+def test_cursor_matches_dense_rows(name):
+    # in order the cursor only walks forward; shuffled, every step back restarts
+    t = table(name)
+    p, q = dense_rows(t.spec, 2000)
+    order = list(range(1, 2001))
+    for shuffle in (False, True):
+        if shuffle:
+            random.Random(2000).shuffle(order)
+        for n in order:
+            assert t.pair(n) == (p[n], q[n])
+            assert t.eps(n) == t.alpha * q[n] - p[n]
+            assert len(t.p) == len(t.q) == 2
+
+
+def test_cursor_keeps_two_rows(honest_state):
+    t = table()
+    t.extend_to(2000)
+    assert len(t) == 2000 and len(t.p) == len(t.q) == 2
+    n = locate_n(10 ** 1000, t)
+    _, q = dense_rows(t.spec, n)
+    assert q[n - 1] <= 10 ** 1000 < q[n] and len(t.p) == len(t.q) == 2
+    t = honest_state.table
+    t.pair(honest_state.step_outputs[-1].n)  # other tests may have walked it back
+    assert len(t) == 14401 and len(t.p) == len(t.q) == 2
 
 
 def _qf_inverse(x):
@@ -261,26 +302,28 @@ def _linear_locate(name, le):
     return n
 
 
+# `shift` grows a second table to want + shift first: short of the answer,
+# at it, or past it, where locate_n restarts the walk
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["sqrt2m1", "sqrt5m2"]), st.integers(0, 10 ** 40),
-       st.integers(1, 10 ** 6), st.integers(0, 120))
-def test_locate_n_matches_linear_scan_rational(name, k, den, pre):
+       st.integers(1, 10 ** 6), st.integers(-120, 40))
+def test_locate_n_matches_linear_scan_rational(name, k, den, shift):
     T = 1 + F(k, den)
     want = _linear_locate(name, lambda q: q <= T)
     assert locate_n(T, table(name)) == want
     grown = table(name)
-    grown.extend_to(pre)
+    grown.extend_to(want + shift)
     assert locate_n(T, grown) == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["sqrt2m1", "sqrt5m2"]), st.integers(1, 10 ** 60),
-       st.integers(0, 120))
-def test_locate_n_matches_linear_scan_enclosed(name, m, pre):
+       st.integers(-120, 40))
+def test_locate_n_matches_linear_scan_enclosed(name, m, shift):
     want = _linear_locate(name, lambda q: q * q <= m)  # q <= sqrt(m)
     assert locate_n(sqrt_int(m), table(name)) == want
     grown = table(name)
-    grown.extend_to(pre)
+    grown.extend_to(want + shift)
     assert locate_n(sqrt_int(m), grown) == want
 
 
@@ -300,7 +343,7 @@ def test_gap_certificate_survives_optimize():
         "assert not __debug__\n"
         "t = ConvergentTable(ALPHA_PRESETS['sqrt2m1'])\n"
         "pn, qn = t.pair(6)\n"
-        "t.p[6] = pn + 2 * qn * qn  # same residues mod q_6, witness p* > q_6\n"
+        "t.p[1] = pn + 2 * qn * qn  # row 6 is slot 1: same residues mod q_6, p* > q_6\n"
         "try:\n"
         "    convergent_gap_check(t, 6)\n"
         "except CertificateFailure as exc:\n"

@@ -301,6 +301,25 @@ def test_unwritable_output_exits_3(tmp_path, capsys, blocker):
     assert err.startswith("error: cannot write") and str(named) in err
 
 
+@pytest.mark.parametrize("command", ["plan", "report"])
+def test_nul_byte_in_out_exits_3(tmp_path, toy_documents, command):
+    # os.makedirs and open raise ValueError, not OSError, on such a path
+    work = tmp_path / "work"
+    work.mkdir()
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"out": str(work / "a\u0000b")}))
+    argv = [command, "--config", str(cfgp)]
+    if command == "plan":
+        argv += ["--steps", "1"]
+    else:
+        dump_document(str(tmp_path / "state.json"), "state", toy_documents["state"])
+        argv += ["--state", str(tmp_path / "state.json")]
+    got = _run_module(argv, 120)
+    assert got.returncode == 3, got.stderr
+    assert got.stderr.startswith("error: cannot write") and "Traceback" not in got.stderr
+    assert list(work.iterdir()) == []
+
+
 # plan.json and state.json bodies hold no per-run field, so the benchmark's
 # digest rule is their plain body hash; the honest pair are the benchmark's pins
 BODY_DIGESTS = {

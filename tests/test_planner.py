@@ -5,6 +5,8 @@ from itertools import product
 from typing import Optional
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gammacert import (
     BallReal,
@@ -19,8 +21,8 @@ from gammacert import (
 )
 from gammacert.balls import DEFAULT_MAX_PREC, cert_le, sqrt_int
 from gammacert.cf import ALPHA_PRESETS
-from gammacert.exact import (IVec3, complete_to_basis, is_primitive_pair,
-                             proj_dist_sq)
+from gammacert.exact import (IVec3, complete_single, complete_to_basis,
+                             is_primitive_pair, is_primitive_point, proj_dist_sq)
 
 E3 = IVec3(0, 0, 1)
 PSI = PsiSpec(F(1), 1)
@@ -42,6 +44,46 @@ def test_companion_wider_delta():
     assert proj_dist_sq(E3, IVec3(0, 1, 2)) == F(1, 5) > F(4, 25)
     with pytest.raises(InputError):
         choose_companion(E3, F(0))
+
+
+def reference_companion(x0, delta):
+    """The linear scan m = 0, 1, 2, ... that the quadratic's root skips."""
+    base = complete_single(x0)
+    m = 0
+    while proj_dist_sq(x0, base + m * x0) > delta * delta / 4:
+        m += 1
+    return base + m * x0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(-40, 40)] * 3),
+       st.fractions(F(1, 1000), 2, max_denominator=1000))
+@example((-6, 0, 1), F(2, 73))  # ties: the minimal m meets delta^2/4 exactly
+@example((-5, -3, -6), F(2, 35))
+def test_companion_matches_linear_scan(coords, delta):
+    x0 = IVec3(*coords)
+    assume(is_primitive_point(x0))
+    assert choose_companion(x0, delta) == reference_companion(x0, delta)
+
+
+def test_companion_small_delta_is_direct(monkeypatch):
+    # the scan needs about 2/delta distance tests; the root, a handful
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        if len(calls) > 10:
+            raise AssertionError("more than 10 distance tests")
+        return proj_dist_sq(a, b)
+
+    monkeypatch.setattr("gammacert.planner.proj_dist_sq", counted)
+    delta = F(1, 10 ** 30)
+    comp = choose_companion(E3, delta)
+    base = complete_single(E3)
+    m = (comp - base).z
+    assert comp == base + m * E3
+    assert proj_dist_sq(E3, comp) <= delta * delta / 4
+    assert proj_dist_sq(E3, base + (m - 1) * E3) > delta * delta / 4
 
 
 def test_toy_plan_values():
