@@ -67,11 +67,12 @@ def _exact_mpf(n: int, exp: int = 0):
     return (sign, MPZ(man), exp + tz, man.bit_length())
 
 
-def _iv_from_fraction(ctx: MPIntervalContext, fr: Fraction):
-    """Endpoints of fr rounded toward -inf and +inf, bit-identical to
-    mpmath's from_int/from_rational with modes "f"/"c"; a power-of-two
-    denominator folds into the exponent, so dyadics need no division."""
-    p, q = fr.numerator, fr.denominator
+def _iv_from_ratio(ctx: MPIntervalContext, p: int, q: int):
+    """Endpoints of p/q, q > 0, rounded toward -inf and +inf, bit-identical
+    to mpmath's from_int/from_rational with modes "f"/"c". p/q need not be
+    in lowest terms, since directed division rounds the exact quotient; a
+    power-of-two denominator folds into the exponent, so dyadics need no
+    division."""
     prec = ctx.prec
     if q & (q - 1) == 0:
         x = _exact_mpf(p, 1 - q.bit_length())
@@ -105,7 +106,8 @@ class BallReal:
     @staticmethod
     def exact(value: Union[int, Fraction]) -> "BallReal":
         fr = Fraction(value)
-        return BallReal(lambda ctx: _iv_from_fraction(ctx, fr), exact=fr)
+        return BallReal(lambda ctx: _iv_from_ratio(ctx, fr.numerator, fr.denominator),
+                        exact=fr)
 
     @staticmethod
     def wrap(value: Number) -> "BallReal":
@@ -116,7 +118,7 @@ class BallReal:
     @staticmethod
     def golden() -> "BallReal":
         """(1 + sqrt 5)/2."""
-        return BallReal(lambda ctx: (1 + ctx.sqrt(_iv_from_fraction(ctx, Fraction(5)))) / 2)
+        return BallReal(lambda ctx: (1 + ctx.sqrt(_iv_from_ratio(ctx, 5, 1))) / 2)
 
     # -- evaluation and refinement ----------------------------------------
 
@@ -290,6 +292,22 @@ def _exact_sqrt(fr: Fraction) -> Optional[Fraction]:
 
 def sqrt_int(n: int) -> BallReal:
     return BallReal.exact(n).sqrt()
+
+
+def sqrt_ratio(num: int, den: int) -> BallReal:
+    """sqrt(num/den) for num >= 0, den > 0, with no gcd to reduce the ratio.
+
+    The same ball as BallReal.wrap(Fraction(num, den)).sqrt(): exact when
+    num/den is a rational square, which holds exactly when num*den is a
+    perfect square, since num/den = num*den/den^2; otherwise enclosed from
+    the same directed endpoints of num/den.
+    """
+    if num < 0 or den <= 0:
+        raise ValueError("sqrt_ratio needs num >= 0 and den > 0")
+    root = _isqrt_exact(num * den)
+    if root is not None:
+        return BallReal.exact(Fraction(root, den))
+    return BallReal(lambda ctx: ctx.sqrt(_iv_from_ratio(ctx, num, den)))
 
 
 class Cmp(enum.Enum):

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple
 
-from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, sqrt_int
+from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, sqrt_int, sqrt_ratio
 from .cf import ALPHA_PRESETS, ConvergentTable
 from .errors import CertificateFailure, InputError
 from .exact import (IVec3, cross, det3, dot, is_primitive_pair,
-                    proj_dist_sq, smith_invariants_3x2)
+                    proj_dist_sq, proj_dist_sq_terms, smith_invariants_3x2)
 from .planner import Plan, Schedule, XScale
 from .stepper import (StepCertificate, StepOutput, Verdict, YSpec, certify,
                       recursive_step)
@@ -164,12 +164,12 @@ def _ledger_entry(state: ConstructionState, i: int, prev_delta: BallReal,
     d0_ball = state.delta0_ball()
     delta_i = state.delta_ball(i)
     certify(f"halving_i{i}", delta_i, prev_delta / 2, max_prec, verdicts)
-    near = BallReal.wrap(proj_dist_sq(x_star, x_next)).sqrt()
+    near = sqrt_ratio(*proj_dist_sq_terms(x_star, x_next))
     certify(f"near_i{i}", near, delta_i, max_prec, verdicts)
-    sep = BallReal.wrap(proj_dist_sq(x, x_next)).sqrt()
+    sep = sqrt_ratio(*proj_dist_sq_terms(x, x_next))
     certify(f"sep_i{i}", d0_ball + delta_i, sep, max_prec, verdicts)
     if i >= 2:
-        cur = BallReal.wrap(proj_dist_sq(x_star, x)).sqrt()
+        cur = sqrt_ratio(*proj_dist_sq_terms(x_star, x))
         certify(f"dist_floor_i{i}", d0_ball, cur, max_prec, verdicts)
 
     du_sq = proj_dist_sq(u_i, u_next)
@@ -251,10 +251,10 @@ def recertify(state: ConstructionState, max_prec: int = DEFAULT_MAX_PREC) -> Lis
     """Re-run every base and ledger certificate from the stored vectors.
 
     Works on a state in memory (nothing reloads a state from state.json) and
-    walks its convergent table again from row 1. Returns the base verdicts
-    followed by the ledger verdicts, as build recorded them; raises on any
-    regression, and raises ledger_record_i{i} when a recomputed ledger entry
-    differs from the stored one.
+    restarts its convergent table from row 1, proving its period again.
+    Returns the base verdicts followed by the ledger verdicts, as build
+    recorded them; raises on any regression, and raises ledger_record_i{i}
+    when a recomputed ledger entry differs from the stored one.
     """
     verdicts = _base_verdicts(state, max_prec)
     delta = state.delta0_ball()

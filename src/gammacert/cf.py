@@ -5,7 +5,9 @@ Everything observable is certified exactly: the convergent rows (the
 unimodular cross identity, the alternating sign and approximation quality of
 each convergent, bounded denominator growth) by small-integer checks on the
 surd state of the continued fraction, see ConvergentTable, a cursor over two
-rows that restarts from alpha to go back; the badly approximable lower bound
+rows that walks to the first repeat of the surd state, proving the quotients
+periodic, jumps by powers of the period's matrix from there, and restarts
+from alpha to go back; the badly approximable lower bound
 |q*alpha - p| >= 1/(C1 |q|) by one exact sign computation in Q(sqrt d) per
 convergent block; and the cross gap |q p_n - p q_n| >= q_n/(2 C1 |q|) by
 integer arithmetic. locate_n walks the cursor forward with q_{n-1} <= T.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .balls import BallReal, DEFAULT_MAX_PREC, cert_le
 from .errors import CertificateFailure, InputError, UndecidedError
@@ -137,30 +139,56 @@ class _SurdQuotients:
         return ak
 
 
-# a walk never passes this many rows, whichever call extends it; the cursor
-# holds two rows, so this bounds the length of a walk, not memory
+# no move takes the cursor past this row, whether it walks or jumps; the
+# cursor holds two rows, so this bounds how far a move reaches, not memory
 _MAX_TABLE_ROWS = 10 ** 7
+
+Mat = Tuple[int, int, int, int]  # 2x2 integer matrix, row-major
+
+
+def _mul(a: Mat, b: Mat) -> Mat:
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
 
 
 class ConvergentTable:
-    """Cursor over the convergents p_n/q_n of alpha, n >= 1, with per-row certificates.
+    """Cursor over the convergents p_n/q_n of alpha, n >= 1, with certificates.
 
     p and q hold rows n-1 and n only, and len(table) is n. The cursor starts
     at n = 1 with row 0, (p_0, q_0) = (1, 0), where the recurrence starts,
-    and row 1, (0, 1); row n+1 is a (row n) + (row n-1), where a is the floor
-    of the complete quotient x that the surd stream holds after n steps.
-    Asking for a row before n-1 restarts the surd stream from alpha and walks
-    forward again, re-certifying every row. Checked exactly:
+    and row 1, (0, 1); row n+1 is a_n (row n) + (row n-1), where a_n is the
+    floor of the complete quotient x that the surd stream holds after n
+    steps. As matrices,
+    [[p_n, p_{n+1}], [q_n, q_{n+1}]] = [[p_{n-1}, p_n], [q_{n-1}, q_n]] [[0, 1], [1, a_n]].
+
+    After each (re)start the cursor walks the surd stream row by row until
+    its state (P, Q) equals its state at an earlier row i. (P, Q) determines
+    x and so every later quotient, hence that exact equality proves
+    a_{k+L} = a_k for all k >= i, with L the rows walked since row i.
+    Lagrange's theorem makes every quadratic irrational eventually periodic,
+    so the walk is pre-period + period rows long (one row on both presets).
+    Every later move multiplies the two rows by the period's matrix product:
+    repeated squaring as a binary descent on the target row (extend_to) or
+    on the exact bound (extend_to_cover), plus at most a period of single
+    rows at each end. Asking for a row before n-1 restarts the stream from
+    alpha and walks again. Checked exactly:
 
     - at each (re)start: alpha lies in (0, 1/2), the surd stream starts at
       alpha, its first quotient (the integer part) is 0, the radicand is not
       a square, and the cross identity q_1 p_2 - p_1 q_2 = 1 holds;
     - per step of the surd stream: Q | D - P'^2, so each x is exactly
       1/(previous x - its floor) and each a is exactly that floor;
-    - per row: a >= 1, 0 <= p_{n+1} <= q_{n+1}, and q_n < q_{n+1} <= C1 q_n.
+    - per walked row: a >= 1 (cf_partial_quotient), 0 <= p_{n+1} <= q_{n+1}
+      (cf_range), and q_n < q_{n+1} <= C1 q_n (cf_growth);
+    - once per period: a_max + 1 <= C1 (cf_growth).
 
     Derived from those checks, with no big-number product per row:
 
+    - Rows past the walk: every period quotient is a walked row's, so
+      a >= 1. For n >= 2, q_{n-1} >= 1, so q_{n+1} = a q_n + q_{n-1} > q_n,
+      and q_{n+1} <= (a + 1) q_n <= C1 q_n. 0 <= p <= q holds by induction,
+      p_{n+1} = a p_n + p_{n-1} <= a q_n + q_{n-1} = q_{n+1}.
     - Cross identity q_n p_{n+1} - p_n q_{n+1} = (-1)^(n+1): substituting the
       recurrence gives q_n p_{n+1} - p_n q_{n+1} = -(q_{n-1} p_n - p_{n-1} q_n),
       so the checked row-1 value propagates.
@@ -174,7 +202,8 @@ class ConvergentTable:
       1/(q_{n+1} + q_n) < |q_n alpha - p_n| < 1/q_{n+1}.
 
     tests/test_cf.py re-checks these derived facts with exact arithmetic in
-    Q(sqrt d), and every row against the plain recurrence, up to n = 2000.
+    Q(sqrt d) up to n = 2000, and the rows against the plain recurrence up to
+    n = 20,000, on both presets and on two numbers of period 2.
     """
 
     def __init__(self, spec: AlphaSpec, c1: Optional[Fraction] = None):
@@ -184,7 +213,7 @@ class ConvergentTable:
         self._restart()
 
     def _restart(self) -> None:
-        """Back to n = 1, with the surd stream at alpha."""
+        """Back to n = 1, with the surd stream at alpha and no period known."""
         if self.alpha.sign() <= 0 or (self.alpha - Fraction(1, 2)).sign() >= 0:
             raise InputError("alpha must lie in (0, 1/2)")
         self._stream = st = _SurdQuotients(self.spec)
@@ -195,24 +224,27 @@ class ConvergentTable:
         if st.next() != 0:
             raise InputError("alpha must have zero integer part")
         self._n, self.p, self.q = 1, [1, 0], [0, 1]  # p, q hold rows n-1 and n
+        self._walked: List[int] = []  # a_1, a_2, ... up to the repeat
+        self._seen: Dict[Tuple[int, int], int] = {(st.P, st.Q): 1}  # state at row n
+        # (i, (a_i, ..., a_{i+L-1}), product of their row matrices), once proven
+        self._period: Optional[Tuple[int, Tuple[int, ...], Mat]] = None
 
     def __len__(self) -> int:
         return self._n
 
     def extend_to(self, n: int) -> None:
-        while self._n < n:
-            self._append_row()
+        self._advance(lambda k, q_prev: k <= n)
 
     def extend_to_cover(self, bound: int) -> None:
-        """Grow until the current denominator q_n strictly exceeds `bound`."""
-        while self.q[1] <= bound:
-            self._append_row()
+        """Move forward until the current denominator q_n strictly exceeds `bound`."""
+        self._advance(lambda k, q_prev: q_prev <= bound)
 
     def _append_row(self) -> None:
         n = self._n  # certify row n+1 against row n
         if n >= _MAX_TABLE_ROWS:
             raise InputError("convergent table exhausted")
-        ak = self._stream.next()
+        st = self._stream
+        ak = st.next()
         if ak < 1:
             raise CertificateFailure("cf_partial_quotient", f"row {n + 1}: a={ak}")
         (pm, pn), (qm, qn) = self.p, self.q
@@ -224,6 +256,58 @@ class ConvergentTable:
         if not (qn < qn1 and qn1 * self.c1.denominator <= self.c1.numerator * qn):
             raise CertificateFailure("cf_growth", f"row {n}: q={qn}->{qn1}")
         self._n, self.p, self.q = n + 1, [pn, pn1], [qn, qn1]
+        self._walked.append(ak)
+        i = self._seen.setdefault((st.P, st.Q), n + 1)
+        if i <= n:  # the state at row n+1 is the state at row i
+            period = tuple(self._walked[i - 1:])
+            if (max(period) + 1) * self.c1.denominator > self.c1.numerator:
+                raise CertificateFailure("cf_growth", f"period {period}: a_max + 1 > C1")
+            product = (1, 0, 0, 1)
+            for a in period:
+                product = _mul(product, (0, 1, 1, a))
+            self._period = (i, period, product)
+
+    def _advance(self, may_reach: Callable[[int, int], bool]) -> None:
+        """Move forward to the last row k with may_reach(k, q_{k-1}).
+
+        may_reach must hold up to some row and fail after it. Until the
+        period is known the cursor walks; then it steps to a period boundary,
+        takes the most whole periods that fit by a binary descent over
+        (period product)^(2^j), and steps the rest. A move past
+        _MAX_TABLE_ROWS raises before the cursor leaves its row.
+        """
+        while self._period is None:
+            if not may_reach(self._n + 1, self.q[1]):
+                return
+            self._append_row()
+        i, period, product = self._period
+        span = len(period)
+        at, rows = self._n, (*self.p, *self.q)
+
+        def fits(k: int, q_prev: int) -> bool:
+            if not may_reach(k, q_prev):
+                return False
+            if k > _MAX_TABLE_ROWS:
+                raise InputError("convergent table exhausted")
+            return True
+
+        def step(at: int, rows: Mat) -> Mat:  # rows at, at+1 from rows at-1, at
+            return _mul(rows, (0, 1, 1, period[(at - i) % span]))
+
+        while (at - i) % span and fits(at + 1, rows[3]):
+            at, rows = at + 1, step(at, rows)
+        if (at - i) % span == 0:
+            powers = [product]  # product^(2^j), while 2^j periods fit
+            while fits(at + (span << (len(powers) - 1)),
+                       rows[2] * powers[-1][0] + rows[3] * powers[-1][2]):
+                powers.append(_mul(powers[-1], powers[-1]))
+            for j in range(len(powers) - 2, -1, -1):
+                m = powers[j]
+                if fits(at + (span << j), rows[2] * m[0] + rows[3] * m[2]):
+                    at, rows = at + (span << j), _mul(rows, m)
+            while fits(at + 1, rows[3]):
+                at, rows = at + 1, step(at, rows)
+        self._n, self.p, self.q = at, [rows[0], rows[1]], [rows[2], rows[3]]
 
     def pair(self, n: int) -> Tuple[int, int]:
         if n < self._n - 1:
@@ -244,10 +328,11 @@ def locate_n(T: Union[int, Fraction, BallReal], table: ConvergentTable,
 
     Exact for rational T (a hit T == q_k yields n = k + 1). For enclosed T
     the comparisons are certified; an inseparable comparison raises.
-    The table walks forward and keeps q_{n-1} <= T: it restarts if q_{n-1}
-    exceeds floor of the lower end of T's enclosure, grows by integer
-    comparison while q_n is at most that floor, then certifies q_n <= T row
-    by row until a row exceeds T. The answer is the row it stops at.
+    The table moves forward and keeps q_{n-1} <= T: it restarts if q_{n-1}
+    exceeds floor of the lower end of T's enclosure, moves by integer
+    comparison (extend_to_cover) to the first q_n above that floor, then
+    certifies q_n <= T row by row until a row exceeds T. The answer is the
+    row it stops at.
     """
     tb = BallReal.wrap(T)
     ok, prec = cert_le(1, tb, max_prec)

@@ -90,10 +90,18 @@ def proj_dist_sq(a: IVec3, b: IVec3) -> Fraction:
     Symmetric, zero iff the points span the same line, scale and sign
     invariant, and at most 1 by the Lagrange identity.
     """
+    return Fraction(*proj_dist_sq_terms(a, b))
+
+
+def proj_dist_sq_terms(a: IVec3, b: IVec3) -> Tuple[int, int]:
+    """(||a^b||^2, ||a||^2 ||b||^2), the squared distance's unreduced terms.
+
+    For callers headed for a square root (balls.sqrt_ratio), which need no
+    gcd of terms that reach tens of thousands of bits.
+    """
     if a.is_zero() or b.is_zero():
         raise ValueError("projective distance needs nonzero vectors")
-    w = a.cross(b)
-    return Fraction(w.norm_sq(), a.norm_sq() * b.norm_sq())
+    return a.cross(b).norm_sq(), a.norm_sq() * b.norm_sq()
 
 
 def is_primitive_point(a: IVec3) -> bool:
@@ -131,25 +139,20 @@ def floor_log2(fr: Fraction) -> int:
     return e if Fraction(2) ** e <= fr else e - 1
 
 
-def xgcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Extended gcd. Returns (g, s, t) with g = s*a + t*b, g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def _bezout(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), by one C-level modular inverse."""
+    g = math.gcd(a, b)
+    if b == 0:
+        return g, (-1 if a < 0 else 1), 0
+    # a/g is invertible modulo b/g; pow returns 0 when b/g = +-1
+    s = pow(a // g, -1, b // g)
+    return g, s, (g - s * a) // b
 
 
 def solve_dot_one(c: IVec3) -> IVec3:
-    """Some z in Z^3 with c.z = 1, for primitive c, by the xgcd chain."""
-    g1, u, v = xgcd(c.x, c.y)
-    g, w, t = xgcd(g1, c.z)
+    """Some z in Z^3 with c.z = 1, for primitive c, by two Bezout steps."""
+    g1, u, v = _bezout(c.x, c.y)
+    g, w, t = _bezout(g1, c.z)
     if g != 1:
         raise ValueError("vector is not primitive")
     return IVec3(u * w, v * w, t)
@@ -179,8 +182,10 @@ def _gauss_reduce(a: IVec3, b: IVec3) -> Tuple[IVec3, IVec3]:
 def complete_to_basis(a: IVec3, b: IVec3) -> IVec3:
     """Canonical third basis vector z with det3(a, b, z) = 1.
 
-    Requires (a, b) primitive. z is the smallest-norm representative of the
-    coset z0 + Z a + Z b, ties broken by lexicographically smallest tuple.
+    Requires (a, b) primitive. The solutions of (a x b).z = 1 form one coset
+    z0 + Z a + Z b, and z is its smallest-norm element, ties broken by
+    lexicographically smallest tuple, so z does not depend on which z0
+    solve_dot_one finds.
     """
     c = a.cross(b)
     if not is_primitive_point(c):

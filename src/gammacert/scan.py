@@ -21,8 +21,8 @@ array, so membership and the threshold test are one pass each.  Most rows
 need no threshold test at all: with e0 = m . x at the selected point, a row
 where every |e0| lies in [t_int, |m_kappa| - t_int] passes at every offset,
 since |e0 + off m_kappa| >= |m_kappa| - |e0| >= t_int for off != 0.  numpy is
-imported inside the kernel, so the commands that never scan a slab start
-without it.
+imported inside the kernel, and concurrent.futures only where threads > 1
+uses it, so the commands that never scan a slab start without either.
 
 Nothing is decided in floating point: float64 only *selects* candidate
 points, and the guard certificate absorbs its worst-case selection error.
@@ -31,7 +31,6 @@ points, and the guard certificate absorbs its worst-case selection error.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -242,6 +241,10 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None, *,
     if threads == 1:
         lines, candidates, fast, failing = _scan_lines(0, b_int + 1, *args)
     else:
+        # imported here: concurrent.futures.process pulls in multiprocessing,
+        # which a single-threaded run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, (b_int + 1) // (4 * threads))
         spans = [(t, min(t + chunk, b_int + 1)) for t in range(0, b_int + 1, chunk)]
         with ProcessPoolExecutor(max_workers=threads) as pool:

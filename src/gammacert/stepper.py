@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .balls import BallReal, DEFAULT_MAX_PREC, cert_le, sqrt_int
+from .balls import BallReal, DEFAULT_MAX_PREC, cert_le, sqrt_int, sqrt_ratio
 from .cf import ConvergentTable, locate_n
 from .errors import CertificateFailure, InputError, UndecidedError
 from .exact import (
@@ -24,7 +24,7 @@ from .exact import (
     det3,
     dot,
     is_primitive_pair,
-    proj_dist_sq,
+    proj_dist_sq_terms,
 )
 
 Rat = Fraction
@@ -196,7 +196,7 @@ def recursive_step(x_star: IVec3, x: IVec3, Y_spec: YSpec, X_prime: int,
     # part 3: dist(x*, x') <= |x|/(2X') + 2C1/(Y |x*| |x| dist(x*, x))
     u_rep = cross(x_star, x)
     h = sqrt_int(u_rep.norm_sq())
-    lhs3 = BallReal.wrap(proj_dist_sq(x_star, x_prime)).sqrt()
+    lhs3 = sqrt_ratio(*proj_dist_sq_terms(x_star, x_prime))
     rhs3 = nx / (2 * X_prime) + BallReal.wrap(2 * c1) / (Y * h)
     certify("part3_dist_bound", lhs3, rhs3, max_prec, verdicts)
 

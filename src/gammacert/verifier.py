@@ -34,13 +34,15 @@ from fractions import Fraction
 from math import ceil, isqrt
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, cert_le, sqrt_int
+from .balls import (BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, cert_le, sqrt_int,
+                    sqrt_ratio)
 from .builder import (ConstructionState, DirectionEnclosure, enclose_u,
                       enclose_vw, x_dot_u_lower)
 from .cf import ALPHA_PRESETS, ConvergentTable, convergent_gap_check
 from .errors import CertificateFailure, InputError
 from .exact import (IVec3, complete_to_basis, cross, det3, dot, floor_log2,
-                    is_primitive_pair, proj_dist_sq, smith_invariants_3x2)
+                    is_primitive_pair, proj_dist_sq, proj_dist_sq_terms,
+                    smith_invariants_3x2)
 from .planner import plan_clauses
 from .stepper import Verdict
 
@@ -252,7 +254,7 @@ def dist_vw_upper(x: IVec3, venc: DirectionEnclosure,
     """A ball whose value upper-bounds dist(x, {v, w})."""
     best = None
     for enc in (venc, wenc):
-        cand = (BallReal.wrap(proj_dist_sq(x, enc.rep)).sqrt()
+        cand = (sqrt_ratio(*proj_dist_sq_terms(x, enc.rep))
                 + BallReal.wrap(enc.radius_sq_ub).sqrt())
         if best is None or cand.refined_to(96).hi < best.refined_to(96).hi:
             best = cand

@@ -4,14 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_int, from_rational
 
 from gammacert.balls import (PAYLOAD_PREC, BallReal, Cmp, _ctx, _dyadic_man,
-                             _exact_sqrt, _isqrt_exact, _iv_from_fraction,
+                             _exact_sqrt, _isqrt_exact, _iv_from_ratio,
                              _mpf_tuple_to_fraction, ball_payload, cert_le,
-                             certified_compare, sqrt_int)
+                             certified_compare, sqrt_int, sqrt_ratio)
 
 F = Fraction
 
@@ -175,7 +175,7 @@ def _mpmath_endpoints(fr: Fraction, prec: int):
 
 
 def _check_conversion(fr: Fraction, prec: int):
-    lo, hi = _iv_from_fraction(_ctx(prec), fr)._mpi_
+    lo, hi = _iv_from_ratio(_ctx(prec), fr.numerator, fr.denominator)._mpi_
     assert (lo, hi) == _mpmath_endpoints(fr, prec)
     assert _mpf_tuple_to_fraction(lo) <= fr <= _mpf_tuple_to_fraction(hi)
 
@@ -230,6 +230,22 @@ def test_isqrt_exact_matches_isqrt(k, d):
 def test_exact_sqrt_matches_plain(p, q, square):
     fr = Fraction(p * p, q * q) if square else Fraction(p, q)
     assert _exact_sqrt(fr) == _plain_sqrt(fr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 700), st.integers(1, 2 ** 700), st.integers(1, 2 ** 300),
+       st.booleans(), precs)
+@example(0, 7, 5, False, 64)  # zero
+@example(6, 12, 1, False, 64)  # 1/2 by an unreduced denominator
+@example(4 * 9, 9 * 16, 1, True, 64)  # an unreduced square
+def test_sqrt_ratio_matches_reduced_fraction(p, q, k, square, prec):
+    # the terms as a caller hands them over, with a common factor k
+    num, den = (p * p * k, q * q * k) if square else (p * k, q * k)
+    fast, slow = sqrt_ratio(num, den), BallReal.wrap(Fraction(num, den)).sqrt()
+    assert fast.exact_value == slow.exact_value
+    if not fast.is_exact:
+        assert fast._eval_at(prec) == slow._eval_at(prec)
+        assert fast.refined_to(prec).prec == slow.refined_to(prec).prec
 
 
 def test_dyadic_payload_rejects_non_dyadic():

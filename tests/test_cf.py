@@ -25,8 +25,17 @@ from gammacert import (
 from gammacert.cf import AlphaSpec, QF, _SurdQuotients
 
 
+# both presets have period 1; sqrt(2)/4 = [0; 2, (1, 4)] and
+# (sqrt(3) - 1)/2 = [0; (2, 1)] have period 2, the first after a pre-period
+SPECS = {**ALPHA_PRESETS,
+         "sqrt2/4": AlphaSpec("sqrt2/4", 0, 1, 4, 2, 5),
+         "sqrt3m1/2": AlphaSpec("sqrt3m1/2", -1, 1, 2, 3, 3)}
+# (pre-period, period) of the quotients a_1, a_2, ...
+PERIODS = {"sqrt2m1": (0, 1), "sqrt5m2": (0, 1), "sqrt2/4": (1, 2), "sqrt3m1/2": (0, 2)}
+
+
 def table(name="sqrt2m1", c1=None):
-    return ConvergentTable(ALPHA_PRESETS[name], c1=c1)
+    return ConvergentTable(SPECS[name], c1=c1)
 
 
 def dense_rows(spec, n):
@@ -227,7 +236,7 @@ def test_derived_row_facts_match_exact_oracle(name):
     assert bad == []
 
 
-@pytest.mark.parametrize("name", ["sqrt2m1", "sqrt5m2"])
+@pytest.mark.parametrize("name", sorted(SPECS))
 def test_cursor_matches_dense_rows(name):
     # in order the cursor only walks forward; shuffled, every step back restarts
     t = table(name)
@@ -240,6 +249,53 @@ def test_cursor_matches_dense_rows(name):
             assert t.pair(n) == (p[n], q[n])
             assert t.eps(n) == t.alpha * q[n] - p[n]
             assert len(t.p) == len(t.q) == 2
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_jumps_match_plain_recurrence_to_20000(name):
+    # seeded rows up to 20,000, each reached by a forward jump, by a jump
+    # after a restart, and by extend_to_cover on either side of q_n
+    wanted = sorted(random.Random(20000).sample(range(1, 20001), 40)) + [20000]
+    forward, back, cover = table(name), table(name), table(name)
+    stream = _SurdQuotients(SPECS[name])
+    stream.next()  # the integer part, 0
+    (pm, p), (qm, q), n = (1, 0), (0, 1), 1  # rows n-1 and n of the plain recurrence
+    for want in wanted:
+        while n < want:
+            ak = stream.next()
+            pm, p, qm, q, n = p, ak * p + pm, q, ak * q + qm, n + 1
+        assert forward.pair(n) == (p, q) and forward.pair(n - 1) == (pm, qm)
+        back.extend_to(20000)
+        assert back.pair(n) == (p, q)
+        cover.extend_to_cover(q - 1)
+        assert (len(cover), cover.q) == (n, [qm, q])
+        cover.extend_to_cover(q)
+        assert len(cover) == n + 1 and cover.q[0] == q
+        cover.pair(1)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_surd_stream_steps_once_per_period(name, monkeypatch):
+    # each (re)start steps its surd stream pre-period + period + 1 times
+    # (the integer part, then every quotient up to the repeat), then jumps
+    p, q = dense_rows(SPECS[name], 7)
+    steps = {}  # stream -> steps; holding each stream keeps ids apart
+    real_next = _SurdQuotients.next
+
+    def counted(stream):
+        steps[stream] = steps.get(stream, 0) + 1
+        return real_next(stream)
+
+    monkeypatch.setattr(_SurdQuotients, "next", counted)
+    pre, period = PERIODS[name]
+    t = table(name)
+    t.extend_to(2000)
+    t.pair(1)
+    t.extend_to_cover(10 ** 3000)
+    locate_n(10 ** 500, t)
+    t.pair(3)
+    assert t.pair(7) == (p[7], q[7])
+    assert len(steps) == 4 and set(steps.values()) == {pre + period + 1}
 
 
 def test_cursor_keeps_two_rows(honest_state):
@@ -280,18 +336,62 @@ def test_surd_rejects_square_radicand():
 
 
 def test_corrupted_surd_state_fails():
+    # the stream is consulted until its state repeats: row 2 on sqrt2m1,
+    # row 4 on sqrt2/4
     t = table()
-    t.extend_to(5)
     t._stream.Q = 2  # x = (1 + sqrt 2)/2 has 2 not dividing D - P'^2
     with pytest.raises(CertificateFailure) as exc:
         t.extend_to(6)
     assert exc.value.clause == "cf_surd_divisibility"
     t = table()
-    t.extend_to(5)
     t._stream = _SurdQuotients(t.spec)  # back at alpha: partial quotient 0
     with pytest.raises(CertificateFailure) as exc:
         t.extend_to(6)
     assert exc.value.clause == "cf_partial_quotient"
+    t = table("sqrt2/4")
+    t.extend_to(2)  # inside the walk: the period [1, 4] is not proven yet
+    t._stream.Q = 3
+    with pytest.raises(CertificateFailure) as exc:
+        t.extend_to(6)
+    assert exc.value.clause == "cf_surd_divisibility"
+    # once the period is proven, later rows come from its quotients alone
+    t = table()
+    t.extend_to(5)
+    t._stream.Q = 2
+    assert t.pair(6) == tuple(r[6] for r in dense_rows(t.spec, 6))
+
+
+def test_corrupted_period_quotients_fail(monkeypatch):
+    # quotients raised by 2 past the integer part: on sqrt2m1 row 2 still
+    # passes its own growth check (q_2 = 4 <= C1 q_1 = 4), and the period
+    # [4] fails a_max + 1 <= C1 before any row is derived from it
+    real_next = _SurdQuotients.next
+    monkeypatch.setattr(_SurdQuotients, "next",
+                        lambda st: (lambda a: a + 2 if a else a)(real_next(st)))
+    t = table()
+    with pytest.raises(CertificateFailure) as exc:
+        t.extend_to(6)
+    assert exc.value.clause == "cf_growth" and "period" in str(exc.value)
+    assert len(t) == 2
+    # sqrt2/4's period [1, 4] read as [0, 4]: row 3 fails a >= 1
+    monkeypatch.setattr(_SurdQuotients, "next",
+                        lambda st: (lambda a: 0 if a == 1 else a)(real_next(st)))
+    t = table("sqrt2/4")
+    with pytest.raises(CertificateFailure) as exc:
+        t.extend_to(6)
+    assert exc.value.clause == "cf_partial_quotient"
+
+
+def test_period_growth_bound_is_certified():
+    # C1 = 9/2 on sqrt5m2 passes row 2 (q_2 = 4) but not a_max + 1 = 5;
+    # sqrt2/4's period [1, 4] meets C1 = 5 and fails C1 = 49/10
+    with pytest.raises(CertificateFailure) as exc:
+        table("sqrt5m2", c1=F(9, 2)).extend_to(3)
+    assert exc.value.clause == "cf_growth"
+    table("sqrt2/4", c1=5).extend_to(100)
+    with pytest.raises(CertificateFailure) as exc:
+        table("sqrt2/4", c1=F(49, 10)).extend_to(100)
+    assert exc.value.clause == "cf_growth"
 
 
 def _linear_locate(name, le):
@@ -328,12 +428,27 @@ def test_locate_n_matches_linear_scan_enclosed(name, m, shift):
 
 
 def test_locate_n_row_cap(monkeypatch):
+    # no move, walk or jump, takes the cursor past the cap; one that would
+    # raises and leaves the cursor where it stood
     monkeypatch.setattr("gammacert.cf._MAX_TABLE_ROWS", 30)
+    p, q = dense_rows(SPECS["sqrt2m1"], 30)
     t = table()
-    assert locate_n(t.pair(29)[1] - 1, t) == 29
+    assert locate_n(q[29] - 1, t) == 29
     with pytest.raises(InputError):
         locate_n(10 ** 100, t)  # needs about 263 rows
-    assert len(t) == 30
+    assert len(t) == 29 and t.q == q[28:30]
+    with pytest.raises(InputError):
+        t.extend_to_cover(q[30])  # row 31
+    with pytest.raises(InputError):
+        t.pair(31)
+    assert len(t) == 29
+    t.extend_to_cover(q[30] - 1)
+    assert len(t) == 30 and t.pair(30) == (p[30], q[30])
+    monkeypatch.setattr("gammacert.cf._MAX_TABLE_ROWS", 3)
+    t = table("sqrt2/4")
+    with pytest.raises(InputError):
+        t.extend_to(4)  # the walk reaches its repeat only at row 4
+    assert len(t) == 3
 
 
 def test_gap_certificate_survives_optimize():

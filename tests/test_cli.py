@@ -97,26 +97,29 @@ NUMPY_PROBE = """
 import json, os, sys
 from gammacert import cli
 out, flags = sys.argv[1], sys.argv[2:]
-seen = [["import", None, "numpy" in sys.modules]]
+loaded = lambda: ["numpy" in sys.modules, "concurrent.futures" in sys.modules]
+seen = [["import", None, loaded()]]
 for name, argv in (("plan", ["plan"]), ("build", ["build"]),
                    ("report", ["report", "--state",
                                os.path.join(out, "state.json")]),
                    ("audit", ["verify", "--mode", "audit"]),
-                   ("slab", ["verify", "--mode", "slab"])):
+                   ("slab", ["verify", "--mode", "slab", "--threads", "1"])):
     rc = cli.main(argv + flags + ["--out", out])
-    seen.append([name, rc, "numpy" in sys.modules])
+    seen.append([name, rc, loaded()])
 print(json.dumps(seen))
 """
 
 
 def test_numpy_loads_only_for_the_slab(tmp_path):
-    # only the slab kernel uses numpy, so plan, build, report and the other
-    # verify modes start without paying for its import
+    # only the slab kernel uses numpy, and only its process pool uses
+    # concurrent.futures, so plan, build, report and the other verify modes
+    # start without paying for either import
     got = _run_python(["-c", NUMPY_PROBE, str(tmp_path)] + TOY_FLAGS, 600)
     assert got.returncode == 0, got.stderr
     assert json.loads(got.stdout.splitlines()[-1]) == [
-        ["import", None, False], ["plan", 0, False], ["build", 0, False],
-        ["report", 0, False], ["audit", 1, False], ["slab", 0, True]]
+        ["import", None, [False, False]], ["plan", 0, [False, False]],
+        ["build", 0, [False, False]], ["report", 0, [False, False]],
+        ["audit", 1, [False, False]], ["slab", 0, [True, False]]]
 
 
 def test_verify_all_under_optimize(tmp_path):

@@ -2,9 +2,10 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gammacert.exact import (IVec3, complete_to_basis, complete_single, cross,
@@ -14,6 +15,32 @@ from gammacert.exact import (IVec3, complete_to_basis, complete_single, cross,
 coord = st.integers(min_value=-50, max_value=50)
 vec = st.builds(IVec3, coord, coord, coord)
 nonzero_vec = vec.filter(lambda v: not v.is_zero())
+big_coord = st.one_of(coord, st.integers(min_value=-2 ** 300, max_value=2 ** 300))
+big_vec = st.builds(IVec3, big_coord, big_coord, big_coord)
+
+
+def xgcd(a, b):
+    """Extended gcd by the Euclid loop: (g, s, t) with g = s*a + t*b, g >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def solve_dot_one_by_xgcd(c):
+    """The xgcd chain solve_dot_one used to run: the reference below."""
+    g1, u, v = xgcd(c.x, c.y)
+    g, w, t = xgcd(g1, c.z)
+    if g != 1:
+        raise ValueError("vector is not primitive")
+    return IVec3(u * w, v * w, t)
 
 
 def test_basic_ops():
@@ -87,7 +114,16 @@ def test_smith_matches_sympy(a, b):
     assert got == tuple(diag)
 
 
-@given(nonzero_vec)
+@given(st.one_of(nonzero_vec, big_vec.filter(lambda v: not v.is_zero())))
+@example(IVec3(0, 0, 1))
+@example(IVec3(0, 0, -1))
+@example(IVec3(-1, 0, 0))
+@example(IVec3(0, -1, 0))
+@example(IVec3(0, 4, -3))
+@example(IVec3(6, 0, 35))
+@example(IVec3(-6, 10, 0))
+@example(IVec3(6, 10, 15))
+@example(IVec3(0, 0, 2))
 def test_solve_dot_one(c):
     g = math.gcd(math.gcd(abs(c.x), abs(c.y)), abs(c.z))
     if g == 1:
@@ -122,3 +158,19 @@ def test_basis_completion_invariant_under_column_ops(a, b, s):
     z = complete_to_basis(a, b2)
     assert det3(a, b2, z) == 1
     assert det3(a, b, z) == 1  # same plane lattice, same completion property
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_vec, big_vec)
+@example(IVec3(1, 0, 0), IVec3(0, 1, 0))
+@example(IVec3(0, 0, 1), IVec3(0, 10, 31))
+@example(IVec3(3, 5, 7), IVec3(-2, 0, 11))
+def test_complete_to_basis_matches_xgcd_reference(a, b):
+    # the completion is the coset's smallest-norm element, so starting the
+    # search from the xgcd chain's z0 gives the same vector
+    if not is_primitive_pair(a, b):
+        return
+    z = complete_to_basis(a, b)
+    with mock.patch("gammacert.exact.solve_dot_one", solve_dot_one_by_xgcd):
+        assert complete_to_basis(a, b) == z
+    assert dot(cross(a, b), solve_dot_one(cross(a, b))) == 1
