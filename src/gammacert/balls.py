@@ -5,6 +5,14 @@ is defined by a pure recompute handle (a function of an interval context), so
 the same quantity can be re-evaluated at any working precision. Refinement
 intersects the new enclosure with the old one and therefore never enlarges it.
 
+Each ball evaluates its handle at most once per precision and keeps the
+interval in a memo keyed by bits; a ball built from others calls their
+memoised evaluation, so a subexpression shared by many parents is computed
+once per precision. The interval at a given precision is a pure function of
+that precision, so the memo changes no endpoint. The refinement state (the
+intersected endpoints and the precision reached) stays per ball: a shared
+ball is a leaf that parents evaluate, and cert_le refines a fresh ball.
+
 The interval backend is mpmath's directed-rounding interval context. Integers
 and rationals enter through explicitly directed conversions so that every
 enclosure is sound by construction.
@@ -90,9 +98,13 @@ Number = Union[int, Fraction, "BallReal"]
 
 
 class BallReal:
-    """Enclosure of one real number with a deterministic recompute handle."""
+    """Enclosure of one real number with a deterministic recompute handle.
 
-    __slots__ = ("_fn", "_exact", "_prec", "_lo", "_hi")
+    _memo maps a precision in bits to the handle's interval there; _lo, _hi
+    and _prec are this ball's own refinement state.
+    """
+
+    __slots__ = ("_fn", "_exact", "_prec", "_lo", "_hi", "_memo")
 
     def __init__(self, fn: Handle, exact: Optional[Fraction] = None):
         self._fn = fn
@@ -100,6 +112,20 @@ class BallReal:
         self._prec = 0
         self._lo: Optional[Fraction] = None
         self._hi: Optional[Fraction] = None
+        self._memo: dict = {}
+
+    def _iv(self, ctx: MPIntervalContext):
+        """The handle's interval at ctx's precision, evaluated once per precision.
+
+        Parents call this rather than the handle. A handle that raises
+        leaves nothing in the memo.
+        """
+        memo = self._memo
+        prec = ctx.prec
+        got = memo.get(prec)
+        if got is None:
+            got = memo[prec] = self._fn(ctx)
+        return got
 
     # -- construction -----------------------------------------------------
 
@@ -117,8 +143,8 @@ class BallReal:
 
     @staticmethod
     def golden() -> "BallReal":
-        """(1 + sqrt 5)/2."""
-        return BallReal(lambda ctx: (1 + ctx.sqrt(_iv_from_ratio(ctx, 5, 1))) / 2)
+        """(1 + sqrt 5)/2: a fresh ball on one shared, memoised handle."""
+        return BallReal(_GOLDEN._iv)
 
     # -- evaluation and refinement ----------------------------------------
 
@@ -126,7 +152,7 @@ class BallReal:
         """Fresh enclosure at the given precision, or None if non-finite."""
         ctx = _ctx(prec)
         try:
-            res = self._fn(ctx)
+            res = self._iv(ctx)
             a, b = res._mpi_
             return _mpf_tuple_to_fraction(a), _mpf_tuple_to_fraction(b)
         except (ArithmeticError, ValueError, ZeroDivisionError):
@@ -201,7 +227,7 @@ class BallReal:
         o = BallReal.wrap(other)
         if self._exact is not None and o._exact is not None:
             return BallReal.exact(self._exact + o._exact)
-        f, g = self._fn, o._fn
+        f, g = self._iv, o._iv
         return BallReal(lambda ctx: f(ctx) + g(ctx))
 
     __radd__ = __add__
@@ -209,7 +235,7 @@ class BallReal:
     def __neg__(self) -> "BallReal":
         if self._exact is not None:
             return BallReal.exact(-self._exact)
-        f = self._fn
+        f = self._iv
         return BallReal(lambda ctx: -f(ctx))
 
     def __sub__(self, other: Number) -> "BallReal":
@@ -222,7 +248,7 @@ class BallReal:
         o = BallReal.wrap(other)
         if self._exact is not None and o._exact is not None:
             return BallReal.exact(self._exact * o._exact)
-        f, g = self._fn, o._fn
+        f, g = self._iv, o._iv
         return BallReal(lambda ctx: f(ctx) * g(ctx))
 
     __rmul__ = __mul__
@@ -233,7 +259,7 @@ class BallReal:
             if o._exact == 0:
                 raise ZeroDivisionError
             return BallReal.exact(self._exact / o._exact)
-        f, g = self._fn, o._fn
+        f, g = self._iv, o._iv
         return BallReal(lambda ctx: f(ctx) / g(ctx))
 
     def __rtruediv__(self, other: Number) -> "BallReal":
@@ -244,7 +270,7 @@ class BallReal:
             r = _exact_sqrt(self._exact)
             if r is not None:
                 return BallReal.exact(r)
-        f = self._fn
+        f = self._iv
         return BallReal(lambda ctx: ctx.sqrt(f(ctx)))
 
     def pow(self, e: Number) -> "BallReal":
@@ -252,13 +278,16 @@ class BallReal:
         if isinstance(e, int):
             if self._exact is not None and e >= 0:
                 return BallReal.exact(self._exact ** e)
-            f = self._fn
+            f = self._iv
             return BallReal(lambda ctx: f(ctx) ** e)
         eb = BallReal.wrap(e)
-        f, g = self._fn, eb._fn
+        f, g = self._iv, eb._iv
         return BallReal(lambda ctx: ctx.exp(g(ctx) * ctx.log(f(ctx))))
 
     __pow__ = pow
+
+
+_GOLDEN = BallReal(lambda ctx: (1 + ctx.sqrt(_iv_from_ratio(ctx, 5, 1))) / 2)
 
 
 # squares modulo 64, 63, 65 and 11; a non-square is rejected by one of them
@@ -353,10 +382,12 @@ def cert_le(a: Number, b: Number, max_prec: int = DEFAULT_MAX_PREC) -> Tuple[Opt
 
 
 def ball_payload(x: BallReal) -> dict:
-    """Canonical dyadic mid/rad payload at PAYLOAD_PREC, from a fresh evaluation.
+    """Canonical dyadic mid/rad payload at PAYLOAD_PREC, from the handle's
+    interval at that precision.
 
-    Evaluating the handle fresh (not the intersected cache) makes the payload
-    independent of incidental refinement history.
+    The payload reads the handle's value (from the memo, when a refinement
+    already evaluated it there), not the intersected enclosure, so it does
+    not depend on the ball's refinement history.
     """
     v = x.exact_value
     if v is not None and (v.denominator & (v.denominator - 1)) == 0:

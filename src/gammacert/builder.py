@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Tuple
 
 from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, sqrt_int, sqrt_ratio
 from .cf import ALPHA_PRESETS, ConvergentTable
 from .errors import CertificateFailure, InputError
 from .exact import (IVec3, cross, det3, dot, is_primitive_pair,
-                    proj_dist_sq, proj_dist_sq_terms, smith_invariants_3x2)
+                    proj_dist_sq, proj_dist_sq_terms)
 from .planner import Plan, Schedule, XScale
 from .stepper import (StepCertificate, StepOutput, Verdict, YSpec, certify,
                       recursive_step)
@@ -38,10 +39,24 @@ Rat = Fraction
 
 @dataclass(frozen=True)
 class DirectionEnclosure:
-    """Integer representative plus a certified squared-radius bound."""
+    """Integer representative plus a certified squared-radius bound.
+
+    rep_norm (||rep||) and radius (sqrt(radius_sq_ub)) are balls built on
+    first use and shared as leaves by every bound read off this enclosure,
+    so each is evaluated once per precision. They are not fields: equality
+    and serialization see rep and radius_sq_ub only.
+    """
 
     rep: IVec3
     radius_sq_ub: Rat
+
+    @cached_property
+    def rep_norm(self) -> BallReal:
+        return sqrt_int(self.rep.norm_sq())
+
+    @cached_property
+    def radius(self) -> BallReal:
+        return BallReal.wrap(self.radius_sq_ub).sqrt()
 
 
 @dataclass(frozen=True)
@@ -152,10 +167,11 @@ def _ledger_entry(state: ConstructionState, i: int, prev_delta: BallReal,
     verdicts.append(Verdict(f"triple_cross_i{i}", True))
 
     # exact lattice-intersection witness: span(x_{i-1},x_i) meets
-    # span(x_i,x_{i+1}) in exactly Z x_i
-    if smith_invariants_3x2(x_star, x) != (1, 1):
+    # span(x_i,x_{i+1}) in exactly Z x_i; a pair's elementary divisors are
+    # (1, 1) exactly when its cross product has content 1
+    if u_i.content() != 1:
         raise CertificateFailure(f"intersection_i{i}", "left pair not primitive")
-    if smith_invariants_3x2(x, x_next) != (1, 1):
+    if u_next.content() != 1:
         raise CertificateFailure(f"intersection_i{i}", "right pair not primitive")
     if det3(x_star, x, x_next) == 0:
         raise CertificateFailure(f"intersection_i{i}", "planes coincide")
@@ -242,8 +258,8 @@ def x_dot_u_lower(x: IVec3, enc: DirectionEnclosure) -> BallReal:
     covers the worst sign alignment of the unit representatives.
     """
     d = abs(dot(x, enc.rep))
-    exact_part = BallReal.wrap(Fraction(d)) / sqrt_int(enc.rep.norm_sq())
-    slack = 2 * sqrt_int(x.norm_sq()) * BallReal.wrap(enc.radius_sq_ub).sqrt()
+    exact_part = BallReal.wrap(Fraction(d)) / enc.rep_norm
+    slack = 2 * sqrt_int(x.norm_sq()) * enc.radius
     return exact_part - slack
 
 

@@ -185,29 +185,31 @@ def complete_to_basis(a: IVec3, b: IVec3) -> IVec3:
     Requires (a, b) primitive. The solutions of (a x b).z = 1 form one coset
     z0 + Z a + Z b, and z is its smallest-norm element, ties broken by
     lexicographically smallest tuple, so z does not depend on which z0
-    solve_dot_one finds.
+    solve_dot_one finds. One Babai rounding on the Lagrange-reduced basis
+    (ra, rb) moves z0 to z1; the 25 offsets (m, n) of a +-2 window around
+    it are scored as |z1 + m ra + n rb|^2 from Gram scalars, and only the
+    minimal-norm candidates are built, for the tuple tie-break.
     """
     c = a.cross(b)
     if not is_primitive_point(c):
         raise ValueError("not a primitive pair")
     z0 = solve_dot_one(c)
     ra, rb = _gauss_reduce(a, b)
-    # Babai rounding on the reduced basis, then a local window; for a
-    # Lagrange-reduced 2d basis the closest vector is within 1 of the
-    # rounded coefficients, a +-2 window is belt and braces.
+    # for a Lagrange-reduced 2d basis the closest vector is within 1 of the
+    # rounded coefficients, a +-2 window is belt and braces
     g11, g12, g22 = ra.norm_sq(), ra.dot(rb), rb.norm_sq()
     det = g11 * g22 - g12 * g12
     t1, t2 = ra.dot(z0), rb.dot(z0)
     m0 = round(Fraction(-(g22 * t1 - g12 * t2), det))
     n0 = round(Fraction(-(g11 * t2 - g12 * t1), det))
-    best = None
-    for dm in range(-2, 3):
-        for dn in range(-2, 3):
-            cand = z0 + (m0 + dm) * ra + (n0 + dn) * rb
-            key = (cand.norm_sq(), cand.as_tuple())
-            if best is None or key < best[0]:
-                best = (key, cand)
-    z = best[1]
+    z1 = z0 + m0 * ra + n0 * rb
+    # |z1 + m ra + n rb|^2 - |z1|^2, from s1 = 2 z1.ra, s2 = 2 z1.rb
+    s1, s2 = 2 * ra.dot(z1), 2 * rb.dot(z1)
+    scores = {(m, n): m * (s1 + m * g11 + 2 * n * g12) + n * (s2 + n * g22)
+              for m in range(-2, 3) for n in range(-2, 3)}
+    least = min(scores.values())
+    z = min((z1 + m * ra + n * rb for (m, n), v in scores.items() if v == least),
+            key=IVec3.as_tuple)
     if det3(a, b, z) != 1:
         raise CertificateFailure("basis_det", f"det3(a, b, z) = {det3(a, b, z)}")
     return z

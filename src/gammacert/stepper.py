@@ -24,6 +24,7 @@ from .exact import (
     det3,
     dot,
     is_primitive_pair,
+    is_primitive_point,
     proj_dist_sq_terms,
 )
 
@@ -134,7 +135,8 @@ def recursive_step(x_star: IVec3, x: IVec3, Y_spec: YSpec, X_prime: int,
     table supplies q_n and p_n, and every comparison is certified up to
     max_prec bits. Returns (y, x') with the step data, and the verdicts.
     """
-    if not is_primitive_pair(x_star, x):
+    u_rep = cross(x_star, x)  # the input check and part 3 both read it
+    if not is_primitive_point(u_rep):
         raise InputError("recursive_step needs a primitive pair")
     c1 = table.c1
     verdicts: List[Verdict] = []
@@ -158,10 +160,16 @@ def recursive_step(x_star: IVec3, x: IVec3, Y_spec: YSpec, X_prime: int,
 
     # (3) smallest a with (a + r) |x*| >= Y + |x|/2 + 1, i.e. a = ceil(target).
     # Once the enclosure's endpoints share a ceiling, a is certified minimal;
-    # at the precision cap ceil(hi) is still certified sufficient.
+    # at the precision cap ceil(hi) is still certified sufficient. Separating
+    # the fractional part takes about 64 bits past a's own bit length, so an
+    # undecided 64-bit enclosure goes straight to the power of two at or above
+    # that (capped at max_prec) and doubles from there.
     target = (Y + nx / 2 + 1) / nx_star - BallReal.exact(r)
-    while math.ceil(target.lo) != math.ceil(target.hi) and target.prec < max_prec:
-        target.refine()
+    if math.ceil(target.lo) != math.ceil(target.hi) and target.prec < max_prec:
+        need = math.ceil(target.hi).bit_length() + 64
+        target.refined_to(min(1 << (need - 1).bit_length(), max_prec))
+        while math.ceil(target.lo) != math.ceil(target.hi) and target.prec < max_prec:
+            target.refine()
     a = math.ceil(target.hi)
 
     # (4) convergent index from T = 2 X'/Y, then the m correction
@@ -194,7 +202,6 @@ def recursive_step(x_star: IVec3, x: IVec3, Y_spec: YSpec, X_prime: int,
     verdicts.append(Verdict("xprime_norm_upper", True))
 
     # part 3: dist(x*, x') <= |x|/(2X') + 2C1/(Y |x*| |x| dist(x*, x))
-    u_rep = cross(x_star, x)
     h = sqrt_int(u_rep.norm_sq())
     lhs3 = sqrt_ratio(*proj_dist_sq_terms(x_star, x_prime))
     rhs3 = nx / (2 * X_prime) + BallReal.wrap(2 * c1) / (Y * h)

@@ -190,7 +190,10 @@ def check_condition_iii(state: ConstructionState,
     plan = state.plan
     c1 = plan.c1
     c = c4_of(plan)
-    gamma = BallReal.golden()
+    gamma_plus_1 = BallReal.golden() + 1
+    # per anchor m: radius_sq_ub of U_{m+1} and the leaf delta_{m+1}^2, built
+    # once and shared by the anchor's samples
+    anchors: Dict[int, Tuple[Rat, BallReal]] = {}
     samples: List[WitnessSample] = []
     failures: List[str] = []
     undecided: List[str] = []
@@ -208,12 +211,14 @@ def check_condition_iii(state: ConstructionState,
             verdicts.append(Verdict(f"witness_norm_m{m}", True))
         else:
             failures.append(f"witness_norm_m{m}:{tag}")
-        enc = enclose_u(state, m + 1)
-        rhs_sq = BallReal.wrap(c * c) / BallReal.wrap(x_sq).pow(gamma + 1)
+        if m not in anchors:
+            anchors[m] = (enclose_u(state, m + 1).radius_sq_ub,
+                          state.delta_upper(m + 1) ** 2)
+        radius_sq, delta_sq = anchors[m]
+        rhs_sq = BallReal.wrap(c * c) / BallReal.wrap(x_sq).pow(gamma_plus_1)
         checks = (
-            (f"witness_xu_m{m}", BallReal.wrap(4 * nm_sq * enc.radius_sq_ub)),
-            (f"witness_vperp_m{m}",
-             4 * BallReal.wrap(nm_sq) * state.delta_upper(m + 1) ** 2),
+            (f"witness_xu_m{m}", BallReal.wrap(4 * nm_sq * radius_sq)),
+            (f"witness_vperp_m{m}", 4 * BallReal.wrap(nm_sq) * delta_sq),
         )
         for name, lhs in checks:
             ok, prec = cert_le(lhs, rhs_sq, max_prec)
@@ -254,8 +259,7 @@ def dist_vw_upper(x: IVec3, venc: DirectionEnclosure,
     """A ball whose value upper-bounds dist(x, {v, w})."""
     best = None
     for enc in (venc, wenc):
-        cand = (sqrt_ratio(*proj_dist_sq_terms(x, enc.rep))
-                + BallReal.wrap(enc.radius_sq_ub).sqrt())
+        cand = sqrt_ratio(*proj_dist_sq_terms(x, enc.rep)) + enc.radius
         if best is None or cand.refined_to(96).hi < best.refined_to(96).hi:
             best = cand
     return best
@@ -312,8 +316,8 @@ class LowerBoundEngine:
                 return True, prec
         for j in self.order:
             enc = self.encs[j]
-            ub = (BallReal.wrap(Fraction(abs(dot(x, enc.rep)))) / sqrt_int(enc.rep.norm_sq())
-                  + 2 * sqrt_int(x.norm_sq()) * BallReal.wrap(enc.radius_sq_ub).sqrt())
+            ub = (BallReal.wrap(Fraction(abs(dot(x, enc.rep)))) / enc.rep_norm
+                  + 2 * sqrt_int(x.norm_sq()) * enc.radius)
             bad, prec = cert_le(ub, rhs, max_prec)
             last_prec = max(last_prec, prec)
             if bad is True:

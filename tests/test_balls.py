@@ -1,6 +1,7 @@
 """Interval enclosure layer: refinement, certified compares, payloads."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -252,3 +253,64 @@ def test_dyadic_payload_rejects_non_dyadic():
     assert _dyadic_man(Fraction(-3, 8)) == -3
     with pytest.raises(ValueError, match="not dyadic"):
         _dyadic_man(Fraction(1, 3))
+
+
+# -- the per-precision memo ---------------------------------------------------
+
+def test_shared_leaf_runs_its_handle_once_per_precision():
+    calls = Counter()
+
+    def root_two(ctx):
+        calls[ctx.prec] += 1
+        return ctx.sqrt(_iv_from_ratio(ctx, 2, 1))
+
+    leaf = BallReal(root_two)
+    parents = [leaf * k + leaf.sqrt() / (leaf + k) for k in range(1, 21)]
+    for p in parents:
+        # each parent decides at its own precision; the leaf runs once there
+        assert cert_le(p, p + F(1, 2 ** 300), max_prec=1024) == (True, 512)
+        ball_payload(p)
+    assert calls == {64: 1, 128: 1, 256: 1, 512: 1, PAYLOAD_PREC: 1}
+    # the leaf's own refinement state stays untouched by its parents' use
+    assert leaf.prec == 0
+
+
+def _tree():
+    """One expression with shared leaves: x = sqrt 7, g = golden, a = x g + x/3,
+    value a^(g+1) / (x + 1/2) + sqrt(a) g."""
+    x, g = sqrt_int(7), BallReal.golden()
+    a = x * g + x / 3
+    return a.pow(g + 1) / (x + F(1, 2)) + a.sqrt() * g
+
+
+def _plain_tree(ctx):
+    """_tree's value at ctx by the same interval operations, with no ball."""
+    x = ctx.sqrt(_iv_from_ratio(ctx, 7, 1))
+    g = (1 + ctx.sqrt(_iv_from_ratio(ctx, 5, 1))) / 2
+    a = x * g + x / _iv_from_ratio(ctx, 3, 1)
+    e = g + _iv_from_ratio(ctx, 1, 1)
+    head = ctx.exp(e * ctx.log(a)) / (x + _iv_from_ratio(ctx, 1, 2))
+    return head + ctx.sqrt(a) * g
+
+
+_MEMO_TREE = _tree()  # shared by every example, so its memo accumulates
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(53, 4096), min_size=1, max_size=4))
+@example([53, 4096, 53, 192])
+def test_memoised_tree_matches_unmemoised_rebuild(precs):
+    for prec in precs:
+        lo, hi = _plain_tree(_ctx(prec))._mpi_
+        plain = (_mpf_tuple_to_fraction(lo), _mpf_tuple_to_fraction(hi))
+        assert _MEMO_TREE._eval_at(prec) == plain == _tree()._eval_at(prec)
+
+
+def test_payload_ignores_refinement_to_1024_bits():
+    fresh = ball_payload(_tree())
+    for steps in ((1024,), (PAYLOAD_PREC, 1024), (64, 128, 256, 512, 1024)):
+        b = _tree()
+        for prec in steps:
+            b.refined_to(prec)
+        assert b.prec == 1024
+        assert ball_payload(b) == fresh

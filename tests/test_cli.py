@@ -341,6 +341,18 @@ def test_plan_and_state_bytes_pinned(tmp_path, config, kind):
     assert body_hash(body) == BODY_DIGESTS[config, kind]
 
 
+# the 6-step honest build at theta = 2^31 reaches convergent row 73,610, and
+# its last a-selection jumps straight to the 2^16-bit precision cap
+SIX_STEP_STATE_DIGEST = "e98df8fa68a76418857da79ddf4c0269fe9c56ac739ae059548322e0676e3258"
+
+
+def test_six_step_honest_state_pinned(tmp_path):
+    flags = HONEST_FLAGS[:-1] + ["6", "--theta", "2147483648"]
+    assert run(["build"] + flags, tmp_path) == 0
+    body = load_document(str(tmp_path / "state.json"), "state")
+    assert body_hash(body) == SIX_STEP_STATE_DIGEST
+
+
 def _all_keys(obj):
     if isinstance(obj, dict):
         return set(obj).union(*map(_all_keys, obj.values()))

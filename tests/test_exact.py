@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gammacert.exact import (IVec3, complete_to_basis, complete_single, cross,
-                             det3, dot, is_primitive_pair, is_primitive_point,
-                             proj_dist_sq, smith_invariants_3x2, solve_dot_one)
+from gammacert.exact import (IVec3, _gauss_reduce, complete_to_basis,
+                             complete_single, cross, det3, dot, is_primitive_pair,
+                             is_primitive_point, proj_dist_sq, smith_invariants_3x2,
+                             solve_dot_one)
 
 coord = st.integers(min_value=-50, max_value=50)
 vec = st.builds(IVec3, coord, coord, coord)
@@ -174,3 +175,50 @@ def test_complete_to_basis_matches_xgcd_reference(a, b):
     with mock.patch("gammacert.exact.solve_dot_one", solve_dot_one_by_xgcd):
         assert complete_to_basis(a, b) == z
     assert dot(cross(a, b), solve_dot_one(cross(a, b))) == 1
+
+
+def window_candidates(a, b):
+    """(norm^2, tuple) of the 25 vectors complete_to_basis used to build.
+
+    The window of its reference form: Babai coefficients (m0, n0) on the
+    reduced basis, then every z0 + (m0 + dm) ra + (n0 + dn) rb with
+    |dm|, |dn| <= 2 built and keyed, sorted ascending.
+    """
+    z0 = solve_dot_one(cross(a, b))
+    ra, rb = _gauss_reduce(a, b)
+    g11, g12, g22 = ra.norm_sq(), ra.dot(rb), rb.norm_sq()
+    det = g11 * g22 - g12 * g12
+    t1, t2 = ra.dot(z0), rb.dot(z0)
+    m0 = round(Fraction(-(g22 * t1 - g12 * t2), det))
+    n0 = round(Fraction(-(g11 * t2 - g12 * t1), det))
+    cands = [z0 + (m0 + dm) * ra + (n0 + dn) * rb
+             for dm in range(-2, 3) for dn in range(-2, 3)]
+    return sorted((c.norm_sq(), c.as_tuple()) for c in cands)
+
+
+# hand-built ties: two or three window offsets share the minimal norm
+TIES = [
+    (IVec3(-3, -3, -2), IVec3(-2, -2, -1), 2),
+    (IVec3(-3, -2, -1), IVec3(-2, -1, -1), 3),
+    # the lattice Z(1, 1, 0) + Z(0, 0, 1) by a 300-bit unimodular basis
+    (IVec3(2 ** 300, 2 ** 300, 1), IVec3(2 ** 300 - 1, 2 ** 300 - 1, 1), 2),
+]
+
+
+@pytest.mark.parametrize("a, b, tied", TIES)
+def test_window_ties_break_on_the_tuple(a, b, tied):
+    keys = window_candidates(a, b)
+    assert sum(1 for k in keys if k[0] == keys[0][0]) == tied
+    assert complete_to_basis(a, b).as_tuple() == keys[0][1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_vec, big_vec)
+@example(*TIES[0][:2])
+@example(*TIES[2][:2])
+def test_complete_to_basis_matches_window_reference(a, b):
+    # scoring the offsets from Gram scalars picks the vector the 25-vector
+    # window picked, ties included
+    if not is_primitive_pair(a, b):
+        return
+    assert complete_to_basis(a, b).as_tuple() == window_candidates(a, b)[0][1]
