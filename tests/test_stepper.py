@@ -41,22 +41,25 @@ def test_certify_outcomes():
     assert verdicts[-1].name == "tight" and verdicts[-1].prec == 256
 
 
+def record_step_precisions(monkeypatch):
+    """The precision reached by each refine or refined_to call made directly
+    from recursive_step, in call order."""
+    seen = []
+    for name in ("refine", "refined_to"):
+        def recording(self, *args, _method=getattr(BallReal, name)):
+            got = _method(self, *args)
+            if sys._getframe(1).f_code.co_name == "recursive_step":
+                seen.append(got.prec)
+            return got
+        monkeypatch.setattr(BallReal, name, recording)
+    return seen
+
+
 def test_a_selection_precision_stays_low(monkeypatch):
     # the a-selection refines only its own enclosure of the target, and only
     # until both endpoints share a ceiling: one jump through refined_to, then
     # doublings through refine
-    seen = []
-
-    def recording(method):
-        def wrapper(self, *args):
-            got = method(self, *args)
-            if sys._getframe(1).f_code.co_name == "recursive_step":
-                seen.append(got.prec)
-            return got
-        return wrapper
-
-    monkeypatch.setattr(BallReal, "refine", recording(BallReal.refine))
-    monkeypatch.setattr(BallReal, "refined_to", recording(BallReal.refined_to))
+    seen = record_step_precisions(monkeypatch)
     build_run(TOY, toy=True)
     assert seen and max(seen) <= 4096, sorted(set(seen))
 
@@ -66,16 +69,7 @@ def test_a_selection_jump_stops_at_the_cap(monkeypatch, toy_state, cap):
     # toy step 5 needs 2048 bits to separate a's ceiling; under a lower cap
     # the a-selection jumps once, to the cap itself, and ceil(hi) still
     # certifies a sufficient a
-    seen = []
-    refined_to = BallReal.refined_to
-
-    def recording(self, prec):
-        got = refined_to(self, prec)
-        if sys._getframe(1).f_code.co_name == "recursive_step":
-            seen.append(got.prec)
-        return got
-
-    monkeypatch.setattr(BallReal, "refined_to", recording)
+    seen = record_step_precisions(monkeypatch)
     s = toy_state
     out, _ = recursive_step(s.xs[4], s.xs[5], YSpec.of_power(s.scale(5).sq),
                             s.scale(6).value_int, s.table, cap)
