@@ -38,7 +38,6 @@ from gammacert.verifier import (
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/toy")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
     t0 = time.monotonic()
@@ -86,8 +85,7 @@ def main() -> int:
               f"{rep.in_window} points in window")
 
     t_scan = time.monotonic()
-    scan = slab_scan_iv(state, 2403, skipped_clauses=audit.refuted,
-                        threads=args.threads)
+    scan = slab_scan_iv(state, 2403, skipped_clauses=audit.refuted)
     stage("slab scan", scan.all_pass,
           f"{scan.candidates} candidates, {scan.slow_checked} slow-path, "
           f"{time.monotonic() - t_scan:.2f}s")

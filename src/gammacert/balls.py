@@ -267,9 +267,7 @@ class BallReal:
 
     def sqrt(self) -> "BallReal":
         if self._exact is not None:
-            r = _exact_sqrt(self._exact)
-            if r is not None:
-                return BallReal.exact(r)
+            return sqrt_ratio(self._exact.numerator, self._exact.denominator)
         f = self._iv
         return BallReal(lambda ctx: ctx.sqrt(f(ctx)))
 
@@ -307,29 +305,17 @@ def _isqrt_exact(n: int) -> Optional[int]:
     return root if root * root == n else None
 
 
-def _exact_sqrt(fr: Fraction) -> Optional[Fraction]:
-    if fr < 0:
-        raise ValueError("sqrt of negative")
-    pn = _isqrt_exact(fr.numerator)
-    if pn is None:
-        return None
-    pd = _isqrt_exact(fr.denominator)
-    if pd is None:
-        return None
-    return Fraction(pn, pd)
-
-
 def sqrt_int(n: int) -> BallReal:
-    return BallReal.exact(n).sqrt()
+    return sqrt_ratio(n, 1)
 
 
 def sqrt_ratio(num: int, den: int) -> BallReal:
     """sqrt(num/den) for num >= 0, den > 0, with no gcd to reduce the ratio.
 
-    The same ball as BallReal.wrap(Fraction(num, den)).sqrt(): exact when
-    num/den is a rational square, which holds exactly when num*den is a
-    perfect square, since num/den = num*den/den^2; otherwise enclosed from
-    the same directed endpoints of num/den.
+    Exact when num/den is a rational square, which holds exactly when
+    num*den is a perfect square, since num/den = num*den/den^2; otherwise
+    enclosed from the directed endpoints of num/den, which do not depend on
+    whether the ratio is reduced.
     """
     if num < 0 or den <= 0:
         raise ValueError("sqrt_ratio needs num >= 0 and den > 0")

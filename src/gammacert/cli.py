@@ -55,7 +55,7 @@ class RunConfig:
     k: int = 8  # coefficient-box half-width
     k_near: int = 2  # per-line candidates each side of the direction plane
     max_prec: int = DEFAULT_MAX_PREC
-    threads: int = 1
+    threads: int = 1  # only 1 is accepted; kept because cert.json echoes it
     seed: int = 0
     out: str = "."
     mode: str = "all"  # a flag of `verify` only
@@ -107,7 +107,7 @@ _PARSERS = {
 _FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 # the least value of each bounded integer parameter; b, when set, must be positive
-_LEAST = {"steps": 1, "k": 1, "k_near": 1, "threads": 1, "max_prec": DEFAULT_PREC}
+_LEAST = {"steps": 1, "k": 1, "k_near": 1, "max_prec": DEFAULT_PREC}
 
 
 def config_from_sources(config_path: Optional[str],
@@ -138,6 +138,8 @@ def config_from_sources(config_path: Optional[str],
     for name, least in _LEAST.items():
         if getattr(cfg, name) < least:
             raise InputError(f"{name} must be at least {least}")
+    if cfg.threads != 1:
+        raise InputError("threads must be 1: the slab scan runs in one process")
     if cfg.b is not None and cfg.b <= 0:
         raise InputError("b must be positive")
     return cfg
@@ -243,8 +245,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     if cfg.mode in ("all", "slab"):
         rep = slab_scan_iv(state, cfg.b, skipped_clauses=ledger.refuted,
-                           k_near=cfg.k_near, threads=cfg.threads,
-                           max_prec=cfg.max_prec)
+                           k_near=cfg.k_near, max_prec=cfg.max_prec)
         results["slab"] = report_body(rep)
         violations += len(rep.violations) + len(rep.positivity_failures)
         undecided += len(rep.undecided)

@@ -21,8 +21,8 @@ array, so membership and the threshold test are one pass each.  Most rows
 need no threshold test at all: with e0 = m . x at the selected point, a row
 where every |e0| lies in [t_int, |m_kappa| - t_int] passes at every offset,
 since |e0 + off m_kappa| >= |m_kappa| - |e0| >= t_int for off != 0.  numpy is
-imported inside the kernel, and concurrent.futures only where threads > 1
-uses it, so the commands that never scan a slab start without either.
+imported inside the kernel, so the commands that never scan a slab start
+without it.
 
 Nothing is decided in floating point: float64 only *selects* candidate
 points, and the guard certificate absorbs its worst-case selection error.
@@ -94,8 +94,7 @@ def _scan_lines(t1_lo: int, t1_hi: int, b_int: int, m: Tuple[int, int, int],
     offset, so only its in-slab points are counted.
     """
     # imported here, the one function that uses numpy: plan, build, report
-    # and the non-slab verify modes then start without it, and a process-pool
-    # worker imports it on its first call
+    # and the non-slab verify modes then start without it
     import numpy as np
 
     o1, o2 = [c for c in range(3) if c != kappa]
@@ -174,7 +173,7 @@ def _direction_fixed_point(enc) -> Tuple[Tuple[int, int, int], int, Rat]:
 
 def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None, *,
                  skipped_clauses: Tuple[str, ...], k_near: int = 2,
-                 threads: int = 1, max_prec: int = DEFAULT_MAX_PREC
+                 max_prec: int = DEFAULT_MAX_PREC
                  ) -> ScanReport:
     """Certify the lower-bound condition for every x with C' <= ||x|| <= B.
 
@@ -196,8 +195,6 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None, *,
     """
     if k_near < 1:
         raise InputError("k_near must be at least 1")
-    if threads < 1:
-        raise InputError("threads must be at least 1")
     if b is not None:
         b = Fraction(b)
         if b <= 0:
@@ -209,7 +206,7 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None, *,
                        violations=(), undecided=(), positivity_failures=(),
                        below_threshold=hi_sq < lo_sq, window_index=2,
                        used_clauses=(), skipped_clauses=tuple(skipped_clauses),
-                       threads=threads)
+                       threads=1)
     if empty.below_threshold:
         return empty
 
@@ -235,26 +232,8 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None, *,
         return replace(empty, undecided=("slab_guard_margin",))
     t_int = math.ceil((bound + e_m) * 2 ** M_BITS)
 
-    args = (b_int, m, kappa, k_near, t_int, nsq_lo, nsq_hi)
-    lines = candidates = fast = 0
-    failing: List[Tuple[int, int, int]] = []
-    if threads == 1:
-        lines, candidates, fast, failing = _scan_lines(0, b_int + 1, *args)
-    else:
-        # imported here: concurrent.futures.process pulls in multiprocessing,
-        # which a single-threaded run never uses
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, (b_int + 1) // (4 * threads))
-        spans = [(t, min(t + chunk, b_int + 1)) for t in range(0, b_int + 1, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_scan_lines, lo, hi, *args) for lo, hi in spans]
-            for fut in futures:  # submission order keeps the merge deterministic
-                ln, cd, fs, fl = fut.result()
-                lines += ln
-                candidates += cd
-                fast += fs
-                failing.extend(fl)
+    lines, candidates, fast, failing = _scan_lines(
+        0, b_int + 1, b_int, m, kappa, k_near, t_int, nsq_lo, nsq_hi)
 
     violations: List[str] = []
     undecided: List[str] = []
@@ -268,9 +247,12 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None, *,
             violations.append(f"{coords}")
         elif ok is None:
             undecided.append(f"{coords}:prec={prec}")
-        pos = any(dot(x, engine.encs[j].rep) != 0
-                  and x_dot_u_lower(x, engine.encs[j]).refined_to(PAYLOAD_PREC).lo > 0
-                  for j in engine.order)
+        # True puts an anchored lower bound on |x.u| at or above the right
+        # side, which is positive (psi > 0, dist_vw_upper adds a radius > 0)
+        pos = ok is True or any(
+            dot(x, engine.encs[j].rep) != 0
+            and x_dot_u_lower(x, engine.encs[j]).refined_to(PAYLOAD_PREC).lo > 0
+            for j in engine.order)
         if not pos:
             positivity.append(f"{coords}")
 

@@ -134,9 +134,7 @@ def state_body(state: ConstructionState) -> dict:
             entry["delta_up"] = _enc(state.delta_upper(i))
         if i + 1 <= state.last_index:
             enc_u = enclose_u(state, i + 1)
-            xu = (2 * sqrt_int(state.xs[i].norm_sq())
-                  * BallReal.wrap(Fraction(enc_u.radius_sq_ub)).sqrt())
-            entry["xu_up"] = _enc(xu)
+            entry["xu_up"] = _enc(2 * sqrt_int(state.xs[i].norm_sq()) * enc_u.radius)
         series.append(entry)
     return {
         "plan": plan_body(state.plan, state.schedule),

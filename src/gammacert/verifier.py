@@ -303,7 +303,7 @@ class LowerBoundEngine:
         """(True, prec) when an anchored lower bound on |x.u| clears the right
         side (numerator 1 off the span lattice, dist(x, {v,w}) on it), (False,
         prec) when an anchored upper bound stays below it, else (None, prec)."""
-        nx = BallReal.wrap(Fraction(x.norm_sq())).sqrt()
+        nx = sqrt_int(x.norm_sq())
         num = dist_vw_upper(x, self.venc, self.wenc) if lattice else 1
         rhs = num / (self.weight(nx) * nx.pow(self.gamma))
         last_prec = 0
@@ -317,7 +317,7 @@ class LowerBoundEngine:
         for j in self.order:
             enc = self.encs[j]
             ub = (BallReal.wrap(Fraction(abs(dot(x, enc.rep)))) / enc.rep_norm
-                  + 2 * sqrt_int(x.norm_sq()) * enc.radius)
+                  + 2 * nx * enc.radius)
             bad, prec = cert_le(ub, rhs, max_prec)
             last_prec = max(last_prec, prec)
             if bad is True:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_int, from_rational
 
 from gammacert.balls import (PAYLOAD_PREC, BallReal, Cmp, _ctx, _dyadic_man,
-                             _exact_sqrt, _isqrt_exact, _iv_from_ratio,
+                             _isqrt_exact, _iv_from_ratio,
                              _mpf_tuple_to_fraction, ball_payload, cert_le,
                              certified_compare, sqrt_int, sqrt_ratio)
 
@@ -227,10 +227,27 @@ def test_isqrt_exact_matches_isqrt(k, d):
     assert _isqrt_exact(n) == (r if r * r == n else None)
 
 
+def _exact_sqrt(fr: Fraction):
+    """Reference root test, one per term: a reduced fraction is a rational
+    square exactly when both its terms are perfect squares."""
+    pn, pd = _isqrt_exact(fr.numerator), _isqrt_exact(fr.denominator)
+    return None if pn is None or pd is None else Fraction(pn, pd)
+
+
+def _reference_sqrt(fr: Fraction) -> BallReal:
+    """sqrt(fr) by the per-term test, else from fr's directed endpoints."""
+    root = _exact_sqrt(fr)
+    if root is not None:
+        return BallReal.exact(root)
+    return BallReal(lambda ctx: ctx.sqrt(_iv_from_ratio(ctx, fr.numerator,
+                                                        fr.denominator)))
+
+
 @given(st.integers(0, 2 ** 600), st.integers(1, 2 ** 600), st.booleans())
 def test_exact_sqrt_matches_plain(p, q, square):
     fr = Fraction(p * p, q * q) if square else Fraction(p, q)
     assert _exact_sqrt(fr) == _plain_sqrt(fr)
+    assert BallReal.exact(fr).sqrt().exact_value == _plain_sqrt(fr)
 
 
 @settings(max_examples=200, deadline=None)
@@ -242,7 +259,7 @@ def test_exact_sqrt_matches_plain(p, q, square):
 def test_sqrt_ratio_matches_reduced_fraction(p, q, k, square, prec):
     # the terms as a caller hands them over, with a common factor k
     num, den = (p * p * k, q * q * k) if square else (p * k, q * k)
-    fast, slow = sqrt_ratio(num, den), BallReal.wrap(Fraction(num, den)).sqrt()
+    fast, slow = sqrt_ratio(num, den), _reference_sqrt(Fraction(num, den))
     assert fast.exact_value == slow.exact_value
     if not fast.is_exact:
         assert fast._eval_at(prec) == slow._eval_at(prec)

@@ -111,7 +111,7 @@ print(json.dumps(seen))
 
 
 def test_numpy_loads_only_for_the_slab(tmp_path):
-    # only the slab kernel uses numpy, and only its process pool uses
+    # only the slab kernel uses numpy, and nothing in the package uses
     # concurrent.futures, so plan, build, report and the other verify modes
     # start without paying for either import
     got = _run_python(["-c", NUMPY_PROBE, str(tmp_path)] + TOY_FLAGS, 600)
@@ -609,7 +609,8 @@ def test_report_malformed_state_exits_3(tmp_path, capsys, spoil, named):
     assert not (tmp_path / "report.md").exists()
 
 
-# one non-default value per run parameter: (config-file value, verify flags)
+# one non-default value per run parameter: (config-file value, verify flags);
+# threads has no legal non-default value
 FLAG_SAMPLES = {
     "alpha": ("sqrt5m2", ["--alpha", "sqrt5m2"]),
     "delta": ("3/4", ["--delta", "3/4"]),
@@ -622,7 +623,6 @@ FLAG_SAMPLES = {
     "k": (4, ["--K", "4"]),
     "k_near": (3, ["--K-near", "3"]),
     "max_prec": (1024, ["--max-prec", "1024"]),
-    "threads": (2, ["--threads", "2"]),
     "seed": (7, ["--seed", "7"]),
     "out": ("runs/x", ["--out", "runs/x"]),
     "mode": ("box", ["--mode", "box"]),
@@ -632,7 +632,9 @@ FIELD_NAMES = [f.name for f in fields(RunConfig)]
 
 
 def test_every_parameter_but_c1_has_a_flag():
-    assert sorted(FLAG_SAMPLES) == sorted(n for n in FIELD_NAMES if n != "c1")
+    assert sorted(FLAG_SAMPLES) == sorted(n for n in FIELD_NAMES
+                                          if n not in ("c1", "threads"))
+    assert build_parser().parse_args(["verify", "--threads", "1"]).threads == 1
     assert list(_config_body(RunConfig())) == FIELD_NAMES
 
 
@@ -645,6 +647,20 @@ def test_flag_and_config_key_agree(tmp_path, name):
     from_flag = config_from_sources(
         None, _flag_overrides(build_parser().parse_args(["verify"] + argv)))
     assert from_file == from_flag != RunConfig()
+
+
+def test_threads_other_than_one_exit_3(tmp_path, capsys):
+    # the slab scan runs in one process; 1 is the only accepted value
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"threads": 2}))
+    assert run(["plan", "--config", str(cfgp)] + TOY_FLAGS, tmp_path) == 3
+    assert run(["plan", "--threads", "2"] + TOY_FLAGS, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.count("threads must be 1: the slab scan runs in one process") == 2
+    assert not (tmp_path / "plan.json").exists()
+    assert run(["plan", "--threads", "1"] + TOY_FLAGS, tmp_path) == 0
+    cfgp.write_text(json.dumps({"threads": 1}))
+    assert config_from_sources(str(cfgp), {}) == RunConfig()
 
 
 def test_c1_from_config_file(tmp_path):

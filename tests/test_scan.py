@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gammacert import BallReal, InputError, scan, slab_scan_iv, sqrt_int
-from gammacert.builder import enclose_u
+from gammacert.builder import enclose_u, x_dot_u_lower
 from gammacert.planner import PsiSpec
 from gammacert.verifier import LowerBoundEngine
 from gammacert.scan import (
@@ -221,15 +221,34 @@ def test_slow_path_is_the_x1_ray(toy_state):
     assert expect <= set(failing)
 
 
-def test_threads_agree(toy_state, toy_scan):
-    a = toy_scan
-    b = slab_scan_iv(toy_state, 2403, skipped_clauses=a.skipped_clauses,
-                     threads=2)
-    for field in ("range_lo_sq", "range_hi_sq", "lines", "candidates",
-                  "fast_passed", "slow_checked", "violations", "undecided",
-                  "positivity_failures", "used_clauses", "skipped_clauses"):
-        assert getattr(a, field) == getattr(b, field)
-    assert b.threads == 2
+def _positivity_calls(monkeypatch, toy_state, skipped):
+    """Scan the toy slab, counting the scan's own positivity evaluations."""
+    calls = []
+
+    def counted(x, enc):
+        calls.append(x)
+        return x_dot_u_lower(x, enc)
+
+    monkeypatch.setattr(scan, "x_dot_u_lower", counted)
+    return slab_scan_iv(toy_state, 2403, skipped_clauses=skipped), calls
+
+
+def test_certified_points_take_positivity_from_the_certificate(
+        monkeypatch, toy_state, toy_scan):
+    r, calls = _positivity_calls(monkeypatch, toy_state, toy_scan.skipped_clauses)
+    assert r == toy_scan and r.slow_checked == 88
+    assert calls == []
+
+
+def test_undecided_points_still_get_positivity_checked(
+        monkeypatch, toy_state, toy_scan):
+    monkeypatch.setattr(LowerBoundEngine, "certify",
+                        lambda self, x, lattice, max_prec: (None, 64))
+    r, calls = _positivity_calls(monkeypatch, toy_state, toy_scan.skipped_clauses)
+    assert len(r.undecided) == 88 and r.violations == ()
+    # every undecided point, and only those, had its positivity evaluated
+    assert {f"{x.as_tuple()}:prec=64" for x in calls} == set(r.undecided)
+    assert r.positivity_failures == ()
 
 
 def test_below_threshold(toy_state):
@@ -262,8 +281,6 @@ def test_shell_beyond_int64_reach_is_undecided(honest_state):
 def test_input_validation(toy_state):
     with pytest.raises(InputError):
         slab_scan_iv(toy_state, 2403, skipped_clauses=(), k_near=0)
-    with pytest.raises(InputError):
-        slab_scan_iv(toy_state, 2403, skipped_clauses=(), threads=0)
     with pytest.raises(InputError):
         slab_scan_iv(toy_state, -5, skipped_clauses=())
     with pytest.raises(InputError):
