@@ -18,7 +18,6 @@ from gammacert import (
     dump_document,
     make_plan,
     plan_body,
-    recertify,
     schedule_X,
     slab_scan_iv,
     state_body,
@@ -65,10 +64,6 @@ def main() -> int:
                + sum(len(c.verdicts) for c in state.step_certs)
                + sum(len(e.verdicts) for e in state.ledger))
     stage("build", True, f"{state.n_steps} steps, {n_certs} certificates")
-
-    verdicts = recertify(state)
-    stage("recertify", all(v.passed for v in verdicts),
-          f"{len(verdicts)} identities re-checked")
 
     audit = starred_ledger_audit(state)
     print(f"[info] size-threshold audit: {len(audit.clauses)} clauses, "

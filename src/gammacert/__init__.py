@@ -9,7 +9,7 @@ enclosure with escalating precision.
 """
 
 from .balls import BallReal, sqrt_int
-from .builder import DirectionEnclosure, recertify
+from .builder import DirectionEnclosure
 from .cf import (ALPHA_PRESETS, BadApproxReport, ConvergentTable,
                  certify_bad_approx, convergent_gap_check, locate_n)
 from .errors import CertificateFailure, InputError, UndecidedError

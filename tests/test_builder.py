@@ -1,12 +1,10 @@
 """Sequence construction: certificates, ledgers, direction enclosures."""
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
-from gammacert import (CertificateFailure, DirectionEnclosure, InputError,
-                       make_plan, recertify, schedule_X)
+from gammacert import DirectionEnclosure, InputError, make_plan, schedule_X
 from gammacert.builder import build, enclose_u, enclose_vw, x_dot_u_lower
 from gammacert.exact import IVec3, dot, proj_dist_sq
 from gammacert.planner import PsiSpec
@@ -54,27 +52,6 @@ def test_certificate_census(toy_state):
                   + [c.verdicts for c in toy_state.step_certs]
                   + [e.verdicts for e in toy_state.ledger]):
         assert all(v.passed for v in group)
-
-
-def test_recertify(toy_state):
-    verdicts = recertify(toy_state)
-    assert verdicts == toy_state.base_verdicts + [
-        v for e in toy_state.ledger for v in e.verdicts]
-    assert len(verdicts) == 42
-
-
-def test_recertify_rejects_perturbed_vector(toy_state):
-    xs = list(toy_state.xs)
-    xs[3] = xs[3] + IVec3(1, 0, 0)
-    with pytest.raises(CertificateFailure):
-        recertify(dataclasses.replace(toy_state, xs=xs))
-
-
-def test_recertify_rejects_perturbed_record(toy_state):
-    ledger = list(toy_state.ledger)
-    ledger[2] = dataclasses.replace(ledger[2], delta_ub=ledger[2].delta_ub * 2)
-    with pytest.raises(CertificateFailure, match="ledger_record_i3"):
-        recertify(dataclasses.replace(toy_state, ledger=ledger))
 
 
 def test_delta0_ball(toy_state):

@@ -10,6 +10,7 @@ import pytest
 from conftest import TOY, build_run
 from gammacert import (ALPHA_PRESETS, CertificateFailure, ConvergentTable,
                        InputError, UndecidedError, sqrt_int)
+from gammacert import stepper
 from gammacert.balls import DEFAULT_MAX_PREC, DEFAULT_PREC, BallReal, cert_le
 from gammacert.exact import IVec3, complete_to_basis, cross, det3, dot
 from gammacert.stepper import (
@@ -188,8 +189,9 @@ def test_randomized_steps_hold_identities():
 
 @pytest.mark.parametrize("state_name", ["toy_state", "honest_state"])
 def test_step_facts_hold_on_built_states(request, state_name):
-    # the facts recursive_step no longer re-checks, because Cramer's rule,
-    # the ceiling, the nearest integer and det_qn already prove them
+    # the facts recursive_step and the ledger no longer re-check, because
+    # Cramer's rule, the ceiling, the nearest integer, det_qn and the
+    # primitivity of each consecutive pair already prove them
     state = request.getfixturevalue(state_name)
     for i, out in enumerate(state.step_outputs, start=1):
         x_star, x, x_next = state.xs[i - 1], state.xs[i], state.xs[i + 1]
@@ -200,8 +202,29 @@ def test_step_facts_hold_on_built_states(request, state_name):
         assert -F(1, 2) < out.s <= F(1, 2)
         _, qn = state.table.pair(out.n)
         assert abs(out.s * qn + out.m) <= F(1, 2)
-        w = cross(cross(x_star, x), cross(x, x_next))
-        assert w.norm_sq() == qn * qn * x.norm_sq()
+        # the ledger's triple_cross_i and intersection_i
+        u_i, u_next = cross(x_star, x), cross(x, x_next)
+        assert cross(u_i, u_next) == qn * x
+        assert u_i.content() == u_next.content() == 1
+        assert det3(x_star, x, x_next) != 0
+
+
+def test_step_identity_checks_fire(monkeypatch):
+    # the ledger records triple_cross_i and intersection_i from det_qn and
+    # output_pair_primitive, so each must raise when its fact fails
+    xp = IVec3(77, 0, 12)  # the hand fixture's x'
+    real_det3 = stepper.det3
+
+    def det3_off_on_det_qn(a, b, c):
+        return real_det3(a, b, c) + (1 if (a, b, c) == (E1, E2, xp) else 0)
+
+    monkeypatch.setattr(stepper, "det3", det3_off_on_det_qn)
+    with pytest.raises(CertificateFailure, match="det_qn"):
+        recursive_step(E1, E2, YSpec.of_rational(4), 10, table())
+    monkeypatch.undo()
+    monkeypatch.setattr(stepper, "is_primitive_pair", lambda a, b: False)
+    with pytest.raises(CertificateFailure, match="output_pair_primitive"):
+        recursive_step(E1, E2, YSpec.of_rational(4), 10, table())
 
 
 def test_hypothesis_gating():
