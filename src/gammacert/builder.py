@@ -23,7 +23,7 @@ certifiably below 1/2), recorded by the tail_halving_generic verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import List, Tuple
@@ -79,7 +79,6 @@ class ConstructionState:
     step_certs: List[StepCertificate]
     ledger: List[LedgerEntry]
     base_verdicts: List[Verdict]
-    table: ConvergentTable = field(repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -199,7 +198,7 @@ def build(plan: Plan, schedule: Schedule,
     table = ConvergentTable(ALPHA_PRESETS[plan.alpha], plan.c1)
     state = ConstructionState(plan=plan, schedule=schedule, xs=[plan.x0, plan.x1],
                               ys=[], step_outputs=[], step_certs=[], ledger=[],
-                              base_verdicts=[], table=table)
+                              base_verdicts=[])
     state.base_verdicts = _base_verdicts(state, max_prec)
     delta = state.delta0_ball()
     for i in range(1, plan.n_steps + 1):

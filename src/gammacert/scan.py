@@ -10,22 +10,27 @@ threshold decides almost every point.  The scan fixes the coordinate kappa
 where the direction enclosure is largest, walks all lines in the other two
 coordinates, and on each line checks only the 2*K_near - 1 integer points
 nearest the plane x . u = 0: a one-time guard certificate shows every other
-point on the line clears t* outright.  The per-line test is exact int64
+point on the line clears t* outright.  The per-line test is exact integer
 arithmetic against the threshold of verifier.LowerBoundEngine; points that
 fail it take the engine's interval path against the true right side.
 
-The kernel, _scan_lines, walks the shell one row of lines (fixed first free
-coordinate t1) at a time.  A row is a slice of arrays precomputed once
-over t2 in [-b, b], and its candidate offsets are stacked into one int64
-array, so membership and the threshold test are one pass each.  Most rows
-need no threshold test at all: with e0 = m . x at the selected point, a row
-where every |e0| lies in [t_int, |m_kappa| - t_int] passes at every offset,
-since |e0 + off m_kappa| >= |m_kappa| - |e0| >= t_int for off != 0.  numpy is
-imported inside the kernel, so the commands that never scan a slab start
-without it.
+The kernel, _scan_lines, works per row of lines (fixed first free
+coordinate t1) and, within a row, per candidate value a of coordinate
+kappa, not per line.  The nearest point a* = round-half-even(-s/m_kappa),
+s = t1 m1 + t2 m2, moves by |m2/m_kappa| per unit of t2, which is below
+1/300 on the preset configs, so a* is constant over long runs of a row.
+Each value a is a candidate on one t2-interval of the row; shell membership
+and the threshold failures are t2-intervals too, found by floor division
+and isqrt.  Candidates are counted as interval lengths, and only failing
+points are enumerated.  A row of 2w + 1 lines costs one step per candidate
+value, about 1 + 2 w |m2/m_kappa| + 2 K_near - 2 of them.
 
-Nothing is decided in floating point: float64 only *selects* candidate
-points, and the guard certificate absorbs its worst-case selection error.
+Nothing is decided or selected in floating point.  The reach gate keeps
+|s| < 2^52, and there a float64 selection rint(-s/m_kappa), as in the tests'
+reference kernel, picks the same a* as exact half-even rounding: its
+rounding error, below |s/m_kappa| 2^-53 < 1/(2|m_kappa|), is less than the
+distance from s/m_kappa to any half-integer it does not equal.  The gate
+also bounds the shell, and so the kernel's work.
 """
 
 from __future__ import annotations
@@ -44,8 +49,7 @@ from .verifier import LowerBoundEngine
 Rat = Fraction
 
 M_BITS = 40  # fixed-point scale of the integer direction vector
-FLOAT_SLOP = Fraction(1, 2 ** 20)  # covers candidate-selection rounding
-OFFSET_GROUP = 3  # candidate offsets stacked per pass: 2*2-1 at the default K_near
+FLOAT_SLOP = Fraction(1, 2 ** 20)  # guard margin below the exact (2 K_near - 1)/2
 
 
 @dataclass(frozen=True)
@@ -78,72 +82,113 @@ def _canonical(c0: int, c1: int, c2: int) -> Tuple[int, int, int]:
     raise InputError("zero vector has no canonical sign")
 
 
+def _round_half_even(n: int, d: int) -> int:
+    """n/d rounded to the nearest integer, ties to even (d > 0)."""
+    q, r = divmod(n, d)
+    return q + (2 * r > d or (2 * r == d and q & 1))
+
+
 def _scan_lines(t1_lo: int, t1_hi: int, b_int: int, m: Tuple[int, int, int],
                 kappa: int, k_near: int, t_int: int, nsq_lo: int, nsq_hi: int
                 ) -> Tuple[int, int, int, List[Tuple[int, int, int]]]:
     """Scan lines with first free coordinate in [t1_lo, t1_hi).
 
     Returns (lines, candidates, fast_passed, failing canonical coords), with
-    failing ordered by t1, then offset, then ascending t2.  The lines of one
-    t1 form a row, t2 in [-w, w] with w = isqrt(nsq_hi - t1^2) ([0, w] for
-    t1 = 0): a slice of t2, t2*m2 and t2^2 computed once per call.  Candidate
-    selection a* = rint(-s/m_kappa), s = t1 m1 + t2 m2, uses float64;
-    membership and the threshold test are exact in int64, on the row's
-    offsets stacked OFFSET_GROUP at a time.  A row whose residuals
-    e0 = s + a* m_kappa all lie in [t_int, |m_kappa| - t_int] passes at every
-    offset, so only its in-slab points are counted.
-    """
-    # imported here, the one function that uses numpy: plan, build, report
-    # and the non-slab verify modes then start without it
-    import numpy as np
+    failing ordered by t1, then offset a - a*, then ascending t2.  The lines
+    of one t1 form a row, t2 in [-w, w] with w = min(b_int, isqrt(nsq_hi -
+    t1^2)) ([0, w] for t1 = 0).  On the line (t1, t2) the candidates are
+    a = a* + off, |off| < k_near, with a* = round-half-even(N/d), d = |m_kappa|
+    and N = -sign(m_kappa) (t1 m1 + t2 m2), so m.x = sign(m_kappa) (a d - N).
 
+    N is linear in t2, so a* is monotone along a row and each value A of a
+    is a candidate on one t2-interval, cut from the row at the first t2
+    where a* reaches A - k_near + 1 and at the first where it passes
+    A + k_near - 1.  Inside it, shell membership is nsq_lo - t1^2 - A^2 <=
+    t2^2 <= nsq_hi - t1^2 - A^2 (one or two intervals, by isqrt) and the
+    threshold failures are |A d - N| < t_int (one interval, by floor
+    division).  Candidates are counted as interval lengths and only failing
+    points are enumerated, so a row costs one step per value A, not one per
+    line.
+    """
     o1, o2 = [c for c in range(3) if c != kappa]
     mk, m1, m2 = m[kappa], m[o1], m[o2]
-    t2_all = np.arange(-b_int, b_int + 1, dtype=np.int64)
-    t2m2_all = t2_all * m2
-    t2sq_all = t2_all * t2_all
-    offs = np.arange(-(k_near - 1), k_near, dtype=np.int64)[:, None]
-    # each pass holds at most OFFSET_GROUP x row int64 values, whatever k_near
-    groups = [offs[g:g + OFFSET_GROUP] for g in range(0, len(offs), OFFSET_GROUP)]
-    neg_mk = -float(mk)  # s / -mk is bit-identical to -s / mk
-    width = nsq_hi - nsq_lo
-    skip_hi = abs(mk) - t_int
-    lines = candidates = fast = 0
+    d = abs(mk)
+    sgn = 1 if mk > 0 else -1
+    # walk u = flip t2, along which N = n0 + g u is nondecreasing
+    flip = 1 if sgn * m2 <= 0 else -1
+    g = abs(m2)
+    k1 = k_near - 1
+    span = 2 * k1 + 1  # candidates per line
+    lines = candidates = 0
     failing: List[Tuple[int, int, int]] = []
     for t1 in range(t1_lo, t1_hi):
-        w = math.isqrt(nsq_hi - t1 * t1)  # the row's lines: t1^2 + t2^2 <= nsq_hi
-        lo, hi = (b_int if t1 == 0 else b_int - w), b_int + w + 1
-        lines += hi - lo
-        s = t2m2_all[lo:hi] + t1 * m1
-        r = t2sq_all[lo:hi] + (t1 * t1 - nsq_lo)  # ||x||^2 - nsq_lo - a^2
-        q = np.divide(s, neg_mk)
-        a_star = np.rint(q, out=q).astype(np.int64)
-        e0 = a_star * mk
-        e0 += s
-        ae0 = np.abs(e0)
-        skip = ae0.min() >= t_int and ae0.max() <= skip_hi
-        for off in groups:
-            a = a_star + off
-            excess = a * a
-            excess += r
-            # nsq_lo <= ||x||^2 <= nsq_hi as one unsigned compare of the excess
-            in_slab = excess.view(np.uint64) <= width
-            n_in = int(np.count_nonzero(in_slab))
-            candidates += n_in
-            if skip:
-                fast += n_in
+        rest_hi = nsq_hi - t1 * t1
+        rest_lo = nsq_lo - t1 * t1
+        w = min(b_int, math.isqrt(rest_hi))
+        t2_lo = 0 if t1 == 0 else -w
+        lines += w - t2_lo + 1
+        u0, u1 = (t2_lo, w) if flip == 1 else (-w, -t2_lo)
+        n0 = -sgn * t1 * m1
+        a_lo = _round_half_even(n0 + g * u0, d)
+        a_hi = _round_half_even(n0 + g * u1, d)
+        # first[P - a_lo + 2 k1]: the first u in [u0, u1 + 1] with a*(u) >= P;
+        # a*(u) >= P iff 2N >= (2P - 1) d, plus 1 for odd P (ties go even)
+        first = ([u0] * span
+                 + [(-2 * n0 + (2 * p - 1) * d + (p & 1) - 1) // (2 * g) + 1
+                    for p in range(a_lo + 1, a_hi + 1)]
+                 + [u1 + 1] * span)
+        row: List[Tuple[int, int, int]] = []
+        for i in range(a_hi - a_lo + span):
+            a = a_lo - k1 + i
+            r_hi = rest_hi - a * a
+            if r_hi < 0:
                 continue
-            low = np.abs(e0 + off * mk) < t_int
-            low &= in_slab
-            g_at, j_at = np.nonzero(low)  # offset-major, t2 ascending
-            fast += n_in - len(g_at)
-            for g, j in zip(g_at.tolist(), j_at.tolist()):
-                coords = [0, 0, 0]
-                coords[kappa] = int(a[g, j])
-                coords[o1] = t1
-                coords[o2] = lo - b_int + j
-                failing.append(_canonical(*coords))
-    return lines, candidates, fast, failing
+            h = math.isqrt(r_hi)
+            lo_u, hi_u = first[i], first[i + span] - 1
+            if lo_u < -h:
+                lo_u = -h
+            if hi_u > h:
+                hi_u = h
+            if lo_u > hi_u:
+                continue
+            n_in = hi_u - lo_u + 1
+            # |u| <= inner puts x inside the inner sphere ||x||^2 < nsq_lo
+            r_lo = rest_lo - a * a
+            inner = math.isqrt(r_lo - 1) if r_lo > 0 else -1
+            if inner >= 0:
+                p = lo_u if lo_u > -inner else -inner
+                q = hi_u if hi_u < inner else inner
+                if p <= q:
+                    n_in -= q - p + 1
+            candidates += n_in
+            # |a d - N| < t_int  iff  z - t_int < g u < z + t_int
+            z = a * d - n0
+            if g:
+                f_lo, f_hi = (z - t_int) // g + 1, (z + t_int - 1) // g
+            elif -t_int < z < t_int:
+                f_lo, f_hi = lo_u, hi_u
+            else:
+                continue
+            if f_lo < lo_u:
+                f_lo = lo_u
+            if f_hi > hi_u:
+                f_hi = hi_u
+            if f_lo > f_hi:
+                continue
+            for us in ((range(f_lo, f_hi + 1),) if inner < 0 else
+                       (range(f_lo, min(f_hi, -inner - 1) + 1),
+                        range(max(f_lo, inner + 1), f_hi + 1))):
+                for u in us:
+                    row.append((a - _round_half_even(n0 + g * u, d),
+                                flip * u, a))
+        row.sort()
+        for _, t2, a in row:
+            coords = [0, 0, 0]
+            coords[kappa] = a
+            coords[o1] = t1
+            coords[o2] = t2
+            failing.append(_canonical(*coords))
+    return lines, candidates, candidates - len(failing), failing
 
 
 def _direction_fixed_point(enc) -> Tuple[Tuple[int, int, int], int, Rat]:
@@ -187,9 +232,9 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None, *,
     integer points to the direction plane can fall under the certified
     threshold (guard certificate); each of those is tested exactly, and
     survivors of the integer test are re-certified against the true right
-    side with escalating anchors and precision.  A shell the int64 path
-    cannot reach, or a guard that does not certify, is reported as one
-    undecided entry naming the reason, and nothing is scanned.
+    side with escalating anchors and precision.  A shell past the reach gate,
+    or a guard that does not certify, is reported as one undecided entry
+    naming the reason, and nothing is scanned.
     skipped_clauses names the size-threshold audit clauses the run fails,
     for disclosure; the scan's own certificates do not depend on them.
     """

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gammacert import ALPHA_PRESETS, ConvergentTable
 from gammacert.builder import build
 from gammacert.planner import PsiSpec, make_plan, schedule_X
 from gammacert.exact import IVec3
@@ -31,6 +32,13 @@ def build_run(params, toy, psi=PSI_LINEAR):
                      params["steps"], theta=params["theta"], toy=toy)
     schedule = schedule_X(plan)
     return build(plan, schedule)
+
+
+def run_table(state):
+    """The run's convergent table, walked to the last step's n."""
+    table = ConvergentTable(ALPHA_PRESETS[state.plan.alpha], state.plan.c1)
+    table.pair(state.step_outputs[-1].n)
+    return table
 
 
 @pytest.fixture(scope="session")

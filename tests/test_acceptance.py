@@ -18,7 +18,7 @@ from gammacert.serialize import canonical_bytes, report_body
 from gammacert.stepper import YSpec, recursive_step
 from gammacert.verifier import c4_of, check_condition_iii, coeff_box_lemma3, property_suites
 
-from conftest import TOY, PSI_LINEAR, build_run, record_criterion
+from conftest import TOY, PSI_LINEAR, build_run, record_criterion, run_table
 
 PREC_GATE = 1 << 16
 
@@ -27,8 +27,9 @@ def test_criterion_1():
     t0 = time.monotonic()
     st = build_run(TOY, toy=True)
     ok = st.n_steps == 5
+    t = run_table(st)
     for i in range(1, 6):
-        pn, qn = st.table.pair(st.step_outputs[i - 1].n)
+        pn, qn = t.pair(st.step_outputs[i - 1].n)
         ok &= det3(st.xs[i - 1], st.xs[i], st.ys[i - 1]) == 1
         ok &= det3(st.xs[i - 1], st.xs[i], st.xs[i + 1]) == qn
         ok &= det3(st.ys[i - 1], st.xs[i], st.xs[i + 1]) == -pn

@@ -24,6 +24,8 @@ from gammacert import (
 )
 from gammacert.cf import AlphaSpec, QF, _SurdQuotients
 
+from conftest import run_table
+
 
 # both presets have period 1; sqrt(2)/4 = [0; 2, (1, 4)] and
 # (sqrt(3) - 1)/2 = [0; (2, 1)] have period 2, the first after a pre-period
@@ -305,8 +307,7 @@ def test_cursor_keeps_two_rows(honest_state):
     n = locate_n(10 ** 1000, t)
     _, q = dense_rows(t.spec, n)
     assert q[n - 1] <= 10 ** 1000 < q[n] and len(t.p) == len(t.q) == 2
-    t = honest_state.table
-    t.pair(honest_state.step_outputs[-1].n)  # other tests may have walked it back
+    t = run_table(honest_state)
     assert len(t) == 14401 and len(t.p) == len(t.q) == 2
 
 

@@ -4,6 +4,7 @@ import ast
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -93,7 +94,7 @@ def test_toy_pipeline_script(tmp_path):
 
 
 # runs toy commands in process and prints, after the import and after each
-# command, its exit code and whether numpy is loaded
+# command, its exit code and whether numpy and concurrent.futures are loaded
 NUMPY_PROBE = """
 import json, os, sys
 from gammacert import cli
@@ -111,16 +112,39 @@ print(json.dumps(seen))
 """
 
 
-def test_numpy_loads_only_for_the_slab(tmp_path):
-    # only the slab kernel uses numpy, and nothing in the package uses
-    # concurrent.futures, so plan, build, report and the other verify modes
-    # start without paying for either import
+def test_no_command_loads_numpy(tmp_path):
+    # the package uses neither numpy (the slab kernel is pure integer
+    # arithmetic) nor concurrent.futures, so no command, the slab scan
+    # included, pays for either import
     got = _run_python(["-c", NUMPY_PROBE, str(tmp_path)] + TOY_FLAGS, 600)
     assert got.returncode == 0, got.stderr
     assert json.loads(got.stdout.splitlines()[-1]) == [
         ["import", None, [False, False]], ["plan", 0, [False, False]],
         ["build", 0, [False, False]], ["report", 0, [False, False]],
-        ["audit", 1, [False, False]], ["slab", 0, [True, False]]]
+        ["audit", 1, [False, False]], ["slab", 0, [False, False]]]
+
+
+def test_third_party_imports_are_the_runtime_dependencies():
+    # every top-level import under src/gammacert outside the standard
+    # library and the package itself is a runtime dependency, and every
+    # runtime dependency is imported
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[\w.-]+", dep).group() for dep in deps}
+    src = os.path.join(ROOT, "src", "gammacert")
+    imported = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported |= {a.name.split(".")[0] for a in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"gammacert"}
+    assert third_party == names == {"mpmath"}
 
 
 def test_verify_all_under_optimize(tmp_path):

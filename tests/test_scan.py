@@ -1,6 +1,7 @@
 """Slab scan: frozen counts, brute-force exhaustiveness, guard behavior."""
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -51,8 +52,10 @@ def test_default_bound_scans_capped_shell(toy_state, toy_scan):
 
 def reference_scan_lines(t1_lo, t1_hi, b_int, m, kappa, k_near, t_int,
                          nsq_lo, nsq_hi):
-    """The per-line kernel the stacked _scan_lines replaced: one arange and
-    mask per line, one pass per offset, no residual skip."""
+    """Per-line numpy kernel: float64 rint selection of a*, one arange and
+    mask per line, one pass per offset.  Inside the reach gate (|s| < 2^52)
+    its selection is exact half-even rounding, so _scan_lines must return
+    the same tuple."""
     o1, o2 = [c for c in range(3) if c != kappa]
     mk, m1, m2 = m[kappa], m[o1], m[o2]
     offs = list(range(-(k_near - 1), k_near))
@@ -104,8 +107,8 @@ def _recorded_toy_scan(monkeypatch, state, k_near):
 
 @pytest.mark.parametrize("k_near", [2, 3])
 def test_kernel_matches_reference_on_toy_shell(monkeypatch, toy_state, k_near):
-    # same counts and the same failing points in the same order; at
-    # k_near = 3 the five offsets take two stacked passes per row
+    # same counts and the same failing points in the same order, at the
+    # default k_near and with five candidates per line
     report, (args, got) = _recorded_toy_scan(monkeypatch, toy_state, k_near)
     assert args[5] == k_near
     assert got == reference_scan_lines(*args)
@@ -136,6 +139,24 @@ def _synthetic_cases():
                               rng.randrange(abs(mk) // 2 + 1, abs(mk) + 2)):
                     cases.append((t1_lo, t1_hi, b_int, tuple(m), kappa,
                                   k_near, t_int, nsq_lo, nsq_hi))
+    return cases + _edge_cases()
+
+
+def _edge_cases():
+    """Exact half ties (even m_kappa, 2 s an odd multiple of m_kappa: a*
+    rounds to even), m[o2] = 0 and negative m[o2], on every kappa and both
+    signs of m_kappa; t_int = |m_kappa|/2 + 1 puts the tie points below the
+    threshold."""
+    cases = []
+    for kappa in (0, 1, 2):
+        for j, (mk, m1, m2) in enumerate(((6, 3, 2), (6, 3, -2), (4, 2, 0),
+                                          (4, 0, 2), (10, -5, 5),
+                                          (1000, 37, -3))):
+            for sign in (1, -1):
+                m = [m1, m2]
+                m.insert(kappa, sign * mk)
+                cases.append((0, 12, 11, tuple(m), kappa, 1 + j % 3,
+                              mk // 2 + 1 if sign > 0 else 1, 20, 130))
     return cases
 
 
@@ -144,12 +165,13 @@ def test_kernel_matches_reference_synthetic(args):
     assert _scan_lines(*args) == reference_scan_lines(*args)
 
 
-# Past the int64 reach check float64 selection can miss the nearest integer:
+# Past the reach gate a float64 selection can miss the nearest integer:
 # with K = 2^53, m_kappa = 2K and s = (2j+1) K + 1 (j even, |s| >= 2^53),
-# fl(s) drops the +1 and rint breaks the tie the wrong way, so on every line
-# of row t1 = 1 the residual is |e0| = K + 1, inside [t_int, inf) but above
-# |m_kappa| - t_int for t_int = K.  Those rows must take the exact test: the
-# nearest integer point, |m.x| = K - 1, is below t_int.
+# fl(s) drops the +1 and rint breaks the tie the wrong way, so the float
+# reference scans another candidate window on row t1 = 1 and counts
+# (159, 177, 118) where the exact kernel counts (159, 178, 119).  The kernel
+# must still surface every threshold failure of the shell, among them the
+# nearest points on row t1 = 1, where |m.x| = K - 1 < t_int.
 K53 = 2 ** 53
 
 
@@ -160,7 +182,10 @@ def test_kernel_exact_when_selection_misses(kappa, sign):
     m.insert(kappa, sign * 2 * K53)
     args = (0, 11, 10, tuple(m), kappa, 2, K53, 1, 100)
     got = _scan_lines(*args)
-    assert got == reference_scan_lines(*args)
+    brute = {_canonical(*p) for p in itertools.product(range(-10, 11), repeat=3)
+             if 1 <= sum(c * c for c in p) <= 100
+             and abs(sum(c * mc for c, mc in zip(p, m))) < K53}
+    assert sorted(got[3]) == sorted(brute)
     o1 = min(c for c in range(3) if c != kappa)
     assert any(abs(p[o1]) == 1 for p in got[3])
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import TOY, build_run
+from conftest import TOY, build_run, run_table
 from gammacert import (ALPHA_PRESETS, CertificateFailure, ConvergentTable,
                        InputError, UndecidedError, sqrt_int)
 from gammacert import stepper
@@ -73,7 +73,7 @@ def test_a_selection_jump_stops_at_the_cap(monkeypatch, toy_state, cap):
     seen = record_step_precisions(monkeypatch)
     s = toy_state
     out, _ = recursive_step(s.xs[4], s.xs[5], YSpec.of_power(s.scale(5).sq),
-                            s.scale(6).value_int, s.table, cap)
+                            s.scale(6).value_int, run_table(s), cap)
     assert seen == [cap]
     assert out.a >= s.step_outputs[4].a
 
@@ -108,8 +108,9 @@ def reference_a(x_star, x, Y_spec, X_prime, table, max_prec=DEFAULT_MAX_PREC):
 
 
 def _build_inputs(state):
+    t = run_table(state)
     return [((state.xs[i - 1], state.xs[i], YSpec.of_power(state.scale(i).sq),
-              state.scale(i + 1).value_int, state.table),
+              state.scale(i + 1).value_int, t),
              state.step_outputs[i - 1].a)
             for i in range(1, state.n_steps + 1)]
 
@@ -193,6 +194,7 @@ def test_step_facts_hold_on_built_states(request, state_name):
     # Cramer's rule, the ceiling, the nearest integer, det_qn and the
     # primitivity of each consecutive pair already prove them
     state = request.getfixturevalue(state_name)
+    t = run_table(state)
     for i, out in enumerate(state.step_outputs, start=1):
         x_star, x, x_next = state.xs[i - 1], state.xs[i], state.xs[i + 1]
         y0 = complete_to_basis(x_star, x)
@@ -200,7 +202,7 @@ def test_step_facts_hold_on_built_states(request, state_name):
         for v in (x_star, x):
             assert dot(y0, v) - out.r * dot(x_star, v) - s0 * dot(x, v) == 0
         assert -F(1, 2) < out.s <= F(1, 2)
-        _, qn = state.table.pair(out.n)
+        _, qn = t.pair(out.n)
         assert abs(out.s * qn + out.m) <= F(1, 2)
         # the ledger's triple_cross_i and intersection_i
         u_i, u_next = cross(x_star, x), cross(x, x_next)

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from conftest import run_table
 from gammacert import (
     DirectionEnclosure,
     InputError,
@@ -120,7 +121,7 @@ def _all_interval_box(state, i, k_bound):
     against.
     """
     xi_prev, xi, xi_next = state.xs[i - 1], state.xs[i], state.xs[i + 1]
-    pn, qn = state.table.pair(state.step_outputs[i - 1].n)
+    pn, qn = run_table(state).pair(state.step_outputs[i - 1].n)
     x1sq = F(state.plan.x1_sq)
     win_lo, win_hi = state.scale(i).sq / x1sq, state.scale(i + 1).sq / x1sq
     weight = BallReal.wrap(x1sq).pow(F(3, 2)) * state.scale(i - 1).ball()
