@@ -15,15 +15,17 @@ arithmetic against the threshold of verifier.LowerBoundEngine; points that
 fail it take the engine's interval path against the true right side.
 
 The kernel, _scan_lines, works per row of lines (fixed first free
-coordinate t1) and, within a row, per candidate value a of coordinate
-kappa, not per line.  The nearest point a* = round-half-even(-s/m_kappa),
-s = t1 m1 + t2 m2, moves by |m2/m_kappa| per unit of t2, which is below
-1/300 on the preset configs, so a* is constant over long runs of a row.
-Each value a is a candidate on one t2-interval of the row; shell membership
-and the threshold failures are t2-intervals too, found by floor division
-and isqrt.  Candidates are counted as interval lengths, and only failing
-points are enumerated.  A row of 2w + 1 lines costs one step per candidate
-value, about 1 + 2 w |m2/m_kappa| + 2 K_near - 2 of them.
+coordinate t1), not per line.  With d = |m_kappa| and N = -sign(m_kappa)
+(t1 m1 + t2 m2), the candidates of a line lie in the band |a - N/d| <=
+K_near - 1/2, and N is linear in t2.  Four exact quadratics per row (each
+edge of the band against each sphere of the shell) split the row into lines
+whose candidates are all in the shell, lines with none in it, and the lines
+near the two spheres, which alone are counted point by point.  A point
+fails the threshold when N lies within t_int of a multiple of d, so the
+failing lines are the hits of a linear sequence modulo d, found one at a
+time by a Euclid-style descent.  A row costs its boundary lines plus one
+descent per failing line, whatever the direction: about 0.5 M Python steps
+for the 9.1 M lines of the toy shell.
 
 Nothing is decided or selected in floating point.  The reach gate keeps
 |s| < 2^52, and there a float64 selection rint(-s/m_kappa), as in the tests'
@@ -88,6 +90,67 @@ def _round_half_even(n: int, d: int) -> int:
     return q + (2 * r > d or (2 * r == d and q & 1))
 
 
+def _quad_range(qa: int, qb: int, qc: int) -> Tuple[int, int]:
+    """The integers u with qa u^2 + qb u + qc <= 0 (qa > 0), as (lo, hi);
+    lo > hi when there are none."""
+    disc = qb * qb - 4 * qa * qc
+    if disc < 0:
+        return 1, 0
+    r = math.isqrt(disc)
+    # the real roots lie within 1/(2 qa) of these bounds, so at most two
+    # exact steps inward reach the first and last integer solutions
+    lo = -((qb + r + 1) // (2 * qa))
+    hi = (r + 1 - qb) // (2 * qa)
+    while lo <= hi and (qa * lo + qb) * lo + qc > 0:
+        lo += 1
+    while hi >= lo and (qa * hi + qb) * hi + qc > 0:
+        hi -= 1
+    return lo, hi
+
+
+def _band_in_ball(qa: int, g: int, n0: int, e: int, zero: Tuple[int, int],
+                  c: int, dd4: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The u-ranges where all of the band of _scan_lines, and where some of
+    it, lies in the ball dd4 (u^2 + a^2) <= c; empty ranges have lo > hi.
+
+    All of it lies in the ball where both edges a = (2 N +- e) / 2d do; some
+    of it where an edge does, or where the band covers a = 0 (zero) and
+    u^2 fits.  Each set is convex, so the hull of those pieces is exact.
+    """
+    if c < 0:
+        return (1, 0), (1, 0)
+    los, his = [], []
+    for p in (2 * n0 + e, 2 * n0 - e):
+        lo, hi = _quad_range(qa, 4 * p * g, p * p - c)
+        los.append(lo)
+        his.append(hi)
+    r = math.isqrt(c // dd4)
+    los.append(max(zero[0], -r))
+    his.append(min(zero[1], r))
+    some = [(lo, hi) for lo, hi in zip(los, his) if lo <= hi]
+    return ((max(los[:2]), min(his[:2])),
+            (min(s[0] for s in some), max(s[1] for s in some)) if some else (1, 0))
+
+
+def _first_hit(g: int, d: int, lo: int, hi: int) -> Optional[int]:
+    """The least k >= 0 with lo <= g k mod d <= hi (0 <= lo <= hi < d), or
+    None; a Euclid-style descent of about log2(d) levels."""
+    if lo == 0:
+        return 0
+    g %= d
+    if g == 0:
+        return None
+    if 2 * g > d:  # (d - g) k mod d = d - g k mod d on the nonzero residues
+        g, lo, hi = d - g, d - hi, d - lo
+    k = -(-lo // g)
+    if g * k <= hi:
+        return k
+    # no multiple of g lies in [lo, hi]: find the least wrap count y with
+    # one in [d y + lo, d y + hi], i.e. -d y mod g in [lo mod g, hi mod g]
+    y = _first_hit(-d % g, g, lo % g, hi % g)
+    return None if y is None else -(-(d * y + lo) // g)
+
+
 def _scan_lines(t1_lo: int, t1_hi: int, b_int: int, m: Tuple[int, int, int],
                 kappa: int, k_near: int, t_int: int, nsq_lo: int, nsq_hi: int
                 ) -> Tuple[int, int, int, List[Tuple[int, int, int]]]:
@@ -100,15 +163,16 @@ def _scan_lines(t1_lo: int, t1_hi: int, b_int: int, m: Tuple[int, int, int],
     a = a* + off, |off| < k_near, with a* = round-half-even(N/d), d = |m_kappa|
     and N = -sign(m_kappa) (t1 m1 + t2 m2), so m.x = sign(m_kappa) (a d - N).
 
-    N is linear in t2, so a* is monotone along a row and each value A of a
-    is a candidate on one t2-interval, cut from the row at the first t2
-    where a* reaches A - k_near + 1 and at the first where it passes
-    A + k_near - 1.  Inside it, shell membership is nsq_lo - t1^2 - A^2 <=
-    t2^2 <= nsq_hi - t1^2 - A^2 (one or two intervals, by isqrt) and the
-    threshold failures are |A d - N| < t_int (one interval, by floor
-    division).  Candidates are counted as interval lengths and only failing
-    points are enumerated, so a row costs one step per value A, not one per
-    line.
+    Every candidate lies in the band |a - N/d| <= k_near - 1/2.  Per row,
+    four exact quadratics (each edge of the band against each sphere) and
+    one linear range (the band covering a = 0) give the t2-ranges where the
+    whole band is inside the shell, where none of it is, and the rest, near
+    the two spheres; lines of the first kind count 2 k_near - 1 candidates,
+    of the second none, and only the rest are counted point by point.  A
+    failing point has N within t_int of a multiple of d, and N is linear in
+    t2, so the failing lines are found one at a time by _first_hit.  A row
+    costs its boundary lines plus one descent per failing line, whatever
+    the direction of m.
     """
     o1, o2 = [c for c in range(3) if c != kappa]
     mk, m1, m2 = m[kappa], m[o1], m[o2]
@@ -119,6 +183,8 @@ def _scan_lines(t1_lo: int, t1_hi: int, b_int: int, m: Tuple[int, int, int],
     g = abs(m2)
     k1 = k_near - 1
     span = 2 * k1 + 1  # candidates per line
+    e = span * d  # 2 d (k_near - 1/2): the band's half-width, scaled by 2 d
+    qa, dd4 = 4 * (g * g + d * d), 4 * d * d
     lines = candidates = 0
     failing: List[Tuple[int, int, int]] = []
     for t1 in range(t1_lo, t1_hi):
@@ -129,58 +195,64 @@ def _scan_lines(t1_lo: int, t1_hi: int, b_int: int, m: Tuple[int, int, int],
         lines += w - t2_lo + 1
         u0, u1 = (t2_lo, w) if flip == 1 else (-w, -t2_lo)
         n0 = -sgn * t1 * m1
-        a_lo = _round_half_even(n0 + g * u0, d)
-        a_hi = _round_half_even(n0 + g * u1, d)
-        # first[P - a_lo + 2 k1]: the first u in [u0, u1 + 1] with a*(u) >= P;
-        # a*(u) >= P iff 2N >= (2P - 1) d, plus 1 for odd P (ties go even)
-        first = ([u0] * span
-                 + [(-2 * n0 + (2 * p - 1) * d + (p & 1) - 1) // (2 * g) + 1
-                    for p in range(a_lo + 1, a_hi + 1)]
-                 + [u1 + 1] * span)
-        row: List[Tuple[int, int, int]] = []
-        for i in range(a_hi - a_lo + span):
-            a = a_lo - k1 + i
-            r_hi = rest_hi - a * a
-            if r_hi < 0:
+        # the band covers a = 0 where |2 N| <= e
+        if g:
+            zero = (-((e + 2 * n0) // (2 * g)), (e - 2 * n0) // (2 * g))
+        else:
+            zero = (u0, u1) if abs(2 * n0) <= e else (1, 0)
+        # all of the band is inside the outer sphere on in_hi, some of it on
+        # some_hi; some of it strictly inside the inner one on some_lo, all
+        # of it on in_lo
+        in_hi, some_hi = _band_in_ball(qa, g, n0, e, zero, dd4 * rest_hi, dd4)
+        in_lo, some_lo = _band_in_ball(qa, g, n0, e, zero, dd4 * rest_lo - 1,
+                                       dd4)
+        # full lines: in_hi minus some_lo
+        f_lo, f_hi = max(in_hi[0], u0), min(in_hi[1], u1)
+        if f_lo <= f_hi:
+            candidates += span * (f_hi - f_lo + 1)
+            c_lo, c_hi = max(f_lo, some_lo[0]), min(f_hi, some_lo[1])
+            if c_lo <= c_hi:
+                candidates -= span * (c_hi - c_lo + 1)
+        # boundary lines: some_hi minus in_hi, and some_lo minus in_lo
+        parts = []
+        for big, small in ((some_hi, in_hi), (some_lo, in_lo)):
+            if big[0] > big[1]:
                 continue
-            h = math.isqrt(r_hi)
-            lo_u, hi_u = first[i], first[i + span] - 1
-            if lo_u < -h:
-                lo_u = -h
-            if hi_u > h:
-                hi_u = h
-            if lo_u > hi_u:
-                continue
-            n_in = hi_u - lo_u + 1
-            # |u| <= inner puts x inside the inner sphere ||x||^2 < nsq_lo
-            r_lo = rest_lo - a * a
-            inner = math.isqrt(r_lo - 1) if r_lo > 0 else -1
-            if inner >= 0:
-                p = lo_u if lo_u > -inner else -inner
-                q = hi_u if hi_u < inner else inner
-                if p <= q:
-                    n_in -= q - p + 1
-            candidates += n_in
-            # |a d - N| < t_int  iff  z - t_int < g u < z + t_int
-            z = a * d - n0
-            if g:
-                f_lo, f_hi = (z - t_int) // g + 1, (z + t_int - 1) // g
-            elif -t_int < z < t_int:
-                f_lo, f_hi = lo_u, hi_u
+            if small[0] > small[1]:
+                parts.append(big)
             else:
-                continue
-            if f_lo < lo_u:
-                f_lo = lo_u
-            if f_hi > hi_u:
-                f_hi = hi_u
-            if f_lo > f_hi:
-                continue
-            for us in ((range(f_lo, f_hi + 1),) if inner < 0 else
-                       (range(f_lo, min(f_hi, -inner - 1) + 1),
-                        range(max(f_lo, inner + 1), f_hi + 1))):
-                for u in us:
-                    row.append((a - _round_half_even(n0 + g * u, d),
-                                flip * u, a))
+                parts += [(big[0], small[0] - 1), (small[1] + 1, big[1])]
+        parts = sorted((max(lo, u0), min(hi, u1)) for lo, hi in parts)
+        u_next = u0
+        for lo, hi in parts:
+            for u in range(max(lo, u_next), hi + 1):
+                a_s = _round_half_even(n0 + g * u, d)
+                rest = t1 * t1 + u * u
+                for a in range(a_s - k1, a_s + k1 + 1):
+                    if nsq_lo <= rest + a * a <= nsq_hi:
+                        candidates += 1
+            u_next = max(u_next, hi + 1)
+        if t_int <= 0:
+            continue
+        # failing lines: (N + t_int - 1) mod d <= 2 t_int - 2
+        row: List[Tuple[int, int, int]] = []
+        win = 2 * t_int - 2
+        u, u_end = max(u0, some_hi[0]), min(u1, some_hi[1])
+        while u <= u_end:
+            b = (n0 + t_int - 1 + g * u) % d
+            k = 0 if b <= win else _first_hit(g, d, d - b, d - b + win)
+            if k is None:
+                break
+            u += k
+            if u > u_end:
+                break
+            n = n0 + g * u
+            a_s = _round_half_even(n, d)
+            rest = t1 * t1 + u * u
+            for a in range(a_s - k1, a_s + k1 + 1):
+                if abs(a * d - n) < t_int and nsq_lo <= rest + a * a <= nsq_hi:
+                    row.append((a - a_s, flip * u, a))
+            u += 1
         row.sort()
         for _, t2, a in row:
             coords = [0, 0, 0]

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from gammacert import BallReal, InputError, scan, slab_scan_iv, sqrt_int
 from gammacert.builder import enclose_u, x_dot_u_lower
+from gammacert.exact import IVec3
 from gammacert.planner import PsiSpec
 from gammacert.verifier import LowerBoundEngine
 from gammacert.scan import (
@@ -18,8 +20,12 @@ from gammacert.scan import (
     M_BITS,
     _canonical,
     _direction_fixed_point,
+    _first_hit,
+    _quad_range,
     _scan_lines,
 )
+
+from conftest import TOY, build_run
 
 TOY_AUDIT_FAILURES = (
     "q_below_qn", "mid_norm_margin", "mid_norm_const", "plane_const",
@@ -89,7 +95,7 @@ def reference_scan_lines(t1_lo, t1_hi, b_int, m, kappa, k_near, t_int,
     return lines, candidates, fast, failing
 
 
-def _recorded_toy_scan(monkeypatch, state, k_near):
+def _recorded_toy_scan(monkeypatch, state, k_near, b=2403):
     """Run the toy slab scan and return its report and the kernel's
     (arguments, result) of its one call."""
     calls = []
@@ -100,7 +106,7 @@ def _recorded_toy_scan(monkeypatch, state, k_near):
 
     real = scan._scan_lines
     monkeypatch.setattr(scan, "_scan_lines", recording)
-    report = slab_scan_iv(state, 2403, skipped_clauses=(), k_near=k_near)
+    report = slab_scan_iv(state, b, skipped_clauses=(), k_near=k_near)
     (call,) = calls
     return report, call
 
@@ -163,6 +169,100 @@ def _edge_cases():
 @pytest.mark.parametrize("args", _synthetic_cases())
 def test_kernel_matches_reference_synthetic(args):
     assert _scan_lines(*args) == reference_scan_lines(*args)
+
+
+def test_kernel_matches_reference_on_every_small_shell():
+    # at an exact tie the band's edge is a candidate, so a sphere through
+    # such a point decides whether it is counted: sweep the inner and outer
+    # radii over every small value for directions full of ties
+    for m in ((4, 2, 0), (4, 2, 2), (6, -3, 3), (-8, 4, 2)):
+        for k_near in (1, 2):
+            for nsq_lo in range(1, 60):
+                for nsq_hi in range(nsq_lo, nsq_lo + 60, 11):
+                    args = (0, math.isqrt(nsq_hi) + 1, math.isqrt(nsq_hi), m,
+                            0, k_near, 3, nsq_lo, nsq_hi)
+                    assert _scan_lines(*args) == reference_scan_lines(*args)
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _kernel_steps(args, budget):
+    """Python lines that _scan_lines(*args) and its helpers in scan run,
+    counted by a trace function that gives up past budget."""
+    steps = 0
+
+    def tracer(frame, event, arg):
+        nonlocal steps
+        if frame.f_globals is not vars(scan):
+            return None
+        if event == "line":
+            steps += 1
+            if steps > budget:
+                raise _OverBudget
+        return tracer
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        _scan_lines(*args)
+    except _OverBudget:
+        pass
+    finally:
+        sys.settrace(outer)
+    return steps
+
+
+@pytest.mark.parametrize("x0, kappa, counts", [
+    ((0, 0, 1), 0, (9067865, 19841341, 88)),
+    ((1, 0, 0), 1, (9067865, 19841341, 88)),
+    ((1, 1, 1), 0, (13824859, 23884961, 134)),
+])
+def test_kernel_work_is_independent_of_the_direction(monkeypatch, x0, kappa,
+                                                     counts):
+    # at x0 = (0, 0, 1) the toy's |m_o2/m_kappa| is below 1/300; at
+    # (1, 0, 0) the small coordinate of m is o1, and at (1, 1, 1) m has none
+    # (0.195).  The kernel agrees with the reference on each, and runs fewer
+    # Python lines than an eighth of the shell's lines (about a twentieth
+    # on all three), where a walk over the candidate values of each row
+    # runs more than three per line at (1, 0, 0)
+    state = build_run(dict(TOY, x0=IVec3(*x0)), toy=True)
+    report, (args, got) = _recorded_toy_scan(monkeypatch, state, 2, b=None)
+    assert args[4] == kappa
+    assert got == reference_scan_lines(*args)
+    assert (report.lines, report.candidates, report.slow_checked) == counts
+    assert report.all_pass
+    assert _kernel_steps(args, report.lines // 8) <= report.lines // 8
+
+
+def test_quad_range_matches_brute_force():
+    # qa (u - r1)(u - r2) + nudge: with qa near 2^90 a nudge of one moves
+    # the roots by about 2^-90, which decides whether r1 and r2 belong
+    rng = random.Random(5)
+    for _ in range(600):
+        qa = rng.randrange(1, 2 ** rng.choice([3, 40, 90]))
+        r1 = rng.randrange(-40, 40)
+        r2 = r1 + rng.randrange(0, 12)
+        nudge = rng.choice([0, 1, -1, rng.randrange(-qa, qa + 1)])
+        qb, qc = -qa * (r1 + r2), qa * r1 * r2 + nudge
+        lo, hi = _quad_range(qa, qb, qc)
+        inside = [u for u in range(r1 - 20, r2 + 21)
+                  if (qa * u + qb) * u + qc <= 0]
+        if inside:
+            assert (lo, hi) == (inside[0], inside[-1])
+        else:
+            assert lo > hi
+
+
+def test_first_hit_matches_brute_force():
+    for d in range(1, 14):
+        for g in range(-d, 2 * d):
+            for lo in range(d):
+                for hi in range(lo, d):
+                    want = next((k for k in range(d)
+                                 if lo <= g * k % d <= hi), None)
+                    assert _first_hit(g, d, lo, hi) == want
 
 
 # Past the reach gate a float64 selection can miss the nearest integer:
