@@ -17,22 +17,24 @@ fail it take the engine's interval path against the true right side.
 The kernel, _scan_lines, works per row of lines (fixed first free
 coordinate t1), not per line.  With d = |m_kappa| and N = -sign(m_kappa)
 (t1 m1 + t2 m2), the candidates of a line lie in the band |a - N/d| <=
-K_near - 1/2, and N is linear in t2.  Four exact quadratics per row (each
-edge of the band against each sphere of the shell) split the row into lines
-whose candidates are all in the shell, lines with none in it, and the lines
-near the two spheres, which alone are counted point by point.  A point
+K_near - 1/2, and N is linear in t2.  A row's candidates in the shell are
+its candidates in the outer ball minus those strictly inside the inner
+one.  Two exact quadratics per ball (one per edge of the band) give the
+lines whose band lies wholly in it, counted 2*K_near - 1 each, and the
+lines the sphere cuts, which alone are counted point by point.  A point
 fails the threshold when N lies within t_int of a multiple of d, so the
 failing lines are the hits of a linear sequence modulo d, found one at a
-time by a Euclid-style descent.  A row costs its boundary lines plus one
-descent per failing line, whatever the direction: about 0.5 M Python steps
-for the 9.1 M lines of the toy shell.
+time by a Euclid-style descent.  A row costs its lines near the two
+spheres plus one descent per failing line, whatever the direction: about
+0.45 M Python steps for the 9.1 M lines of the toy shell.
 
 Nothing is decided or selected in floating point.  The reach gate keeps
 |s| < 2^52, and there a float64 selection rint(-s/m_kappa), as in the tests'
 reference kernel, picks the same a* as exact half-even rounding: its
 rounding error, below |s/m_kappa| 2^-53 < 1/(2|m_kappa|), is less than the
 distance from s/m_kappa to any half-integer it does not equal.  The gate
-also bounds the shell, and so the kernel's work.
+bounds |s| by isqrt(nsq_hi) (|m_o1| + |m_o2|), so how large a shell it
+admits depends on the direction's two smaller coordinates.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .verifier import LowerBoundEngine
 Rat = Fraction
 
 M_BITS = 40  # fixed-point scale of the integer direction vector
-FLOAT_SLOP = Fraction(1, 2 ** 20)  # guard margin below the exact (2 K_near - 1)/2
 
 
 @dataclass(frozen=True)
@@ -108,28 +109,42 @@ def _quad_range(qa: int, qb: int, qc: int) -> Tuple[int, int]:
     return lo, hi
 
 
-def _band_in_ball(qa: int, g: int, n0: int, e: int, zero: Tuple[int, int],
-                  c: int, dd4: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """The u-ranges where all of the band of _scan_lines, and where some of
-    it, lies in the ball dd4 (u^2 + a^2) <= c; empty ranges have lo > hi.
+def _row_in_ball(qa: int, g: int, d: int, n0: int, e: int, k1: int,
+                 zero: Tuple[int, int], u0: int, u1: int, rest: int
+                 ) -> Tuple[int, Tuple[int, int]]:
+    """Count the candidates a of the lines u in [u0, u1] of one row of
+    _scan_lines with u^2 + a^2 <= rest, and return a u-range that holds
+    every line with such a candidate (lo > hi when there is none).
 
-    All of it lies in the ball where both edges a = (2 N +- e) / 2d do; some
-    of it where an edge does, or where the band covers a = 0 (zero) and
-    u^2 fits.  Each set is convex, so the hull of those pieces is exact.
+    Along the row N = n0 + g u, e = (2 k1 + 1) d and qa = 4 (g^2 + d^2).
+    The band |a - N/d| <= k1 + 1/2 that holds a line's candidates lies
+    wholly in the disk where both its edges a = (2 N +- e) / 2d do, and
+    partly where an edge does or where it covers a = 0 (zero) with u^2 <=
+    rest.  Each set is convex, so the hull of those pieces is exact.  Lines
+    of the first set count 2 k1 + 1 candidates each; the rest of the
+    second, the lines the circle cuts, are counted point by point.
     """
-    if c < 0:
-        return (1, 0), (1, 0)
-    los, his = [], []
-    for p in (2 * n0 + e, 2 * n0 - e):
-        lo, hi = _quad_range(qa, 4 * p * g, p * p - c)
-        los.append(lo)
-        his.append(hi)
-    r = math.isqrt(c // dd4)
-    los.append(max(zero[0], -r))
-    his.append(min(zero[1], r))
-    some = [(lo, hi) for lo, hi in zip(los, his) if lo <= hi]
-    return ((max(los[:2]), min(his[:2])),
-            (min(s[0] for s in some), max(s[1] for s in some)) if some else (1, 0))
+    if rest < 0:
+        return 0, (1, 0)
+    c = 4 * d * d * rest
+    edges = [_quad_range(qa, 4 * p * g, p * p - c)
+             for p in (2 * n0 + e, 2 * n0 - e)]
+    r = math.isqrt(rest)
+    pieces = [s for s in edges + [(max(zero[0], -r), min(zero[1], r))]
+              if s[0] <= s[1]]
+    s_lo = max(u0, min((s[0] for s in pieces), default=1))
+    s_hi = min(u1, max((s[1] for s in pieces), default=0))
+    w_lo = max(s_lo, edges[0][0], edges[1][0])
+    w_hi = min(s_hi, edges[0][1], edges[1][1])
+    if w_lo > w_hi:
+        w_lo, w_hi = s_hi + 1, s_hi
+    count = (2 * k1 + 1) * (w_hi - w_lo + 1)
+    for lo, hi in ((s_lo, w_lo - 1), (w_hi + 1, s_hi)):
+        for u in range(lo, hi + 1):
+            a_s = _round_half_even(n0 + g * u, d)
+            room = math.isqrt(rest - u * u)
+            count += max(0, min(a_s + k1, room) - max(a_s - k1, -room) + 1)
+    return count, (s_lo, s_hi)
 
 
 def _first_hit(g: int, d: int, lo: int, hi: int) -> Optional[int]:
@@ -151,28 +166,25 @@ def _first_hit(g: int, d: int, lo: int, hi: int) -> Optional[int]:
     return None if y is None else -(-(d * y + lo) // g)
 
 
-def _scan_lines(t1_lo: int, t1_hi: int, b_int: int, m: Tuple[int, int, int],
-                kappa: int, k_near: int, t_int: int, nsq_lo: int, nsq_hi: int
+def _scan_lines(m: Tuple[int, int, int], kappa: int, k_near: int, t_int: int,
+                nsq_lo: int, nsq_hi: int
                 ) -> Tuple[int, int, int, List[Tuple[int, int, int]]]:
-    """Scan lines with first free coordinate in [t1_lo, t1_hi).
+    """Scan every line of the shell nsq_lo <= ||x||^2 <= nsq_hi.
 
     Returns (lines, candidates, fast_passed, failing canonical coords), with
     failing ordered by t1, then offset a - a*, then ascending t2.  The lines
-    of one t1 form a row, t2 in [-w, w] with w = min(b_int, isqrt(nsq_hi -
-    t1^2)) ([0, w] for t1 = 0).  On the line (t1, t2) the candidates are
+    of one t1 >= 0 form a row, t2 in [-w, w] with w = isqrt(nsq_hi - t1^2)
+    ([0, w] for t1 = 0).  On the line (t1, t2) the candidates are
     a = a* + off, |off| < k_near, with a* = round-half-even(N/d), d = |m_kappa|
     and N = -sign(m_kappa) (t1 m1 + t2 m2), so m.x = sign(m_kappa) (a d - N).
 
-    Every candidate lies in the band |a - N/d| <= k_near - 1/2.  Per row,
-    four exact quadratics (each edge of the band against each sphere) and
-    one linear range (the band covering a = 0) give the t2-ranges where the
-    whole band is inside the shell, where none of it is, and the rest, near
-    the two spheres; lines of the first kind count 2 k_near - 1 candidates,
-    of the second none, and only the rest are counted point by point.  A
-    failing point has N within t_int of a multiple of d, and N is linear in
-    t2, so the failing lines are found one at a time by _first_hit.  A row
-    costs its boundary lines plus one descent per failing line, whatever
-    the direction of m.
+    A row's candidates in the shell are its candidates in the outer ball
+    minus those strictly inside the inner one, and _row_in_ball counts each
+    from the band |a - N/d| <= k_near - 1/2 that holds them.  A failing
+    point has N within t_int of a multiple of d, and N is linear in t2, so
+    the failing lines are found one at a time by _first_hit.  A row costs
+    its lines near the two spheres plus one descent per failing line,
+    whatever the direction of m.
     """
     o1, o2 = [c for c in range(3) if c != kappa]
     mk, m1, m2 = m[kappa], m[o1], m[o2]
@@ -182,15 +194,12 @@ def _scan_lines(t1_lo: int, t1_hi: int, b_int: int, m: Tuple[int, int, int],
     flip = 1 if sgn * m2 <= 0 else -1
     g = abs(m2)
     k1 = k_near - 1
-    span = 2 * k1 + 1  # candidates per line
-    e = span * d  # 2 d (k_near - 1/2): the band's half-width, scaled by 2 d
-    qa, dd4 = 4 * (g * g + d * d), 4 * d * d
+    e = (2 * k1 + 1) * d  # the band's half-width k_near - 1/2, scaled by 2 d
+    qa = 4 * (g * g + d * d)
     lines = candidates = 0
     failing: List[Tuple[int, int, int]] = []
-    for t1 in range(t1_lo, t1_hi):
-        rest_hi = nsq_hi - t1 * t1
-        rest_lo = nsq_lo - t1 * t1
-        w = min(b_int, math.isqrt(rest_hi))
+    for t1 in range(math.isqrt(nsq_hi) + 1):
+        w = math.isqrt(nsq_hi - t1 * t1)
         t2_lo = 0 if t1 == 0 else -w
         lines += w - t2_lo + 1
         u0, u1 = (t2_lo, w) if flip == 1 else (-w, -t2_lo)
@@ -200,44 +209,14 @@ def _scan_lines(t1_lo: int, t1_hi: int, b_int: int, m: Tuple[int, int, int],
             zero = (-((e + 2 * n0) // (2 * g)), (e - 2 * n0) // (2 * g))
         else:
             zero = (u0, u1) if abs(2 * n0) <= e else (1, 0)
-        # all of the band is inside the outer sphere on in_hi, some of it on
-        # some_hi; some of it strictly inside the inner one on some_lo, all
-        # of it on in_lo
-        in_hi, some_hi = _band_in_ball(qa, g, n0, e, zero, dd4 * rest_hi, dd4)
-        in_lo, some_lo = _band_in_ball(qa, g, n0, e, zero, dd4 * rest_lo - 1,
-                                       dd4)
-        # full lines: in_hi minus some_lo
-        f_lo, f_hi = max(in_hi[0], u0), min(in_hi[1], u1)
-        if f_lo <= f_hi:
-            candidates += span * (f_hi - f_lo + 1)
-            c_lo, c_hi = max(f_lo, some_lo[0]), min(f_hi, some_lo[1])
-            if c_lo <= c_hi:
-                candidates -= span * (c_hi - c_lo + 1)
-        # boundary lines: some_hi minus in_hi, and some_lo minus in_lo
-        parts = []
-        for big, small in ((some_hi, in_hi), (some_lo, in_lo)):
-            if big[0] > big[1]:
-                continue
-            if small[0] > small[1]:
-                parts.append(big)
-            else:
-                parts += [(big[0], small[0] - 1), (small[1] + 1, big[1])]
-        parts = sorted((max(lo, u0), min(hi, u1)) for lo, hi in parts)
-        u_next = u0
-        for lo, hi in parts:
-            for u in range(max(lo, u_next), hi + 1):
-                a_s = _round_half_even(n0 + g * u, d)
-                rest = t1 * t1 + u * u
-                for a in range(a_s - k1, a_s + k1 + 1):
-                    if nsq_lo <= rest + a * a <= nsq_hi:
-                        candidates += 1
-            u_next = max(u_next, hi + 1)
+        row_args = (qa, g, d, n0, e, k1, zero, u0, u1)
+        outer, (u, u_end) = _row_in_ball(*row_args, nsq_hi - t1 * t1)
+        candidates += outer - _row_in_ball(*row_args, nsq_lo - 1 - t1 * t1)[0]
         if t_int <= 0:
             continue
         # failing lines: (N + t_int - 1) mod d <= 2 t_int - 2
         row: List[Tuple[int, int, int]] = []
         win = 2 * t_int - 2
-        u, u_end = max(u0, some_hi[0]), min(u1, some_hi[1])
         while u <= u_end:
             b = (n0 + t_int - 1 + g * u) % d
             k = 0 if b <= win else _first_hit(g, d, d - b, d - b + win)
@@ -330,9 +309,8 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None, *,
     engine = LowerBoundEngine(state, 2, state.plan.psi.at)
     m, kappa, err_max = _direction_fixed_point(engine.encs[state.last_index])
     nsq_lo, nsq_hi = math.ceil(lo_sq), math.floor(hi_sq)
-    b_int = math.isqrt(nsq_hi)
     o1, o2 = [c for c in range(3) if c != kappa]
-    s_max = b_int * (abs(m[o1]) + abs(m[o2]))
+    s_max = math.isqrt(nsq_hi) * (abs(m[o1]) + abs(m[o2]))
     k_max = s_max // max(abs(m[kappa]), 1) + k_near + 2
     if s_max >= 2 ** 52 or s_max + k_max * abs(m[kappa]) >= 2 ** 62:
         return replace(empty, undecided=(
@@ -342,15 +320,16 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None, *,
     bound = engine.shell_bound(lo_sq, hi_sq, state.last_index)
     b_up = BallReal.wrap(hi_sq).sqrt().refined_to(96).hi
     e_m = BallReal.wrap(3).sqrt().refined_to(96).hi * b_up * err_max
-    # one-time guard: every non-candidate point on any line clears the bound
-    guard_lhs = ((Fraction(2 * k_near - 1, 2) - FLOAT_SLOP)
-                 * Fraction(abs(m[kappa]), 2 ** M_BITS) - e_m)
+    # one-time guard: a* is exact, so every non-candidate point of a line
+    # has |a - N/d| >= k_near - 1/2 and |x.m| >= (k_near - 1/2) |m_kappa|
+    guard_lhs = (Fraction((2 * k_near - 1) * abs(m[kappa]), 2 ** (M_BITS + 1))
+                 - e_m)
     if guard_lhs < bound:
         return replace(empty, undecided=("slab_guard_margin",))
     t_int = math.ceil((bound + e_m) * 2 ** M_BITS)
 
     lines, candidates, fast, failing = _scan_lines(
-        0, b_int + 1, b_int, m, kappa, k_near, t_int, nsq_lo, nsq_hi)
+        m, kappa, k_near, t_int, nsq_lo, nsq_hi)
 
     violations: List[str] = []
     undecided: List[str] = []

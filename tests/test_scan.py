@@ -16,12 +16,12 @@ from gammacert.exact import IVec3
 from gammacert.planner import PsiSpec
 from gammacert.verifier import LowerBoundEngine
 from gammacert.scan import (
-    FLOAT_SLOP,
     M_BITS,
     _canonical,
     _direction_fixed_point,
     _first_hit,
     _quad_range,
+    _row_in_ball,
     _scan_lines,
 )
 
@@ -56,8 +56,21 @@ def test_default_bound_scans_capped_shell(toy_state, toy_scan):
         assert getattr(r, field) == getattr(toy_scan, field)
 
 
-def reference_scan_lines(t1_lo, t1_hi, b_int, m, kappa, k_near, t_int,
-                         nsq_lo, nsq_hi):
+def test_largest_command_shell_frozen_counts():
+    # verify --mode slab --toy --theta 1/2 scans the largest shell any
+    # command reaches today: norms up to 27,527 and about 130 times the toy
+    # shell's lines, too many for the per-line numpy reference in tier-1
+    state = build_run(dict(TOY, delta=F(1, 2), theta=F(1, 2)), toy=True)
+    r = slab_scan_iv(state, skipped_clauses=())
+    assert r.range_lo_sq == F(2 ** 38, 1451)
+    assert r.range_hi_sq == F(2 ** 40, 1451)
+    assert math.isqrt(math.floor(r.range_hi_sq)) == 27527
+    assert (r.lines, r.candidates) == (1190288743, 2662115959)
+    assert (r.fast_passed, r.slow_checked) == (2662115598, 361)
+    assert r.violations == () and r.undecided == () and r.positivity_failures == ()
+
+
+def reference_scan_lines(m, kappa, k_near, t_int, nsq_lo, nsq_hi):
     """Per-line numpy kernel: float64 rint selection of a*, one arange and
     mask per line, one pass per offset.  Inside the reach gate (|s| < 2^52)
     its selection is exact half-even rounding, so _scan_lines must return
@@ -65,9 +78,10 @@ def reference_scan_lines(t1_lo, t1_hi, b_int, m, kappa, k_near, t_int,
     o1, o2 = [c for c in range(3) if c != kappa]
     mk, m1, m2 = m[kappa], m[o1], m[o2]
     offs = list(range(-(k_near - 1), k_near))
+    b_int = math.isqrt(nsq_hi)
     lines = candidates = fast = 0
     failing = []
-    for t1 in range(t1_lo, t1_hi):
+    for t1 in range(b_int + 1):
         t2_lo = 0 if t1 == 0 else -b_int
         t2 = np.arange(t2_lo, b_int + 1, dtype=np.int64)
         t2 = t2[t1 * t1 + t2 * t2 <= nsq_hi]
@@ -116,7 +130,7 @@ def test_kernel_matches_reference_on_toy_shell(monkeypatch, toy_state, k_near):
     # same counts and the same failing points in the same order, at the
     # default k_near and with five candidates per line
     report, (args, got) = _recorded_toy_scan(monkeypatch, toy_state, k_near)
-    assert args[5] == k_near
+    assert args[2] == k_near
     assert got == reference_scan_lines(*args)
     assert (report.lines, report.slow_checked) == (9067865, 88)
     assert report.all_pass
@@ -125,9 +139,10 @@ def test_kernel_matches_reference_on_toy_shell(monkeypatch, toy_state, k_near):
 
 
 def _synthetic_cases():
-    """Small kernel inputs: every kappa, both signs of m[kappa], k_near 1-3,
-    and t_int tiny (most rows take the residual skip) or above |m_kappa|/2
-    (none can, so every row runs the exact test)."""
+    """Small whole-shell kernel inputs: every kappa, both signs of m[kappa],
+    k_near 1-3, and t_int tiny (few lines fail) or above |m_kappa|/2 (every
+    line does).  The inner radius is at least 1, as in every scan: the
+    origin has no canonical sign."""
     rng = random.Random(11)
     cases = []
     for kappa in (0, 1, 2):
@@ -137,14 +152,11 @@ def _synthetic_cases():
                 m = [rng.randrange(-abs(mk), abs(mk) + 1) for _ in range(3)]
                 m[kappa] = mk
                 nsq_hi = rng.randrange(40, 700)
-                b_int = math.isqrt(nsq_hi)
-                nsq_lo = rng.randrange(0, nsq_hi)
-                t1_lo = rng.choice([0, rng.randrange(0, b_int)])
-                t1_hi = rng.randrange(t1_lo + 1, b_int + 2)
+                nsq_lo = rng.randrange(1, nsq_hi)
                 for t_int in (rng.randrange(1, abs(mk) // 100 + 2),
                               rng.randrange(abs(mk) // 2 + 1, abs(mk) + 2)):
-                    cases.append((t1_lo, t1_hi, b_int, tuple(m), kappa,
-                                  k_near, t_int, nsq_lo, nsq_hi))
+                    cases.append((tuple(m), kappa, k_near, t_int, nsq_lo,
+                                  nsq_hi))
     return cases + _edge_cases()
 
 
@@ -161,7 +173,7 @@ def _edge_cases():
             for sign in (1, -1):
                 m = [m1, m2]
                 m.insert(kappa, sign * mk)
-                cases.append((0, 12, 11, tuple(m), kappa, 1 + j % 3,
+                cases.append((tuple(m), kappa, 1 + j % 3,
                               mk // 2 + 1 if sign > 0 else 1, 20, 130))
     return cases
 
@@ -179,8 +191,7 @@ def test_kernel_matches_reference_on_every_small_shell():
         for k_near in (1, 2):
             for nsq_lo in range(1, 60):
                 for nsq_hi in range(nsq_lo, nsq_lo + 60, 11):
-                    args = (0, math.isqrt(nsq_hi) + 1, math.isqrt(nsq_hi), m,
-                            0, k_near, 3, nsq_lo, nsq_hi)
+                    args = (m, 0, k_near, 3, nsq_lo, nsq_hi)
                     assert _scan_lines(*args) == reference_scan_lines(*args)
 
 
@@ -229,7 +240,7 @@ def test_kernel_work_is_independent_of_the_direction(monkeypatch, x0, kappa,
     # runs more than three per line at (1, 0, 0)
     state = build_run(dict(TOY, x0=IVec3(*x0)), toy=True)
     report, (args, got) = _recorded_toy_scan(monkeypatch, state, 2, b=None)
-    assert args[4] == kappa
+    assert args[1] == kappa
     assert got == reference_scan_lines(*args)
     assert (report.lines, report.candidates, report.slow_checked) == counts
     assert report.all_pass
@@ -265,6 +276,37 @@ def test_first_hit_matches_brute_force():
                     assert _first_hit(g, d, lo, hi) == want
 
 
+@pytest.mark.parametrize("d, g, m1", [
+    (4, 2, 2), (4, 0, 2), (4, 0, 3), (6, 3, -3), (8, 4, 1), (5, 2, -7),
+    (1000, 37, -3),
+])
+def test_row_in_ball_matches_brute_force(d, g, m1):
+    # every row of every shell up to norm^2 40, in both walking halves of
+    # the t1 = 0 row, against every ball from rest = -2 up to the row's
+    # own: g = 0, bands straddling a = 0 (small n0 + g u) and, for even d,
+    # exact half ties (n0 + g u an odd multiple of d/2)
+    qa = 4 * (g * g + d * d)
+    for k1 in (0, 1, 2):
+        e = (2 * k1 + 1) * d
+        for nsq in range(41):
+            for t1 in range(math.isqrt(nsq) + 1):
+                w = math.isqrt(nsq - t1 * t1)
+                n0 = t1 * m1
+                near = {u: round(F(n0 + g * u, d)) for u in range(-w, w + 1)}
+                for u0, u1 in ((-w, w), (0, w), (-w, 0)):
+                    covers = [u for u in range(u0, u1 + 1)
+                              if abs(2 * (n0 + g * u)) <= e]
+                    zero = (covers[0], covers[-1]) if covers else (1, 0)
+                    for rest in range(-2, nsq - t1 * t1 + 1):
+                        count, (lo, hi) = _row_in_ball(
+                            qa, g, d, n0, e, k1, zero, u0, u1, rest)
+                        hits = [u for u in range(u0, u1 + 1)
+                                for a in range(near[u] - k1, near[u] + k1 + 1)
+                                if u * u + a * a <= rest]
+                        assert count == len(hits)
+                        assert all(lo <= u <= hi for u in hits)
+
+
 # Past the reach gate a float64 selection can miss the nearest integer:
 # with K = 2^53, m_kappa = 2K and s = (2j+1) K + 1 (j even, |s| >= 2^53),
 # fl(s) drops the +1 and rint breaks the tie the wrong way, so the float
@@ -280,7 +322,7 @@ K53 = 2 ** 53
 def test_kernel_exact_when_selection_misses(kappa, sign):
     m = [-3 * K53 + 1, 4 * K53]
     m.insert(kappa, sign * 2 * K53)
-    args = (0, 11, 10, tuple(m), kappa, 2, K53, 1, 100)
+    args = (tuple(m), kappa, 2, K53, 1, 100)
     got = _scan_lines(*args)
     brute = {_canonical(*p) for p in itertools.product(range(-10, 11), repeat=3)
              if 1 <= sum(c * c for c in p) <= 100
@@ -300,8 +342,7 @@ def _threshold_ints(state, psi, lo_sq, hi_sq, k_near):
     b_up = BallReal.wrap(F(hi_sq)).sqrt().refined_to(96).hi
     e_m = BallReal.wrap(3).sqrt().refined_to(96).hi * b_up * err_max
     e_u = 2 * b_up * BallReal.wrap(F(enc.radius_sq_ub)).sqrt().refined_to(96).hi
-    guard = ((F(2 * k_near - 1, 2) - FLOAT_SLOP) * F(abs(m[kappa]), 2 ** M_BITS)
-             - e_m - e_u)
+    guard = F((2 * k_near - 1) * abs(m[kappa]), 2 ** (M_BITS + 1)) - e_m - e_u
     assert guard >= thr_up
     # the shared engine's shell bound is exactly the scan's threshold plus slack
     engine = LowerBoundEngine(state, 2, psi.at)
@@ -315,7 +356,7 @@ def test_line_enumeration_is_exhaustive(toy_state):
     lo_sq, hi_sq = 25, 225
     m, kappa, t_int = _threshold_ints(toy_state, toy_state.plan.psi,
                                       lo_sq, hi_sq, k_near=2)
-    _, _, _, failing = _scan_lines(0, 16, 15, m, kappa, 2, t_int, lo_sq, hi_sq)
+    _, _, _, failing = _scan_lines(m, kappa, 2, t_int, lo_sq, hi_sq)
 
     axis = np.arange(-15, 16, dtype=np.int64)
     X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
@@ -335,7 +376,7 @@ def test_slow_path_is_the_x1_ray(toy_state):
     lo_sq, hi_sq = 25, 225
     m, kappa, t_int = _threshold_ints(toy_state, toy_state.plan.psi,
                                       lo_sq, hi_sq, k_near=2)
-    _, _, _, failing = _scan_lines(0, 16, 15, m, kappa, 2, t_int, lo_sq, hi_sq)
+    _, _, _, failing = _scan_lines(m, kappa, 2, t_int, lo_sq, hi_sq)
     x1 = toy_state.plan.x1.as_tuple()
     expect = set()
     r = 1
@@ -393,6 +434,34 @@ def test_guard_margin_failure(toy_state):
     assert r.undecided == ("slab_guard_margin",)
     assert (r.lines, r.candidates) == (0, 0) and not r.below_threshold
     assert not r.all_pass
+
+
+def test_guard_holds_at_exact_equality(monkeypatch, toy_state):
+    # a* is exact, so the guard needs (k_near - 1/2) |m_kappa| / 2^M_BITS
+    # - e_m >= bound and nothing more: a bound equal to it scans (every
+    # candidate then falls below t_int and takes the slow path), one
+    # rational step above it does not
+    engine = LowerBoundEngine(toy_state, 2, toy_state.plan.psi.at)
+    m, kappa, err_max = _direction_fixed_point(
+        engine.encs[toy_state.last_index])
+    b = F(1202)  # C' = (2^28/186)^(1/2) is about 1201.3
+    b_up = BallReal.wrap(b * b).sqrt().refined_to(96).hi
+    e_m = BallReal.wrap(3).sqrt().refined_to(96).hi * b_up * err_max
+    edge = F(3 * abs(m[kappa]), 2 ** (M_BITS + 1)) - e_m
+    monkeypatch.setattr(LowerBoundEngine, "certify",
+                        lambda self, x, lattice, max_prec: (True, 64))
+    monkeypatch.setattr(LowerBoundEngine, "shell_bound",
+                        lambda self, lo_sq, hi_sq, i: edge)
+    r, (args, got) = _recorded_toy_scan(monkeypatch, toy_state, 2, b=b)
+    assert args[3] == math.ceil(3 * F(abs(m[kappa]), 2))
+    assert got == reference_scan_lines(*args)
+    assert r.undecided == () and r.all_pass
+    assert r.candidates == r.slow_checked > 0 and r.fast_passed == 0
+
+    monkeypatch.setattr(LowerBoundEngine, "shell_bound",
+                        lambda self, lo_sq, hi_sq, i: edge + F(1, 2 ** 200))
+    r = slab_scan_iv(toy_state, b, skipped_clauses=())
+    assert r.undecided == ("slab_guard_margin",) and r.lines == 0
 
 
 def test_shell_beyond_int64_reach_is_undecided(honest_state):
