@@ -12,7 +12,7 @@ coordinates, and on each line checks only the 2*K_near - 1 integer points
 nearest the plane x . u = 0: a one-time guard certificate shows every other
 point on the line clears t* outright.  The per-line test is exact integer
 arithmetic against the threshold of verifier.LowerBoundEngine; points that
-fail it take the engine's interval path against the true right side.
+fail it go to the engine's certify against the true right side.
 
 The kernel, _scan_lines, works per row of lines (fixed first free
 coordinate t1), not per line.  With d = |m_kappa| and N = -sign(m_kappa)
@@ -24,9 +24,10 @@ lines whose band lies wholly in it, counted 2*K_near - 1 each, and the
 lines the sphere cuts, which alone are counted point by point.  A point
 fails the threshold when N lies within t_int of a multiple of d, so the
 failing lines are the hits of a linear sequence modulo d, found one at a
-time by a Euclid-style descent.  A row costs its lines near the two
-spheres plus one descent per failing line, whatever the direction: about
-0.45 M Python steps for the 9.1 M lines of the toy shell.
+time by a Euclid-style descent over the lines that reach the shell.  A row
+costs its lines near the two spheres plus one descent per failing line,
+whatever the direction: about 0.45 M Python steps for the 9.1 M lines of
+the toy shell.
 
 Nothing is decided or selected in floating point.  The reach gate keeps
 |s| < 2^52, and there a float64 selection rint(-s/m_kappa), as in the tests'
@@ -111,10 +112,12 @@ def _quad_range(qa: int, qb: int, qc: int) -> Tuple[int, int]:
 
 def _row_in_ball(qa: int, g: int, d: int, n0: int, e: int, k1: int,
                  zero: Tuple[int, int], u0: int, u1: int, rest: int
-                 ) -> Tuple[int, Tuple[int, int]]:
+                 ) -> Tuple[int, Tuple[int, int], Tuple[int, int]]:
     """Count the candidates a of the lines u in [u0, u1] of one row of
-    _scan_lines with u^2 + a^2 <= rest, and return a u-range that holds
-    every line with such a candidate (lo > hi when there is none).
+    _scan_lines with u^2 + a^2 <= rest, and return a u-range `some` that
+    holds every line with such a candidate and a u-range `whole` of lines
+    each of whose candidates does.  whole lies in some, and an empty whole
+    has lo = hi + 1.
 
     Along the row N = n0 + g u, e = (2 k1 + 1) d and qa = 4 (g^2 + d^2).
     The band |a - N/d| <= k1 + 1/2 that holds a line's candidates lies
@@ -125,7 +128,7 @@ def _row_in_ball(qa: int, g: int, d: int, n0: int, e: int, k1: int,
     second, the lines the circle cuts, are counted point by point.
     """
     if rest < 0:
-        return 0, (1, 0)
+        return 0, (1, 0), (1, 0)
     c = 4 * d * d * rest
     edges = [_quad_range(qa, 4 * p * g, p * p - c)
              for p in (2 * n0 + e, 2 * n0 - e)]
@@ -144,7 +147,7 @@ def _row_in_ball(qa: int, g: int, d: int, n0: int, e: int, k1: int,
             a_s = _round_half_even(n0 + g * u, d)
             room = math.isqrt(rest - u * u)
             count += max(0, min(a_s + k1, room) - max(a_s - k1, -room) + 1)
-    return count, (s_lo, s_hi)
+    return count, (s_lo, s_hi), (w_lo, w_hi)
 
 
 def _first_hit(g: int, d: int, lo: int, hi: int) -> Optional[int]:
@@ -182,9 +185,11 @@ def _scan_lines(m: Tuple[int, int, int], kappa: int, k_near: int, t_int: int,
     minus those strictly inside the inner one, and _row_in_ball counts each
     from the band |a - N/d| <= k_near - 1/2 that holds them.  A failing
     point has N within t_int of a multiple of d, and N is linear in t2, so
-    the failing lines are found one at a time by _first_hit.  A row costs
-    its lines near the two spheres plus one descent per failing line,
-    whatever the direction of m.
+    the failing lines are found one at a time by _first_hit over the outer
+    ball's lines; a hit among the lines whose band lies wholly in the inner
+    ball, none of whose candidates is in the shell, skips past them all.  A
+    row costs its lines near the two spheres plus one descent per failing
+    line, whatever the direction of m.
     """
     o1, o2 = [c for c in range(3) if c != kappa]
     mk, m1, m2 = m[kappa], m[o1], m[o2]
@@ -210,21 +215,26 @@ def _scan_lines(m: Tuple[int, int, int], kappa: int, k_near: int, t_int: int,
         else:
             zero = (u0, u1) if abs(2 * n0) <= e else (1, 0)
         row_args = (qa, g, d, n0, e, k1, zero, u0, u1)
-        outer, (u, u_end) = _row_in_ball(*row_args, nsq_hi - t1 * t1)
-        candidates += outer - _row_in_ball(*row_args, nsq_lo - 1 - t1 * t1)[0]
+        outer, (s_lo, s_hi), _ = _row_in_ball(*row_args, nsq_hi - t1 * t1)
+        inner, _, (i_lo, i_hi) = _row_in_ball(*row_args, nsq_lo - 1 - t1 * t1)
+        candidates += outer - inner
         if t_int <= 0:
             continue
         # failing lines: (N + t_int - 1) mod d <= 2 t_int - 2
         row: List[Tuple[int, int, int]] = []
         win = 2 * t_int - 2
-        while u <= u_end:
+        u = s_lo
+        while u <= s_hi:
             b = (n0 + t_int - 1 + g * u) % d
             k = 0 if b <= win else _first_hit(g, d, d - b, d - b + win)
             if k is None:
                 break
             u += k
-            if u > u_end:
+            if u > s_hi:
                 break
+            if i_lo <= u <= i_hi:
+                u = i_hi + 1  # every candidate of these lines is inside C'
+                continue
             n = n0 + g * u
             a_s = _round_half_even(n, d)
             rest = t1 * t1 + u * u
@@ -283,9 +293,10 @@ def slab_scan_iv(state: ConstructionState, b: Optional[Rat] = None, *,
     integer points to the direction plane can fall under the certified
     threshold (guard certificate); each of those is tested exactly, and
     survivors of the integer test are re-certified against the true right
-    side with escalating anchors and precision.  A shell past the reach gate,
-    or a guard that does not certify, is reported as one undecided entry
-    naming the reason, and nothing is scanned.
+    side by the engine's certify: an exact pre-test, then escalating anchors
+    and precision for any point it does not pass.  A shell past the reach
+    gate, or a guard that does not certify, is reported as one undecided
+    entry naming the reason, and nothing is scanned.
     skipped_clauses names the size-threshold audit clauses the run fails,
     for disclosure; the scan's own certificates do not depend on them.
     """

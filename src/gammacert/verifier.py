@@ -265,19 +265,44 @@ def dist_vw_upper(x: IVec3, venc: DirectionEnclosure,
     return best
 
 
+PRETEST_BITS = 64  # bits the exact pre-test keeps of each side of its compare
+
+
+def _sqrt_up(num: int, den: int, s: int) -> int:
+    """The least integer r with r^2 >= 4^s num/den (num >= 0, den > 0), so
+    r >= 2^s sqrt(num/den)."""
+    n = -((-num << 2 * s) // den)
+    r = isqrt(n)
+    return r + (r * r < n)
+
+
+def _log2_est(num: int, den: int) -> int:
+    """log2(num/den) to within one, from bit lengths (num, den > 0)."""
+    return num.bit_length() - den.bit_length()
+
+
 class LowerBoundEngine:
     """The one certifier of |x.u| >= dist(x, {v,w}) / (w(||x||) ||x||^gamma).
 
     Built once per (state, window index i, weight w): w = X1^3 X_{i-1} for
     the coefficient boxes, w = psi for the slab scan.  It holds the anchor
     enclosures `encs`, the v/w enclosures and the anchor `order` (u_{i+1},
-    u_i, u_{i+2}, then outward).  shell_bound gives a rational t such that
-    every x with lo^2 <= ||x||^2 <= hi^2 and |x.u_j|/||u_j|| >= t satisfies
-    the bound: the upper bound of 1/(w(lo) lo^gamma) plus the slack
-    2 hi sqrt(radius_j), since |x.u| >= |x.u_j|/||u_j|| - 2 ||x|| dist(u_j, u).
-    This is sound because dist(x, {v,w}) <= 1 (proj_dist_sq never exceeds 1)
-    and w(t) t^gamma is nondecreasing in t.  certify is the interval path
-    for a point no threshold decides.
+    u_i, u_{i+2}, then outward).  The bound is checked in three tiers:
+
+      1. shell_bound gives a rational t such that every x with lo^2 <=
+         ||x||^2 <= hi^2 and |x.u_j|/||u_j|| >= t satisfies the bound: the
+         threshold, the upper bound of 1/(w(lo) lo^gamma), plus the slack
+         2 hi sqrt(radius_j), since |x.u| >= |x.u_j|/||u_j|| - 2 ||x||
+         dist(u_j, u).  This is sound because dist(x, {v,w}) <= 1
+         (proj_dist_sq never exceeds 1) and w(t) t^gamma is nondecreasing
+         in t.  The callers test whole shells against it in integers.
+      2. certify's exact pre-test passes one point in plain integers: the
+         threshold of its dyadic shell of ||x||^2, its own numerator
+         (dist(x, {v,w}) bounded from the exact squared distances on the
+         span lattice) and its own slack 2 ||x|| sqrt(radius_j), each
+         rounded up.
+      3. The interval path, for the points the pre-test does not pass: it
+         alone refutes a point or leaves it undecided.
     """
 
     def __init__(self, state: ConstructionState, i: int,
@@ -289,19 +314,81 @@ class LowerBoundEngine:
         self.venc, self.wenc = (enclose_vw(state, kind) for kind in "VW")
         self.weight = weight
         self.gamma = BallReal.golden()
+        self._thresholds: Dict[Rat, Rat] = {}
+
+    def threshold(self, lo_sq: Rat) -> Rat:
+        """The 128-bit upper bound of 1/(w(lo) lo^gamma), evaluated once
+        per lo_sq."""
+        got = self._thresholds.get(lo_sq)
+        if got is None:
+            lo = BallReal.wrap(lo_sq).sqrt()
+            got = self._thresholds[lo_sq] = (
+                1 / (self.weight(lo) * lo.pow(self.gamma))).refined_to(128).hi
+        return got
 
     def shell_bound(self, lo_sq: Rat, hi_sq: Rat, j: int) -> Rat:
         """Threshold on |x.u_j|/||u_j|| for lo_sq <= ||x||^2 <= hi_sq."""
-        lo = BallReal.wrap(lo_sq).sqrt()
-        thr = (1 / (self.weight(lo) * lo.pow(self.gamma))).refined_to(128).hi
         hi_up = BallReal.wrap(hi_sq).sqrt().refined_to(96).hi
-        return thr + 2 * hi_up * self.encs[j].radius.refined_to(96).hi
+        return self.threshold(lo_sq) + 2 * hi_up * self.encs[j].radius.refined_to(96).hi
 
     def certify(self, x: IVec3, lattice: bool,
                 max_prec: int) -> Tuple[Optional[bool], int]:
         """(True, prec) when an anchored lower bound on |x.u| clears the right
         side (numerator 1 off the span lattice, dist(x, {v,w}) on it), (False,
-        prec) when an anchored upper bound stays below it, else (None, prec)."""
+        prec) when an anchored upper bound stays below it, else (None, prec).
+
+        The exact pre-test answers first and only ever passes a point, with
+        prec 0; every other verdict comes from the interval path.
+        """
+        if self._pretest(x, lattice):
+            return True, 0
+        return self._certify_intervals(x, lattice, max_prec)
+
+    def _pretest(self, x: IVec3, lattice: bool) -> bool:
+        """True when |x.u_j| 2^(S+P) >= ceil(||u_j|| 2^P) (A + B_j) at some
+        anchor j, which puts |x.u_j|/||u_j|| - 2 ||x|| sqrt(radius_j) at or
+        above the right side.
+
+        T_e is the threshold at the floor 2^e of the dyadic shell of
+        ||x||^2, at least 1/(w(||x||) ||x||^gamma) since w(t) t^gamma is
+        nondecreasing.  D >= 2^S times the numerator: 2^S off the span
+        lattice, on it the least over v and w of ceil(2^S sqrt(|x^rep|^2 /
+        (||x||^2 ||rep||^2))) + ceil(2^S radius).  A = ceil(D T_e) and B_j =
+        ceil(2^(S+1) sqrt(||x||^2 radius_j)).  Every rounding lifts the right
+        side, so any S, P >= 0 is sound; they are chosen from bit lengths so
+        that D, A and ceil(||u_j|| 2^P) keep about PRETEST_BITS bits.
+        """
+        nsq = x.norm_sq()
+        t = self.threshold(Fraction(1 << (nsq.bit_length() - 1)))
+        terms = [(proj_dist_sq_terms(x, enc.rep), enc.radius_sq_ub)
+                 for enc in (self.venc, self.wenc)] if lattice else []
+        # log2 of the numerator to within one; an exact zero |x^rep|^2
+        # stands in as 1/(||x||^2 ||rep||^2), below the radius
+        log_num = min((max(_log2_est(r.numerator, r.denominator),
+                           _log2_est(c, n) if c else -n.bit_length()) // 2
+                       for (c, n), r in terms), default=0)
+        s = max(0, PRETEST_BITS - log_num
+                - min(0, _log2_est(t.numerator, t.denominator)))
+        d = min((_sqrt_up(c, n, s) + _sqrt_up(r.numerator, r.denominator, s)
+                 for (c, n), r in terms), default=1 << s)
+        a = -(-d * t.numerator // t.denominator)
+        for j in self.order:
+            enc = self.encs[j]
+            xu = abs(dot(x, enc.rep))
+            if xu == 0:
+                continue  # vacuous anchor, as on the interval path
+            rep_sq = enc.rep.norm_sq()
+            p = max(0, PRETEST_BITS - rep_sq.bit_length() // 2)
+            rsq = enc.radius_sq_ub
+            b = _sqrt_up(4 * nsq * rsq.numerator, rsq.denominator, s)
+            if xu << (s + p) >= _sqrt_up(rep_sq, 1, p) * (a + b):
+                return True
+        return False
+
+    def _certify_intervals(self, x: IVec3, lattice: bool,
+                           max_prec: int) -> Tuple[Optional[bool], int]:
+        """certify's interval path: anchored interval bounds, refined up to
+        max_prec, against the right side with dist_vw_upper's numerator."""
         nx = sqrt_int(x.norm_sq())
         num = dist_vw_upper(x, self.venc, self.wenc) if lattice else 1
         rhs = num / (self.weight(nx) * nx.pow(self.gamma))
@@ -336,7 +423,7 @@ def coeff_box_lemma3(state: ConstructionState, i: int, k_bound: int = 8,
       q == 0 (inside):   |x.u| >= dist(x, {v,w})/(X1^3 X_{i-1} ||x||^gamma)
     A point passes outright when |x.u_{i+1}| >= ceil(N t), N >= ||u_{i+1}||,
     t the engine's bound for the window's part of the dyadic shell of
-    ||x||^2; the rest take the engine's interval path.
+    ||x||^2; the rest go to the engine's certify.
     Valid anchor range needs the step-(i+1) pair, hence 2 <= i <= n_steps-1.
     """
     s = state.n_steps

@@ -446,6 +446,34 @@ def test_verify_all_runs_the_audit_once(tmp_path, monkeypatch):
     assert slab["skipped_clauses"] == TOY_AUDIT_FAILURES
 
 
+@pytest.mark.parametrize("argv, rc, counts", [
+    (["verify", "--mode", "all", "--K", "3"] + TOY_FLAGS, 1, (178, 0)),
+    (["verify", "--mode", "box", "--K", "3", "--theta", "2147483648"]
+     + HONEST_FLAGS, 0, (126, 0)),
+], ids=["toy-all", "honest-theta-2^31-box"])
+def test_survivors_stay_off_the_interval_path(tmp_path, monkeypatch, argv, rc,
+                                              counts):
+    # the points that fail the boxes' and the slab's integer thresholds
+    # reach the engine's certify, and its exact pre-test passes every one,
+    # so none is left to the mpmath interval path
+    engine = verifier.LowerBoundEngine
+    sent, interval = [], []
+    certify, intervals = engine.certify, engine._certify_intervals
+
+    def counted_certify(self, x, lattice, max_prec):
+        sent.append(x)
+        return certify(self, x, lattice, max_prec)
+
+    def counted_intervals(self, x, lattice, max_prec):
+        interval.append(x)
+        return intervals(self, x, lattice, max_prec)
+
+    monkeypatch.setattr(engine, "certify", counted_certify)
+    monkeypatch.setattr(engine, "_certify_intervals", counted_intervals)
+    assert run(argv, tmp_path) == rc
+    assert (len(sent), len(interval)) == counts
+
+
 def test_verify_slab_writes_identical_bytes(tmp_path):
     # no wall clock or other per-run value enters cert.json
     assert run(["verify", "--mode", "slab"] + TOY_FLAGS, tmp_path) == 0

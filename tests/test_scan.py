@@ -298,13 +298,19 @@ def test_row_in_ball_matches_brute_force(d, g, m1):
                               if abs(2 * (n0 + g * u)) <= e]
                     zero = (covers[0], covers[-1]) if covers else (1, 0)
                     for rest in range(-2, nsq - t1 * t1 + 1):
-                        count, (lo, hi) = _row_in_ball(
+                        count, (lo, hi), (w_lo, w_hi) = _row_in_ball(
                             qa, g, d, n0, e, k1, zero, u0, u1, rest)
                         hits = [u for u in range(u0, u1 + 1)
                                 for a in range(near[u] - k1, near[u] + k1 + 1)
                                 if u * u + a * a <= rest]
                         assert count == len(hits)
                         assert all(lo <= u <= hi for u in hits)
+                        # whole is a subrange of some, empty as lo = hi + 1,
+                        # whose lines have every candidate in the ball
+                        assert lo <= w_lo <= w_hi + 1 <= hi + 1 or (
+                            w_lo == w_hi + 1 and lo > hi)
+                        assert all(hits.count(u) == 2 * k1 + 1
+                                   for u in range(w_lo, w_hi + 1))
 
 
 # Past the reach gate a float64 selection can miss the nearest integer:

@@ -6,17 +6,19 @@ from itertools import product
 
 import pytest
 
-from conftest import run_table
+from conftest import TOY, build_run, run_table
 from gammacert import (
     DirectionEnclosure,
     InputError,
     make_plan,
     schedule_X,
+    verifier,
 )
-from gammacert.balls import DEFAULT_MAX_PREC, BallReal
-from gammacert.builder import build, enclose_u, enclose_vw
+from gammacert.balls import DEFAULT_MAX_PREC, BallReal, sqrt_int
+from gammacert.builder import build, enclose_u, enclose_vw, x_dot_u_lower
 from gammacert.exact import IVec3, det3, dot
 from gammacert.planner import PsiSpec, plan_clauses
+from gammacert.scan import slab_scan_iv
 from gammacert.serialize import canonical_bytes, report_body
 from gammacert.verifier import (
     BoxReport,
@@ -117,8 +119,8 @@ def _all_interval_box(state, i, k_bound):
     """coeff_box_lemma3 with every in-window point on the interval path.
 
     Returns the report, each in-window point's interval verdict and the
-    engine; this is the reference the box's exact threshold test is checked
-    against.
+    engine; this is the reference the box's exact threshold test and the
+    engine's exact pre-test are checked against.
     """
     xi_prev, xi, xi_next = state.xs[i - 1], state.xs[i], state.xs[i + 1]
     pn, qn = run_table(state).pair(state.step_outputs[i - 1].n)
@@ -144,7 +146,7 @@ def _all_interval_box(state, i, k_bound):
         if not win_lo <= x.norm_sq() < win_hi:
             continue
         lattice += q == 0
-        ok, prec = engine.certify(x, q == 0, DEFAULT_MAX_PREC)
+        ok, prec = engine._certify_intervals(x, q == 0, DEFAULT_MAX_PREC)
         verdicts[x.as_tuple()] = ok
         if ok is False:
             violations.append(f"bound:{tag}")
@@ -167,11 +169,12 @@ SURVIVORS = {("toy_state", 2): 6, ("toy_state", 3): 42, ("toy_state", 4): 42,
 @pytest.mark.parametrize("state_name, i", sorted(SURVIVORS))
 def test_box_threshold_matches_interval_path(request, monkeypatch, state_name, i):
     state = request.getfixturevalue(state_name)
-    sent, shells = [], []
+    sent, pretest, shells = [], [], []
     certify, shell_bound = LowerBoundEngine.certify, LowerBoundEngine.shell_bound
 
     def recording_certify(self, x, lattice, max_prec):
         sent.append(x.as_tuple())
+        pretest.append(self._pretest(x, lattice))
         return certify(self, x, lattice, max_prec)
 
     def recording_shell_bound(self, lo_sq, hi_sq, j):
@@ -189,6 +192,10 @@ def test_box_threshold_matches_interval_path(request, monkeypatch, state_name, i
     assert len(passed) == got.in_window - len(sent)
     # every point the exact test passes is certified by the interval path too
     assert all(verdicts[x] is True for x in passed)
+    # the engine's pre-test passes every point sent to it, and the interval
+    # path certifies each of them
+    assert all(pretest)
+    assert all(verdicts[x] is True for x in sent)
     # each in-window point lies in a shell whose bound is at least the bound
     # of the point's own one-point shell
     for x in verdicts:
@@ -196,6 +203,128 @@ def test_box_threshold_matches_interval_path(request, monkeypatch, state_name, i
         own = engine.shell_bound(F(nsq), F(nsq), i + 1)
         mine = [t for lo, hi, j, t in shells if lo <= nsq <= hi and j == i + 1]
         assert mine and min(mine) >= own
+
+
+def _sent_to_certify(monkeypatch, run):
+    """(engine, x, lattice) of every point run() sends to certify."""
+    sent = []
+    certify = LowerBoundEngine.certify
+
+    def recording(self, x, lattice, max_prec):
+        sent.append((self, x, lattice))
+        return certify(self, x, lattice, max_prec)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LowerBoundEngine, "certify", recording)
+        run()
+    return sent
+
+
+def _toy_slab_at(x0):
+    state = build_run(dict(TOY, x0=IVec3(*x0)), toy=True)
+    return slab_scan_iv(state, skipped_clauses=())
+
+
+# runs whose survivors of the integer threshold tests reach certify, with
+# their count; the boxes at K = 3 are checked in
+# test_box_threshold_matches_interval_path
+SURVIVOR_RUNS = {
+    "toy-box-K8": (lambda st: [coeff_box_lemma3(st, i, 8) for i in (2, 3, 4)], 560),
+    "toy-slab-x0=0,0,1": (lambda st: slab_scan_iv(st, skipped_clauses=()), 88),
+    "toy-slab-x0=1,1,1": (lambda st: _toy_slab_at((1, 1, 1)), 134),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURVIVOR_RUNS))
+def test_pretest_passes_only_interval_certified_points(monkeypatch, toy_state,
+                                                       name):
+    run, count = SURVIVOR_RUNS[name]
+    sent = _sent_to_certify(monkeypatch, lambda: run(toy_state))
+    assert len(sent) == count
+    for engine, x, lattice in sent:
+        assert engine._pretest(x, lattice)
+        assert engine._certify_intervals(x, lattice, DEFAULT_MAX_PREC)[0] is True
+
+
+def _weight_for(x, num, rhs):
+    """A constant weight that puts the right side num / (w ||x||^gamma) of
+    the point x at rhs."""
+    w = num / (rhs * sqrt_int(x.norm_sq()).pow(BallReal.golden()))
+    return lambda t: w
+
+
+def test_pretest_declines_points_the_interval_path_refutes(monkeypatch,
+                                                          toy_state):
+    # a weight that lifts each survivor's right side just above the least
+    # anchored upper bound on |x.u|, so the interval path refutes the point
+    sent = _sent_to_certify(
+        monkeypatch, lambda: coeff_box_lemma3(toy_state, 3, k_bound=3))
+    assert len(sent) == 42 and any(lattice for _, _, lattice in sent)
+    for engine, x, lattice in sent:
+        upper = min(
+            (BallReal.wrap(F(abs(dot(x, enc.rep)))) / enc.rep_norm
+             + 2 * sqrt_int(x.norm_sq()) * enc.radius).refined_to(128).hi
+            for enc in engine.encs.values())
+        num = dist_vw_upper(x, engine.venc, engine.wenc) if lattice else 1
+        weight = _weight_for(x, num, upper * (1 + F(1, 2 ** 20)))
+        refuting = LowerBoundEngine(toy_state, 3, weight)
+        assert refuting._certify_intervals(x, lattice, DEFAULT_MAX_PREC)[0] is False
+        assert not refuting._pretest(x, lattice)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_pretest_declines_points_orthogonal_to_every_anchor(toy_state, m):
+    # x_m . u_m = x_m . u_{m+1} = 0, so with only those anchors no anchored
+    # lower bound on |x_m . u| is positive; a right side of twice the larger
+    # anchored upper bound 2 ||x_m|| radius_j has the interval path refute x_m
+    x = toy_state.xs[m]
+    upper = max((2 * sqrt_int(x.norm_sq()) * enclose_u(toy_state, j).radius
+                 ).refined_to(128).hi for j in (m, m + 1))
+    vw = [enclose_vw(toy_state, kind) for kind in "VW"]
+    for lattice in (False, True):
+        num = dist_vw_upper(x, *vw) if lattice else 1
+        engine = LowerBoundEngine(toy_state, 2, _weight_for(x, num, 2 * upper))
+        engine.order = [m, m + 1]
+        assert engine._certify_intervals(x, lattice, DEFAULT_MAX_PREC)[0] is False
+        assert not engine._pretest(x, lattice)
+
+
+def test_pretest_sound_at_every_working_precision(monkeypatch, toy_state):
+    # every term of the pre-test's right side is rounded up, so what it
+    # passes the interval path certifies at any working precision; with a
+    # few bits each rounding is coarse.  One anchor and v, w of radius 1/10
+    # make the slack and the numerator's radius count, ||x||^2 = 2^e makes
+    # the shell threshold that of ||x|| itself, and a constant weight puts
+    # the right side at f times the anchored lower bound L: just above L,
+    # where the interval path cannot certify the point, or below it
+    radius_sq = F(1, 100)
+    passed = set()
+    for rep, v_rep, w_rep in ((IVec3(2, -3, 5), IVec3(1, 1, 0), IVec3(0, 1, 2)),
+                              (IVec3(7, 1, -4), IVec3(3, -1, 1), IVec3(1, 5, 2))):
+        enc = DirectionEnclosure(rep, radius_sq)
+        venc = DirectionEnclosure(v_rep, radius_sq)
+        wenc = DirectionEnclosure(w_rep, radius_sq)
+        for k, (a, b, c) in product((1, 2, 4), ((1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                                (1, 1, 0), (1, -1, 0), (0, 1, 1),
+                                                (0, 1, -1), (1, 0, 1), (1, 0, -1))):
+            x = IVec3(k * a, k * b, k * c)
+            low = x_dot_u_lower(x, enc).refined_to(128).lo
+            if low <= 0:
+                continue
+            for lattice, f in product((False, True), (F(1, 2), 1 - F(1, 2 ** 30),
+                                                      1 + F(1, 2 ** 30))):
+                num = dist_vw_upper(x, venc, wenc) if lattice else 1
+                engine = LowerBoundEngine(toy_state, 2, _weight_for(x, num, f * low))
+                engine.encs, engine.order = {1: enc}, [1]
+                engine.venc, engine.wenc = venc, wenc
+                verdict = None
+                for bits in range(9):
+                    monkeypatch.setattr(verifier, "PRETEST_BITS", bits)
+                    if engine._pretest(x, lattice):
+                        passed.add(bits)
+                        verdict = verdict or engine._certify_intervals(x, lattice, 256)
+                        assert verdict[0] is True, (rep, x, lattice, f, bits)
+    assert passed == set(range(9))
 
 
 def test_coeff_box_index_bounds(toy_state):
