@@ -22,7 +22,7 @@ from gammacert import (
     slab_scan_iv,
     state_body,
 )
-from gammacert.builder import build, enclose_u
+from gammacert.builder import build
 from gammacert.exact import IVec3
 from gammacert.planner import PsiSpec
 from gammacert.verifier import (
@@ -89,7 +89,7 @@ def main() -> int:
     stage("property suites", props.all_pass, f"{len(props.suites)} suites")
 
     (a_lo, a_hi), (b_lo, b_hi) = export_alpha_beta(
-        enclose_u(state, state.last_index))
+        state.u_enclosures[state.last_index])
     stage("direction export", a_hi > a_lo and b_hi > b_lo,
           f"alpha ~ {float((a_lo + a_hi) / 2):.12f}, "
           f"beta ~ {float((b_lo + b_hi) / 2):.12f}")

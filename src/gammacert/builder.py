@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, sqrt_int, sqrt_ratio
 from .cf import ALPHA_PRESETS, ConvergentTable
@@ -126,6 +126,18 @@ class ConstructionState:
         if 1 <= j <= self.n_steps:
             return self.delta_ball(j)
         return self.delta_tail_ball(j)
+
+    # Each enclosure of a finished state is built once, on first read, and
+    # shared by every reader with its rep_norm and radius balls.
+    @cached_property
+    def u_enclosures(self) -> Dict[int, DirectionEnclosure]:
+        """enclose_u at every anchor 1..last_index."""
+        return {i: enclose_u(self, i) for i in range(1, self.last_index + 1)}
+
+    @cached_property
+    def vw_enclosures(self) -> Tuple[DirectionEnclosure, DirectionEnclosure]:
+        """enclose_vw of V and of W."""
+        return enclose_vw(self, "V"), enclose_vw(self, "W")
 
 
 def _u_term_sq(state: ConstructionState, i: int) -> BallReal:

@@ -3,10 +3,11 @@
 The target numbers have the form (a + b sqrt(d))/c and sit in (0, 1/2).
 Everything observable is certified exactly: the convergent rows (the
 unimodular cross identity, the alternating sign and approximation quality of
-each convergent, bounded denominator growth) by small-integer checks on the
-surd state of the continued fraction, see ConvergentTable, a cursor over two
-rows that walks to the first repeat of the surd state, proving the quotients
-periodic, jumps by powers of the period's matrix from there, and restarts
+each convergent, bounded denominator growth) follow from small-integer
+checks made once per walk of the surd stream, see ConvergentTable, a cursor
+over two rows that walks the quotients from alpha to the first repeat of the
+surd state, proving them periodic, derives every row from them by one
+stepping routine that jumps by powers of the period's matrix, and restarts
 from alpha to go back; the badly approximable lower bound
 |q*alpha - p| >= 1/(C1 |q|) by one exact sign computation in Q(sqrt d) per
 convergent block; and the cross gap |q p_n - p q_n| >= q_n/(2 C1 |q|) by
@@ -139,8 +140,8 @@ class _SurdQuotients:
         return ak
 
 
-# no move takes the cursor past this row, whether it walks or jumps; the
-# cursor holds two rows, so this bounds how far a move reaches, not memory
+# no move takes the cursor past this row, and no walk reads more quotients;
+# the cursor holds two rows, so this bounds how far a move reaches, not memory
 _MAX_TABLE_ROWS = 10 ** 7
 
 Mat = Tuple[int, int, int, int]  # 2x2 integer matrix, row-major
@@ -162,36 +163,40 @@ class ConvergentTable:
     steps. As matrices,
     [[p_n, p_{n+1}], [q_n, q_{n+1}]] = [[p_{n-1}, p_n], [q_{n-1}, q_n]] [[0, 1], [1, a_n]].
 
-    After each (re)start the cursor walks the surd stream row by row until
-    its state (P, Q) equals its state at an earlier row i. (P, Q) determines
-    x and so every later quotient, hence that exact equality proves
-    a_{k+L} = a_k for all k >= i, with L the rows walked since row i.
-    Lagrange's theorem makes every quadratic irrational eventually periodic,
-    so the walk is pre-period + period rows long (one row on both presets).
-    Every later move multiplies the two rows by the period's matrix product:
-    repeated squaring as a binary descent on the target row (extend_to) or
-    on the exact bound (extend_to_cover), plus at most a period of single
-    rows at each end. Asking for a row before n-1 restarts the stream from
-    alpha and walks again. Checked exactly:
+    Each (re)start walks the surd stream from alpha, building no row, until
+    its state (P, Q) before some a_k equals its state before an earlier a_i.
+    (P, Q) determines x and so every later quotient, hence that exact
+    equality proves a_{m+L} = a_m for all m >= i, with L = k - i. Lagrange's
+    theorem makes every quadratic irrational eventually periodic, so the
+    walk reads pre-period + period quotients (one on both presets). Every
+    move then goes through _advance: a single row takes a_n from the walk
+    before the period and from the period after it, and whole periods go
+    by repeated squaring of the period's matrix product, as a binary
+    descent on the target row (extend_to) or on the exact bound
+    (extend_to_cover). Asking for a row before n-1 restarts.
 
-    - at each (re)start: alpha lies in (0, 1/2), the surd stream starts at
-      alpha, its first quotient (the integer part) is 0, the radicand is not
-      a square, and the cross identity q_1 p_2 - p_1 q_2 = 1 holds;
+    Checked exactly, once per (re)start:
+
+    - alpha lies in (0, 1/2), the surd stream starts at alpha, its first
+      quotient (the integer part) is 0, and the radicand is not a square;
     - per step of the surd stream: Q | D - P'^2, so each x is exactly
       1/(previous x - its floor) and each a is exactly that floor;
-    - per walked row: a >= 1 (cf_partial_quotient), 0 <= p_{n+1} <= q_{n+1}
-      (cf_range), and q_n < q_{n+1} <= C1 q_n (cf_growth);
-    - once per period: a_max + 1 <= C1 (cf_growth).
+    - every walked quotient has a >= 1 (cf_partial_quotient);
+    - a_max + 1 <= C1 over every walked quotient, pre-period included
+      (cf_growth).
 
-    Derived from those checks, with no big-number product per row:
+    Derived from those checks for every row, with no check per row (every
+    a_n is a walked quotient, so a_n >= 1 and a_n + 1 <= C1):
 
-    - Rows past the walk: every period quotient is a walked row's, so
-      a >= 1. For n >= 2, q_{n-1} >= 1, so q_{n+1} = a q_n + q_{n-1} > q_n,
-      and q_{n+1} <= (a + 1) q_n <= C1 q_n. 0 <= p <= q holds by induction,
-      p_{n+1} = a p_n + p_{n-1} <= a q_n + q_{n-1} = q_{n+1}.
-    - Cross identity q_n p_{n+1} - p_n q_{n+1} = (-1)^(n+1): substituting the
-      recurrence gives q_n p_{n+1} - p_n q_{n+1} = -(q_{n-1} p_n - p_{n-1} q_n),
-      so the checked row-1 value propagates.
+    - Growth: a_1 = floor(1/alpha) >= 2 as alpha < 1/2, so q_1 = 1 < a_1 = q_2.
+      For n >= 2, q_{n-1} >= 1, so q_{n+1} = a q_n + q_{n-1} > q_n. As
+      q_{n-1} <= q_n for n >= 1, q_{n+1} <= (a + 1) q_n <= C1 q_n.
+    - Range: rows 1 and 2 are (0, 1) and (1, a_1), and for n >= 2
+      p_{n+1} = a p_n + p_{n-1} <= a q_n + q_{n-1} = q_{n+1}, so
+      0 <= p_n <= q_n for n >= 1.
+    - Cross identity q_n p_{n+1} - p_n q_{n+1} = (-1)^(n+1): at n = 1 it
+      reads 1*1 - 0*a_1 = 1, and substituting the recurrence gives
+      q_n p_{n+1} - p_n q_{n+1} = -(q_{n-1} p_n - p_{n-1} q_n).
     - alpha = (x p_n + p_{n-1})/(x q_n + q_{n-1}) with x the complete
       quotient above, by induction from alpha = 1/x at n = 1 (a_0 = 0) and
       x_prev = a + 1/x. Hence, by the cross identity,
@@ -203,7 +208,9 @@ class ConvergentTable:
 
     tests/test_cf.py re-checks these derived facts with exact arithmetic in
     Q(sqrt d) up to n = 2000, and the rows against the plain recurrence up to
-    n = 20,000, on both presets and on two numbers of period 2.
+    n = 20,000, on both presets, on two numbers of period 2, on one whose
+    largest quotient lies before its period and on one whose pre-period is
+    longer than its period.
     """
 
     def __init__(self, spec: AlphaSpec, c1: Optional[Fraction] = None):
@@ -213,21 +220,34 @@ class ConvergentTable:
         self._restart()
 
     def _restart(self) -> None:
-        """Back to n = 1, with the surd stream at alpha and no period known."""
+        """Back to n = 1, with the quotients walked and proven afresh from alpha."""
         if self.alpha.sign() <= 0 or (self.alpha - Fraction(1, 2)).sign() >= 0:
             raise InputError("alpha must lie in (0, 1/2)")
-        self._stream = st = _SurdQuotients(self.spec)
+        st = _SurdQuotients(self.spec)
         if (Fraction(st.P, st.Q) != self.alpha.p
                 or Fraction(st.D, st.Q * st.Q) != self.alpha.q ** 2 * self.spec.d
                 or (st.Q > 0) != (self.alpha.q > 0)):
             raise CertificateFailure("cf_surd_start", f"{self.spec.name}")
         if st.next() != 0:
             raise InputError("alpha must have zero integer part")
+        walked: List[int] = []  # a_1, a_2, ... up to the repeat
+        seen: Dict[Tuple[int, int], int] = {}  # state before a_k -> k
+        while (st.P, st.Q) not in seen:
+            seen[st.P, st.Q] = len(walked) + 1
+            if len(walked) >= _MAX_TABLE_ROWS:
+                raise InputError("convergent table exhausted")
+            a = st.next()
+            if a < 1:
+                raise CertificateFailure("cf_partial_quotient", f"a_{len(walked) + 1}={a}")
+            walked.append(a)
+        if (max(walked) + 1) * self.c1.denominator > self.c1.numerator:
+            raise CertificateFailure("cf_growth", f"a_max + 1 > C1 over a_1.. = {walked}")
+        i = seen[st.P, st.Q]  # the period is a_i .. a_{len(walked)}
+        product = (1, 0, 0, 1)
+        for a in walked[i - 1:]:
+            product = _mul(product, (0, 1, 1, a))
         self._n, self.p, self.q = 1, [1, 0], [0, 1]  # p, q hold rows n-1 and n
-        self._walked: List[int] = []  # a_1, a_2, ... up to the repeat
-        self._seen: Dict[Tuple[int, int], int] = {(st.P, st.Q): 1}  # state at row n
-        # (i, (a_i, ..., a_{i+L-1}), product of their row matrices), once proven
-        self._period: Optional[Tuple[int, Tuple[int, ...], Mat]] = None
+        self._walked, self._i, self._product = tuple(walked), i, product
 
     def __len__(self) -> int:
         return self._n
@@ -239,49 +259,16 @@ class ConvergentTable:
         """Move forward until the current denominator q_n strictly exceeds `bound`."""
         self._advance(lambda k, q_prev: q_prev <= bound)
 
-    def _append_row(self) -> None:
-        n = self._n  # certify row n+1 against row n
-        if n >= _MAX_TABLE_ROWS:
-            raise InputError("convergent table exhausted")
-        st = self._stream
-        ak = st.next()
-        if ak < 1:
-            raise CertificateFailure("cf_partial_quotient", f"row {n + 1}: a={ak}")
-        (pm, pn), (qm, qn) = self.p, self.q
-        pn1, qn1 = ak * pn + pm, ak * qn + qm
-        if not (0 <= pn1 <= qn1):
-            raise CertificateFailure("cf_range", f"row {n + 1}")
-        if n == 1 and qn * pn1 - pn * qn1 != 1:
-            raise CertificateFailure("cf_cross_identity", "row 1")
-        if not (qn < qn1 and qn1 * self.c1.denominator <= self.c1.numerator * qn):
-            raise CertificateFailure("cf_growth", f"row {n}: q={qn}->{qn1}")
-        self._n, self.p, self.q = n + 1, [pn, pn1], [qn, qn1]
-        self._walked.append(ak)
-        i = self._seen.setdefault((st.P, st.Q), n + 1)
-        if i <= n:  # the state at row n+1 is the state at row i
-            period = tuple(self._walked[i - 1:])
-            if (max(period) + 1) * self.c1.denominator > self.c1.numerator:
-                raise CertificateFailure("cf_growth", f"period {period}: a_max + 1 > C1")
-            product = (1, 0, 0, 1)
-            for a in period:
-                product = _mul(product, (0, 1, 1, a))
-            self._period = (i, period, product)
-
     def _advance(self, may_reach: Callable[[int, int], bool]) -> None:
         """Move forward to the last row k with may_reach(k, q_{k-1}).
 
-        may_reach must hold up to some row and fail after it. Until the
-        period is known the cursor walks; then it steps to a period boundary,
-        takes the most whole periods that fit by a binary descent over
-        (period product)^(2^j), and steps the rest. A move past
-        _MAX_TABLE_ROWS raises before the cursor leaves its row.
+        may_reach must hold up to some row and fail after it. The cursor
+        steps to a period boundary, takes the most whole periods that fit by
+        a binary descent over (period product)^(2^j), and steps the rest. A
+        move past _MAX_TABLE_ROWS raises before the cursor leaves its row.
         """
-        while self._period is None:
-            if not may_reach(self._n + 1, self.q[1]):
-                return
-            self._append_row()
-        i, period, product = self._period
-        span = len(period)
+        walked, i, product = self._walked, self._i, self._product
+        span = len(walked) - i + 1
         at, rows = self._n, (*self.p, *self.q)
 
         def fits(k: int, q_prev: int) -> bool:
@@ -291,12 +278,16 @@ class ConvergentTable:
                 raise InputError("convergent table exhausted")
             return True
 
-        def step(at: int, rows: Mat) -> Mat:  # rows at, at+1 from rows at-1, at
-            return _mul(rows, (0, 1, 1, period[(at - i) % span]))
+        def on_boundary(at: int) -> bool:  # whole periods may start at row at
+            return at >= i and (at - i) % span == 0
 
-        while (at - i) % span and fits(at + 1, rows[3]):
+        def step(at: int, rows: Mat) -> Mat:  # rows at, at+1 from rows at-1, at
+            a = walked[at - 1] if at < i else walked[i - 1 + (at - i) % span]
+            return _mul(rows, (0, 1, 1, a))
+
+        while not on_boundary(at) and fits(at + 1, rows[3]):
             at, rows = at + 1, step(at, rows)
-        if (at - i) % span == 0:
+        if on_boundary(at):
             powers = [product]  # product^(2^j), while 2^j periods fit
             while fits(at + (span << (len(powers) - 1)),
                        rows[2] * powers[-1][0] + rows[3] * powers[-1][2]):
@@ -305,8 +296,8 @@ class ConvergentTable:
                 m = powers[j]
                 if fits(at + (span << j), rows[2] * m[0] + rows[3] * m[2]):
                     at, rows = at + (span << j), _mul(rows, m)
-            while fits(at + 1, rows[3]):
-                at, rows = at + 1, step(at, rows)
+        while fits(at + 1, rows[3]):
+            at, rows = at + 1, step(at, rows)
         self._n, self.p, self.q = at, [rows[0], rows[1]], [rows[2], rows[3]]
 
     def pair(self, n: int) -> Tuple[int, int]:
@@ -388,9 +379,9 @@ def convergent_gap_check(table: ConvergentTable, n: int) -> GapReport:
     """Certify |q p_n - p q_n| >= q_n/(2 C1 |q|) for 1 <= |q| < q_n, all p.
 
     For fixed q the inner minimum over p is the distance from q p_n to the
-    nearest multiple of q_n, computed by one modular reduction; the
-    minimizing p lies within |p| <= q_n and its neighbors only increase the
-    value (checked). Negative q follows by symmetry (p -> -p).
+    nearest multiple of q_n, min(m, q_n - m) with m = q p_n mod q_n: one
+    modular reduction, exact for every p at once. Negative q follows by
+    symmetry (p -> -p).
     """
     pn, qn = table.pair(n)
     c1 = table.c1
@@ -400,12 +391,6 @@ def convergent_gap_check(table: ConvergentTable, n: int) -> GapReport:
         best = min(m, qn - m)
         if best == 0:
             raise CertificateFailure("gap_degenerate", f"n={n}, q={q}")
-        # monotonicity witness at the minimizing p and its neighbors
-        p_star = (q * pn - best) // qn if m <= qn - m else (q * pn + best) // qn
-        if not (abs(q * pn - p_star * qn) == best and abs(p_star) <= qn
-                and abs(q * pn - (p_star - 1) * qn) >= best
-                and abs(q * pn - (p_star + 1) * qn) >= best):
-            raise CertificateFailure("gap_witness", f"n={n}, q={q}, p={p_star}")
         if 2 * c1.numerator * q * best < c1.denominator * qn:
             raise CertificateFailure("gap_bound", f"n={n}, q={q}")
         if min_qbest is None or q * best < min_qbest:

@@ -153,6 +153,12 @@ def solve_dot_one(c: IVec3) -> IVec3:
     return IVec3(u * w, v * w, t)
 
 
+def nearest_int(num: int, den: int) -> int:
+    """Nearest integer to num/den (den > 0); a half-integer tie goes toward zero."""
+    q = (2 * abs(num) + den - 1) // (2 * den)
+    return q if num >= 0 else -q
+
+
 def _gauss_reduce(a: IVec3, b: IVec3) -> Tuple[IVec3, IVec3]:
     """Lagrange-reduce the planar lattice basis (a, b) inside Z^3.
 
@@ -162,13 +168,7 @@ def _gauss_reduce(a: IVec3, b: IVec3) -> Tuple[IVec3, IVec3]:
     if a.norm_sq() > b.norm_sq():
         a, b = b, a
     while True:
-        # nearest integer to (a.b)/(a.a), ties toward zero for determinism
-        num, den = a.dot(b), a.norm_sq()
-        if num >= 0:
-            q = (2 * num + den - 1) // (2 * den)
-        else:
-            q = -((2 * -num + den - 1) // (2 * den))
-        b2 = b - q * a
+        b2 = b - nearest_int(a.dot(b), a.norm_sq()) * a
         if b2.norm_sq() >= a.norm_sq():
             return a, b2
         a, b = b2, a
@@ -195,8 +195,8 @@ def complete_to_basis(a: IVec3, b: IVec3) -> IVec3:
     g11, g12, g22 = ra.norm_sq(), ra.dot(rb), rb.norm_sq()
     det = g11 * g22 - g12 * g12
     t1, t2 = ra.dot(z0), rb.dot(z0)
-    m0 = round(Fraction(-(g22 * t1 - g12 * t2), det))
-    n0 = round(Fraction(-(g11 * t2 - g12 * t1), det))
+    m0 = nearest_int(g12 * t2 - g22 * t1, det)
+    n0 = nearest_int(g12 * t1 - g11 * t2, det)
     z1 = z0 + m0 * ra + n0 * rb
     # |z1 + m ra + n rb|^2 - |z1|^2, from s1 = 2 z1.ra, s2 = 2 z1.rb
     s1, s2 = 2 * ra.dot(z1), 2 * rb.dot(z1)

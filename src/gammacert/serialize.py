@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, Optional
 
 from .balls import BallReal, ball_payload, sqrt_int
-from .builder import ConstructionState, enclose_u
+from .builder import ConstructionState
 from .errors import InputError
 from .exact import IVec3
 from .planner import Plan, Schedule
@@ -133,7 +133,7 @@ def state_body(state: ConstructionState) -> dict:
         if i >= 1:
             entry["delta_up"] = _enc(state.delta_upper(i))
         if i + 1 <= state.last_index:
-            enc_u = enclose_u(state, i + 1)
+            enc_u = state.u_enclosures[i + 1]
             entry["xu_up"] = _enc(2 * sqrt_int(state.xs[i].norm_sq()) * enc_u.radius)
         series.append(entry)
     return {

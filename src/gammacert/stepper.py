@@ -25,6 +25,7 @@ from .exact import (
     dot,
     is_primitive_pair,
     is_primitive_point,
+    nearest_int,
     proj_dist_sq_terms,
 )
 
@@ -116,17 +117,6 @@ def decompose_in_basis(y0: IVec3, x_star: IVec3, x: IVec3) -> Tuple[Rat, Rat]:
     return Fraction(b1 * g22 - b2 * g12, det), Fraction(b2 * g11 - b1 * g12, det)
 
 
-def _nearest_int(v: Rat) -> int:
-    """Nearest integer; a half-integer tie resolves to the smaller |result|."""
-    f = v.numerator // v.denominator
-    frac = v - f
-    if frac > Fraction(1, 2):
-        return f + 1
-    if frac < Fraction(1, 2):
-        return f
-    return f if abs(f) < abs(f + 1) else f + 1
-
-
 def recursive_step(x_star: IVec3, x: IVec3, Y_spec: YSpec, X_prime: int,
                    table: ConvergentTable, max_prec: int = DEFAULT_MAX_PREC
                    ) -> Tuple[StepOutput, StepCertificate]:
@@ -176,7 +166,7 @@ def recursive_step(x_star: IVec3, x: IVec3, Y_spec: YSpec, X_prime: int,
     T = BallReal.wrap(2 * X_prime) / Y
     n = locate_n(T, table, max_prec)
     pn, qn = table.pair(n)
-    m = _nearest_int(-s * qn)  # |s q_n + m| <= 1/2
+    m = nearest_int(-s.numerator * qn, s.denominator)  # |s q_n + m| <= 1/2
 
     # (5) assemble
     y = y0 + ell * x + a * x_star

@@ -36,8 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .balls import (BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, cert_le, sqrt_int,
                     sqrt_ratio)
-from .builder import (ConstructionState, DirectionEnclosure, enclose_u,
-                      enclose_vw, x_dot_u_lower)
+from .builder import ConstructionState, DirectionEnclosure, x_dot_u_lower
 from .cf import ALPHA_PRESETS, ConvergentTable, convergent_gap_check
 from .errors import CertificateFailure, InputError
 from .exact import (IVec3, complete_to_basis, cross, det3, dot, floor_log2,
@@ -212,7 +211,7 @@ def check_condition_iii(state: ConstructionState,
         else:
             failures.append(f"witness_norm_m{m}:{tag}")
         if m not in anchors:
-            anchors[m] = (enclose_u(state, m + 1).radius_sq_ub,
+            anchors[m] = (state.u_enclosures[m + 1].radius_sq_ub,
                           state.delta_upper(m + 1) ** 2)
         radius_sq, delta_sq = anchors[m]
         rhs_sq = BallReal.wrap(c * c) / BallReal.wrap(x_sq).pow(gamma_plus_1)
@@ -285,8 +284,9 @@ class LowerBoundEngine:
     """The one certifier of |x.u| >= dist(x, {v,w}) / (w(||x||) ||x||^gamma).
 
     Built once per (state, window index i, weight w): w = X1^3 X_{i-1} for
-    the coefficient boxes, w = psi for the slab scan.  It holds the anchor
-    enclosures `encs`, the v/w enclosures and the anchor `order` (u_{i+1},
+    the coefficient boxes, w = psi for the slab scan.  It reads the anchor
+    enclosures `encs` and the v/w enclosures from the state, which builds
+    each once for all its engines, and holds the anchor `order` (u_{i+1},
     u_i, u_{i+2}, then outward).  The bound is checked in three tiers:
 
       1. shell_bound gives a rational t such that every x with lo^2 <=
@@ -308,10 +308,10 @@ class LowerBoundEngine:
     def __init__(self, state: ConstructionState, i: int,
                  weight: Callable[[BallReal], BallReal]):
         last = state.last_index
-        self.encs = {j: enclose_u(state, j) for j in range(1, last + 1)}
+        self.encs = state.u_enclosures
         pref = [j for j in (i + 1, i, i + 2) if 1 <= j <= last]
         self.order = pref + [j for j in range(last, 0, -1) if j not in pref]
-        self.venc, self.wenc = (enclose_vw(state, kind) for kind in "VW")
+        self.venc, self.wenc = state.vw_enclosures
         self.weight = weight
         self.gamma = BallReal.golden()
         self._thresholds: Dict[Rat, Rat] = {}

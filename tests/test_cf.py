@@ -28,12 +28,18 @@ from conftest import run_table
 
 
 # both presets have period 1; sqrt(2)/4 = [0; 2, (1, 4)] and
-# (sqrt(3) - 1)/2 = [0; (2, 1)] have period 2, the first after a pre-period
+# (sqrt(3) - 1)/2 = [0; (2, 1)] have period 2, the first after a pre-period;
+# (2 + sqrt(2))/7 = [0; 2, 19, (1, 8, 1, 18)] has its largest quotient
+# before its period, and (4 + sqrt(2))/14 = [0; 2, 1, 1, (2)] a pre-period
+# longer than its period
 SPECS = {**ALPHA_PRESETS,
          "sqrt2/4": AlphaSpec("sqrt2/4", 0, 1, 4, 2, 5),
-         "sqrt3m1/2": AlphaSpec("sqrt3m1/2", -1, 1, 2, 3, 3)}
+         "sqrt3m1/2": AlphaSpec("sqrt3m1/2", -1, 1, 2, 3, 3),
+         "(2+sqrt2)/7": AlphaSpec("(2+sqrt2)/7", 2, 1, 7, 2, 20),
+         "(4+sqrt2)/14": AlphaSpec("(4+sqrt2)/14", 4, 1, 14, 2, 3)}
 # (pre-period, period) of the quotients a_1, a_2, ...
-PERIODS = {"sqrt2m1": (0, 1), "sqrt5m2": (0, 1), "sqrt2/4": (1, 2), "sqrt3m1/2": (0, 2)}
+PERIODS = {"sqrt2m1": (0, 1), "sqrt5m2": (0, 1), "sqrt2/4": (1, 2), "sqrt3m1/2": (0, 2),
+           "(2+sqrt2)/7": (2, 4), "(4+sqrt2)/14": (3, 1)}
 
 
 def table(name="sqrt2m1", c1=None):
@@ -167,9 +173,14 @@ def test_bad_approx_brute_force_small_q(name, c1):
 
 
 def test_bad_approx_rejects_small_c1():
-    t = table(c1=F(2))
-    with pytest.raises(CertificateFailure):
-        certify_bad_approx(t, 100)
+    # C1 = 2 < a_max + 1 = 3 on sqrt2m1 fails when the table is built
+    with pytest.raises(CertificateFailure) as exc:
+        table(c1=F(2))
+    assert exc.value.clause == "cf_growth"
+    # sqrt2/4 builds at C1 = a_max + 1 = 5, but q_3 |q_3 alpha - p_3| < 1/5
+    with pytest.raises(CertificateFailure) as exc:
+        certify_bad_approx(table("sqrt2/4"), 100)
+    assert exc.value.clause == "bad_approx_block" and str(exc.value).endswith("n=3")
 
 
 def test_gap_certificate_to_12():
@@ -219,18 +230,20 @@ def test_cross_identity_property(n):
 
 
 def _exact_row_facts(t, n):
-    """Cross identity, sign and quality bracket of row n, by exact products in Q(sqrt d)."""
+    """Range, growth, cross identity, sign and quality bracket of row n, by
+    exact products in Q(sqrt d)."""
     pn, qn = t.pair(n)
     pm, qm = t.pair(n + 1)
     one = QF(F(1), F(0), t.alpha.d)
     aeps = t.eps(n) * ((-1) ** (n + 1))
-    return (qn * pm - pn * qm == (-1) ** (n + 1)
+    return (0 <= pn <= qn and qn < qm <= t.c1 * qn
+            and qn * pm - pn * qm == (-1) ** (n + 1)
             and aeps.sign() == 1
             and (aeps * qm - one).sign() < 0
             and (aeps * (qm + qn) - one).sign() > 0)
 
 
-@pytest.mark.parametrize("name", ["sqrt2m1", "sqrt5m2"])
+@pytest.mark.parametrize("name", sorted(SPECS))
 def test_derived_row_facts_match_exact_oracle(name):
     t = table(name)
     t.extend_to(2001)
@@ -336,62 +349,79 @@ def test_surd_rejects_square_radicand():
         _SurdQuotients(AlphaSpec("sq", 0, 1, 3, 4, 4))
 
 
-def test_corrupted_surd_state_fails():
-    # the stream is consulted until its state repeats: row 2 on sqrt2m1,
-    # row 4 on sqrt2/4
-    t = table()
-    t._stream.Q = 2  # x = (1 + sqrt 2)/2 has 2 not dividing D - P'^2
+_STREAM_NEXT = _SurdQuotients.next
+
+
+def _tamper_stream(monkeypatch, after, **state):
+    """Every surd stream sets `state` on itself after its step `after`."""
+
+    def tampered(stream):
+        a = _STREAM_NEXT(stream)
+        stream.steps = getattr(stream, "steps", 0) + 1
+        if stream.steps == after:
+            vars(stream).update(state)
+        return a
+
+    monkeypatch.setattr(_SurdQuotients, "next", tampered)
+
+
+def test_corrupted_surd_state_fails(monkeypatch):
+    # the table walks its stream until the state repeats, so a corrupted
+    # state fails when the table is built: after the integer part on
+    # sqrt2m1, after a_1 (inside the pre-period) on sqrt2/4
+    _tamper_stream(monkeypatch, 1, Q=2)  # x = (1 + sqrt 2)/2: 2 does not divide D - P'^2
     with pytest.raises(CertificateFailure) as exc:
-        t.extend_to(6)
+        table()
     assert exc.value.clause == "cf_surd_divisibility"
-    t = table()
-    t._stream = _SurdQuotients(t.spec)  # back at alpha: partial quotient 0
+    start = _SurdQuotients(SPECS["sqrt2m1"])
+    _tamper_stream(monkeypatch, 1, P=start.P, Q=start.Q)  # back at alpha: quotient 0
     with pytest.raises(CertificateFailure) as exc:
-        t.extend_to(6)
+        table()
     assert exc.value.clause == "cf_partial_quotient"
-    t = table("sqrt2/4")
-    t.extend_to(2)  # inside the walk: the period [1, 4] is not proven yet
-    t._stream.Q = 3
+    _tamper_stream(monkeypatch, 2, Q=3)
     with pytest.raises(CertificateFailure) as exc:
-        t.extend_to(6)
+        table("sqrt2/4")
     assert exc.value.clause == "cf_surd_divisibility"
-    # once the period is proven, later rows come from its quotients alone
-    t = table()
-    t.extend_to(5)
-    t._stream.Q = 2
-    assert t.pair(6) == tuple(r[6] for r in dense_rows(t.spec, 6))
+    # once the walk is proven, forward rows come from its quotients alone
+    monkeypatch.undo()
+    t, (p, q) = table("sqrt2/4"), dense_rows(SPECS["sqrt2/4"], 6)
+    monkeypatch.setattr(_SurdQuotients, "next", lambda stream: pytest.fail("stream read"))
+    assert [t.pair(n) for n in range(1, 7)] == list(zip(p[1:], q[1:]))
 
 
 def test_corrupted_period_quotients_fail(monkeypatch):
-    # quotients raised by 2 past the integer part: on sqrt2m1 row 2 still
-    # passes its own growth check (q_2 = 4 <= C1 q_1 = 4), and the period
-    # [4] fails a_max + 1 <= C1 before any row is derived from it
+    # quotients raised by 2 past the integer part: sqrt2m1's walk reads [4],
+    # which fails a_max + 1 <= C1 = 4 when the table is built, before any
+    # row is derived from it
     real_next = _SurdQuotients.next
     monkeypatch.setattr(_SurdQuotients, "next",
                         lambda st: (lambda a: a + 2 if a else a)(real_next(st)))
-    t = table()
     with pytest.raises(CertificateFailure) as exc:
-        t.extend_to(6)
-    assert exc.value.clause == "cf_growth" and "period" in str(exc.value)
-    assert len(t) == 2
-    # sqrt2/4's period [1, 4] read as [0, 4]: row 3 fails a >= 1
+        table()
+    assert exc.value.clause == "cf_growth" and "[4]" in str(exc.value)
+    # sqrt2/4's period [1, 4] read as [0, 4]: the walk fails a >= 1 at a_2
     monkeypatch.setattr(_SurdQuotients, "next",
                         lambda st: (lambda a: 0 if a == 1 else a)(real_next(st)))
-    t = table("sqrt2/4")
     with pytest.raises(CertificateFailure) as exc:
-        t.extend_to(6)
-    assert exc.value.clause == "cf_partial_quotient"
+        table("sqrt2/4")
+    assert exc.value.clause == "cf_partial_quotient" and "a_2=0" in str(exc.value)
 
 
 def test_period_growth_bound_is_certified():
-    # C1 = 9/2 on sqrt5m2 passes row 2 (q_2 = 4) but not a_max + 1 = 5;
-    # sqrt2/4's period [1, 4] meets C1 = 5 and fails C1 = 49/10
+    # C1 = 9/2 on sqrt5m2 fails a_max + 1 = 5 (row 2 alone, q_2 = 4 <= 9/2,
+    # would pass); sqrt2/4's period [1, 4] meets C1 = 5 and fails C1 = 49/10
     with pytest.raises(CertificateFailure) as exc:
         table("sqrt5m2", c1=F(9, 2)).extend_to(3)
     assert exc.value.clause == "cf_growth"
     table("sqrt2/4", c1=5).extend_to(100)
     with pytest.raises(CertificateFailure) as exc:
         table("sqrt2/4", c1=F(49, 10)).extend_to(100)
+    assert exc.value.clause == "cf_growth"
+    # (2 + sqrt 2)/7's a_2 = 19 lies before its period (1, 8, 1, 18): the
+    # check covers the pre-period, so C1 = 20 builds and C1 = 19 fails
+    table("(2+sqrt2)/7", c1=20).extend_to(100)
+    with pytest.raises(CertificateFailure) as exc:
+        table("(2+sqrt2)/7", c1=19)
     assert exc.value.clause == "cf_growth"
 
 
@@ -429,8 +459,9 @@ def test_locate_n_matches_linear_scan_enclosed(name, m, shift):
 
 
 def test_locate_n_row_cap(monkeypatch):
-    # no move, walk or jump, takes the cursor past the cap; one that would
-    # raises and leaves the cursor where it stood
+    # no move takes the cursor past the cap, and no walk reads more
+    # quotients than it; a move that would raises and leaves the cursor
+    # where it stood
     monkeypatch.setattr("gammacert.cf._MAX_TABLE_ROWS", 30)
     p, q = dense_rows(SPECS["sqrt2m1"], 30)
     t = table()
@@ -446,10 +477,32 @@ def test_locate_n_row_cap(monkeypatch):
     t.extend_to_cover(q[30] - 1)
     assert len(t) == 30 and t.pair(30) == (p[30], q[30])
     monkeypatch.setattr("gammacert.cf._MAX_TABLE_ROWS", 3)
-    t = table("sqrt2/4")
+    t = table("sqrt2/4")  # the walk reads a_1, a_2, a_3 = 2, 1, 4 and builds no row
     with pytest.raises(InputError):
-        t.extend_to(4)  # the walk reaches its repeat only at row 4
-    assert len(t) == 3
+        t.extend_to(4)
+    assert len(t) == 1 and (t.p, t.q) == ([1, 0], [0, 1])
+    monkeypatch.setattr("gammacert.cf._MAX_TABLE_ROWS", 2)
+    with pytest.raises(InputError):
+        table("sqrt2/4")  # its state repeats only after a_3
+
+
+@pytest.mark.parametrize("name", ["sqrt2/4", "(2+sqrt2)/7", "(4+sqrt2)/14"])
+def test_failed_move_leaves_the_cursor(monkeypatch, name):
+    # from every row, before, inside and past the first period, each kind of
+    # move past the cap raises with len(t), t.p and t.q unchanged
+    cap = 12
+    monkeypatch.setattr("gammacert.cf._MAX_TABLE_ROWS", cap)
+    p, q = dense_rows(SPECS[name], cap + 1)
+    t = table(name)
+    moves = (lambda: t.extend_to(cap + 1), lambda: t.extend_to(10 ** 6),
+             lambda: t.extend_to_cover(q[cap]), lambda: t.pair(cap + 1),
+             lambda: locate_n(q[cap], t), lambda: locate_n(10 ** 100, t))
+    for n in range(1, cap + 1):
+        t.extend_to(n)
+        for move in moves:
+            with pytest.raises(InputError):
+                move()
+            assert (len(t), t.p, t.q) == (n, p[n - 1:n + 1], q[n - 1:n + 1])
 
 
 def test_gap_certificate_survives_optimize():
@@ -459,7 +512,7 @@ def test_gap_certificate_survives_optimize():
         "assert not __debug__\n"
         "t = ConvergentTable(ALPHA_PRESETS['sqrt2m1'])\n"
         "pn, qn = t.pair(6)\n"
-        "t.p[1] = pn + 2 * qn * qn  # row 6 is slot 1: same residues mod q_6, p* > q_6\n"
+        "t.p[1] = 0  # row 6 is slot 1: every q p_6 is now a multiple of q_6\n"
         "try:\n"
         "    convergent_gap_check(t, 6)\n"
         "except CertificateFailure as exc:\n"
@@ -472,4 +525,4 @@ def test_gap_certificate_survives_optimize():
     got = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert got.returncode == 0, got.stderr
-    assert got.stdout.strip() == "gap_witness"
+    assert got.stdout.strip() == "gap_degenerate"

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from gammacert.exact import (IVec3, _gauss_reduce, complete_to_basis,
                              complete_single, cross, det3, dot, is_primitive_pair,
-                             is_primitive_point, proj_dist_sq, smith_invariants_3x2,
-                             solve_dot_one)
+                             is_primitive_point, nearest_int, proj_dist_sq,
+                             smith_invariants_3x2, solve_dot_one)
 
 coord = st.integers(min_value=-50, max_value=50)
 vec = st.builds(IVec3, coord, coord, coord)
@@ -54,6 +54,16 @@ def test_basic_ops():
     assert cross(a, b).as_tuple() == (-3, 6, -3)
     assert det3(a, b, IVec3(7, 8, 10)) == -3
     assert a.norm_sq() == 14
+
+
+def test_nearest_int_ties_toward_zero():
+    # the one rounding rule of the Lagrange reduction, the Babai rounding of
+    # complete_to_basis and the step's m
+    for num in range(-400, 401):
+        for den in range(1, 60):
+            m, v = nearest_int(num, den), Fraction(num, den)
+            assert abs(v - m) < Fraction(1, 2) or (abs(v - m) == Fraction(1, 2)
+                                                   and abs(m) < abs(v))
 
 
 def test_proj_dist_oracle():
