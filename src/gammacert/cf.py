@@ -380,20 +380,27 @@ def convergent_gap_check(table: ConvergentTable, n: int) -> GapReport:
 
     For fixed q the inner minimum over p is the distance from q p_n to the
     nearest multiple of q_n, min(m, q_n - m) with m = q p_n mod q_n: one
-    modular reduction, exact for every p at once. Negative q follows by
-    symmetry (p -> -p).
+    residue, stepped by adding p_n mod q_n as q grows, exact for every p at
+    once. Negative q follows by symmetry (p -> -p).
     """
     pn, qn = table.pair(n)
     c1 = table.c1
-    min_qbest = None  # min of q*best; the scaled minimum is 2 C1 min_qbest / q_n
+    two_num, den_qn = 2 * c1.numerator, c1.denominator * qn
+    step = pn % qn
+    m = 0  # q p_n mod q_n
+    min_qbest = qn * qn  # min of q*best, below q_n^2 once any q runs
     for q in range(1, qn):
-        m = (q * pn) % qn
-        best = min(m, qn - m)
+        m += step
+        if m >= qn:
+            m -= qn
+        best = qn - m if 2 * m > qn else m
         if best == 0:
             raise CertificateFailure("gap_degenerate", f"n={n}, q={q}")
-        if 2 * c1.numerator * q * best < c1.denominator * qn:
+        qbest = q * best
+        if two_num * qbest < den_qn:
             raise CertificateFailure("gap_bound", f"n={n}, q={q}")
-        if min_qbest is None or q * best < min_qbest:
-            min_qbest = q * best
-    min_scaled = Fraction(0) if min_qbest is None else Fraction(2 * min_qbest, qn) * c1
+        if qbest < min_qbest:
+            min_qbest = qbest
+    # the scaled minimum is 2 C1 min_qbest / q_n
+    min_scaled = Fraction(2 * min_qbest, qn) * c1 if qn > 1 else Fraction(0)
     return GapReport(n, min_scaled)

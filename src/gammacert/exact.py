@@ -174,6 +174,10 @@ def _gauss_reduce(a: IVec3, b: IVec3) -> Tuple[IVec3, IVec3]:
         a, b = b2, a
 
 
+# the (m, n) offsets of complete_to_basis's +-2 window
+_WINDOW = tuple((m, n) for m in range(-2, 3) for n in range(-2, 3))
+
+
 def complete_to_basis(a: IVec3, b: IVec3) -> IVec3:
     """Canonical third basis vector z with det3(a, b, z) = 1.
 
@@ -183,7 +187,8 @@ def complete_to_basis(a: IVec3, b: IVec3) -> IVec3:
     solve_dot_one finds. One Babai rounding on the Lagrange-reduced basis
     (ra, rb) moves z0 to z1; the 25 offsets (m, n) of a +-2 window around
     it are scored as |z1 + m ra + n rb|^2 from Gram scalars, and only the
-    minimal-norm candidates are built, for the tuple tie-break.
+    minimal-norm candidates are formed, as coordinate tuples for the
+    tie-break.
     """
     c = a.cross(b)
     if not is_primitive_point(c):
@@ -197,14 +202,17 @@ def complete_to_basis(a: IVec3, b: IVec3) -> IVec3:
     t1, t2 = ra.dot(z0), rb.dot(z0)
     m0 = nearest_int(g12 * t2 - g22 * t1, det)
     n0 = nearest_int(g12 * t1 - g11 * t2, det)
-    z1 = z0 + m0 * ra + n0 * rb
+    ax, ay, az = ra.x, ra.y, ra.z
+    bx, by, bz = rb.x, rb.y, rb.z
+    zx, zy, zz = (z0.x + m0 * ax + n0 * bx, z0.y + m0 * ay + n0 * by,
+                  z0.z + m0 * az + n0 * bz)  # z1
     # |z1 + m ra + n rb|^2 - |z1|^2, from s1 = 2 z1.ra, s2 = 2 z1.rb
-    s1, s2 = 2 * ra.dot(z1), 2 * rb.dot(z1)
-    scores = {(m, n): m * (s1 + m * g11 + 2 * n * g12) + n * (s2 + n * g22)
-              for m in range(-2, 3) for n in range(-2, 3)}
-    least = min(scores.values())
-    z = min((z1 + m * ra + n * rb for (m, n), v in scores.items() if v == least),
-            key=IVec3.as_tuple)
+    s1, s2 = 2 * (ax * zx + ay * zy + az * zz), 2 * (bx * zx + by * zy + bz * zz)
+    scores = [m * (s1 + m * g11 + 2 * n * g12) + n * (s2 + n * g22)
+              for m, n in _WINDOW]
+    least = min(scores)
+    z = IVec3(*min((zx + m * ax + n * bx, zy + m * ay + n * by, zz + m * az + n * bz)
+                   for (m, n), v in zip(_WINDOW, scores) if v == least))
     if det3(a, b, z) != 1:
         raise CertificateFailure("basis_det", f"det3(a, b, z) = {det3(a, b, z)}")
     return z

@@ -18,8 +18,11 @@ Contents:
     the engine; the bookkeeping determinants of x hold by step i's
     det_basis/det_qn/det_pn.
   - vperp_sandwich_check: min{|x.v_perp|, |x.w_perp|} <= ||x|| dist(x,{v,w})
-    <= |x.u| + min{...}, exact on frames with perfect-square norms.
-  - property_suites: seeded randomized identities, byte-deterministic.
+    <= |x.u| + min{...}, decided by integer cross-multiplication on frames
+    with perfect-square norms.
+  - property_suites: seeded randomized identities, byte-deterministic; the
+    draws reproduce Random.randint's stream and every per-case comparison
+    is in plain integers.
   - export_alpha_beta: rational interval enclosures of u1/u0 and u2/u0.
 
 Everything is certified: exact rational arithmetic where possible, interval
@@ -40,7 +43,7 @@ from .builder import ConstructionState, DirectionEnclosure, x_dot_u_lower
 from .cf import ALPHA_PRESETS, ConvergentTable, convergent_gap_check
 from .errors import CertificateFailure, InputError
 from .exact import (IVec3, complete_to_basis, cross, det3, dot, floor_log2,
-                    is_primitive_pair, proj_dist_sq, proj_dist_sq_terms,
+                    is_primitive_pair, proj_dist_sq_terms,
                     smith_invariants_3x2)
 from .planner import plan_clauses
 from .stepper import Verdict
@@ -494,26 +497,32 @@ def vperp_sandwich_check(u_rep: IVec3, v_rep: IVec3, w_rep: IVec3,
                          x: IVec3) -> SandwichVerdict:
     """Check min{|x.v_perp|, |x.w_perp|} <= ||x|| dist(x,{v,w}) <= |x.u| + min.
 
-    Requires u.v = u.w = 0 exactly and perfect-square frame norms (the
-    quaternion frames of the property suite); the check is then exact
-    rational arithmetic on squares.
+    Requires nonzero frame vectors, u.v = u.w = 0 exactly and perfect-square
+    frame norms (the quaternion frames of the property suite).  Each side is
+    then a ratio of integers: |x.v_perp| = |det3(x, u, v)| / (||u|| ||v||)
+    and ||x||^2 dist(x, v)^2 = ||x ^ v||^2 / ||v||^2, and the minima and both
+    comparisons are decided by cross-multiplying.
     """
     if x.is_zero():
         raise InputError("x must be nonzero")
+    if u_rep.is_zero() or v_rep.is_zero() or w_rep.is_zero():
+        raise InputError("frame vectors must be nonzero")
     if dot(u_rep, v_rep) != 0 or dot(u_rep, w_rep) != 0:
         raise InputError("frame must satisfy u.v = u.w = 0 exactly")
     nu, nv, nw = u_rep.norm_sq(), v_rep.norm_sq(), w_rep.norm_sq()
     su, sv, sw = isqrt(nu), isqrt(nv), isqrt(nw)
     if su * su != nu or sv * sv != nv or sw * sw != nw:
         raise InputError("frame norms must be perfect squares")
-    a_v = Fraction(abs(det3(x, u_rep, v_rep)), su * sv)
-    a_w = Fraction(abs(det3(x, u_rep, w_rep)), su * sw)
-    a_min = min(a_v, a_w)
-    mid_sq = min(Fraction(cross(x, v_rep).norm_sq(), nv),
-                 Fraction(cross(x, w_rep).norm_sq(), nw))
-    upper = Fraction(abs(dot(x, u_rep)), su) + a_min
-    return SandwichVerdict(lower_ok=a_min * a_min <= mid_sq,
-                           upper_ok=mid_sq <= upper * upper)
+    # a_min = a / (su s) and mid_sq = mn / md; ||x ^ v||^2 by Lagrange
+    a_v, a_w = abs(det3(x, u_rep, v_rep)), abs(det3(x, u_rep, w_rep))
+    a, s = (a_v, sv) if a_v * sw <= a_w * sv else (a_w, sw)
+    nx = x.norm_sq()
+    mid_v, mid_w = nx * nv - dot(x, v_rep) ** 2, nx * nw - dot(x, w_rep) ** 2
+    mn, md = (mid_v, nv) if mid_v * nw <= mid_w * nv else (mid_w, nw)
+    ad = su * s
+    un = abs(dot(x, u_rep)) * s + a  # the upper side is un / ad
+    return SandwichVerdict(lower_ok=a * a * md <= mn * ad * ad,
+                           upper_ok=mn * ad * ad <= un * un * md)
 
 
 # ---------------------------------------------------------------------------
@@ -530,29 +539,50 @@ class PropertyReport:
         return all(not fails for _, _, fails in self.suites)
 
 
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> List[int]:
+    """count draws of rng.randint(lo, hi), from the same stream: randint
+    takes getrandbits(k), k the bit length of the width hi - lo + 1, and
+    draws again while the result is >= the width."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        out.append(lo + r)
+    return out
+
+
 def _rand_vec(rng: random.Random) -> IVec3:
     while True:
-        v = IVec3(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
-        if not v.is_zero():
-            return v
+        x, y, z = _randints(rng, -9, 9, 3)
+        if x or y or z:
+            return IVec3(x, y, z)
 
 
 def _triangle_holds_exact(a: IVec3, b: IVec3, c: IVec3) -> bool:
-    """dist(a,c) <= dist(a,b) + dist(b,c), decided by squaring twice."""
-    dac = proj_dist_sq(a, c)
-    dab = proj_dist_sq(a, b)
-    dbc = proj_dist_sq(b, c)
-    gap = dac - dab - dbc
-    if gap <= 0:
-        return True
-    return gap * gap <= 4 * dab * dbc
+    """dist(a,c) <= dist(a,b) + dist(b,c), decided by squaring twice.
+
+    Over the common denominator ||a||^2 ||b||^2 ||c||^2 the three squared
+    distances are X, Y and Z (proj_dist_sq_terms' numerators times the
+    missing norm), so with G = X - Y - Z the inequality holds iff G <= 0 or
+    G^2 <= 4 Y Z.
+    """
+    na, nb, nc = a.norm_sq(), b.norm_sq(), c.norm_sq()
+    x = proj_dist_sq_terms(a, c)[0] * nb
+    y = proj_dist_sq_terms(a, b)[0] * nc
+    z = proj_dist_sq_terms(b, c)[0] * na
+    gap = x - y - z
+    return gap <= 0 or gap * gap <= 4 * y * z
 
 
 def _quaternion_frame(rng: random.Random) -> Tuple[IVec3, IVec3, IVec3]:
     """Integer rows of a scaled rotation matrix: pairwise orthogonal,
     each with norm^2 = (a^2+b^2+c^2+d^2)^2, a perfect square."""
     while True:
-        a, b, c, d = (rng.randint(-5, 5) for _ in range(4))
+        a, b, c, d = _randints(rng, -5, 5, 4)
         s = a * a + b * b + c * c + d * d
         if s > 0:
             break
@@ -563,7 +593,11 @@ def _quaternion_frame(rng: random.Random) -> Tuple[IVec3, IVec3, IVec3]:
 
 
 def property_suites(seed: int = 0, cases: int = 1000) -> PropertyReport:
-    """Randomized identity suites with a fixed RNG; byte-deterministic."""
+    """Randomized identity suites with a fixed RNG; byte-deterministic.
+
+    The draws reproduce rng.randint's stream (_randints), so a seed keeps
+    its cases, and every per-case comparison is in plain integers.
+    """
     rng = random.Random(seed)
     suites: List[Tuple[str, int, Tuple[str, ...]]] = []
 

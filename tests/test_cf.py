@@ -24,6 +24,7 @@ from gammacert import (
 )
 from gammacert.cf import AlphaSpec, QF, _SurdQuotients
 
+import references as ref
 from conftest import run_table
 
 
@@ -199,6 +200,57 @@ def test_gap_min_scaled_matches_per_q_formula(name, n_max):
         ref = min(F(2 * q * min((q * pn) % qn, qn - (q * pn) % qn), qn) * t.c1
                   for q in range(1, qn))
         assert convergent_gap_check(t, n).min_scaled == ref
+
+
+@pytest.mark.parametrize("name, n_max", [("sqrt2m1", 12), ("sqrt5m2", 10)])
+def test_gap_check_matches_per_q_reference(name, n_max):
+    # the streamed residue against one modular reduction and one min() per
+    # q; sqrt5m2 stops at q_10 = 416,020, since q_12 = 7,465,176 would add
+    # seconds to each loop
+    t = table(name)
+    for n in range(1, n_max + 1):
+        assert convergent_gap_check(t, n) == ref.convergent_gap_check(t, n)
+
+
+def _gap_outcome(check, t, n):
+    try:
+        return check(t, n)
+    except CertificateFailure as exc:
+        return exc.clause, str(exc)
+
+
+@pytest.mark.parametrize("p6, c1, clause, q", [
+    (34, None, "gap_bound", 2),
+    (0, None, "gap_degenerate", 1),
+    # 2 C1 q best = q_6 exactly at q = 2 passes; 35 p_6 = 17 q_6
+    (34, F(35, 4), "gap_degenerate", 35),
+])
+def test_gap_check_raises_at_the_first_failing_q(p6, c1, clause, q):
+    # p_6 := 34 against q_6 = 70: q = 1 leaves the residue 34, q = 2 leaves
+    # 68, two from 70, and 2 C1 q best = 32 < q_6 at C1 = 4
+    t = table(c1=c1)
+    assert t.pair(6) == (29, 70)
+    t.p[1] = p6  # row 6 is slot 1
+    with pytest.raises(CertificateFailure) as exc:
+        convergent_gap_check(t, 6)
+    assert exc.value.clause == clause and exc.value.detail == f"n=6, q={q}"
+
+
+@pytest.mark.parametrize("c1", [None, F(35, 4), F(7, 2), F(7)])
+def test_gap_check_matches_reference_on_tampered_rows(c1):
+    # every p_n from -80 to 220 on rows 5 and 6 (q = 29, 70), below 0 and
+    # past q_n included: the same clause at the same q, or the same report;
+    # at C1 = 7 and p_5 := 2, 2 C1 q best = 28 = q_5 - 1 at q = 1
+    outcomes = set()
+    for n in (5, 6):
+        t = table(c1=c1)
+        t.pair(n)
+        for pn in range(-80, 221):
+            t.p[1] = pn  # row n is slot 1
+            got = _gap_outcome(convergent_gap_check, t, n)
+            assert got == _gap_outcome(ref.convergent_gap_check, t, n), (n, pn)
+            outcomes.add(got[0] if isinstance(got, tuple) else "pass")
+    assert outcomes == {"gap_bound", "gap_degenerate", "pass"}
 
 
 # every row n >= 2 with q_n <= 300, on both presets

@@ -283,9 +283,6 @@ UNNAMED_CLAUSES_ALLOWED = {
     # _SurdQuotients derives its start state from the same (a, b, c, d) as
     # AlphaSpec.qf()
     "cf_surd_start": "unreachable: the stream and alpha share one spec",
-    # every table that builds has a_max + 1 <= C1, which keeps
-    # 2 C1 q |q p_n - p q_n| >= q_n on its own rows
-    "gap_bound": "unreachable: implied by the table's certified growth",
     "schedule_invariants": "no non-toy plan that make_plan accepts fails them",
     "slab_membership": "the kernel's row counts keep failing lines in the shell",
     "xprime_norm_lower": "implied by the step's certified choice of a and n",

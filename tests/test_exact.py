@@ -1,13 +1,16 @@
 """Exact integer-vector layer: identities, primitivity, basis completion."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import references as ref
 from gammacert.exact import (IVec3, _gauss_reduce, complete_to_basis,
                              complete_single, cross, det3, dot, is_primitive_pair,
                              is_primitive_point, nearest_int, proj_dist_sq,
@@ -232,3 +235,23 @@ def test_complete_to_basis_matches_window_reference(a, b):
     if not is_primitive_pair(a, b):
         return
     assert complete_to_basis(a, b).as_tuple() == window_candidates(a, b)[0][1]
+
+
+def test_complete_to_basis_matches_dict_reference():
+    # random primitive pairs of 1- to 30-digit coordinates, then every pair
+    # with coordinates in -1..1, where most windows hold a tie
+    rng = random.Random(4)
+    pairs = []
+    while len(pairs) < 3000:
+        hi = 10 ** (1 + len(pairs) % 30)
+        a, b = (IVec3(*(rng.randrange(-hi, hi) for _ in range(3))) for _ in range(2))
+        if is_primitive_pair(a, b):
+            pairs.append((a, b))
+    small = [IVec3(*c) for c in product(range(-1, 2), repeat=3)]
+    pairs += [(a, b) for a in small for b in small if is_primitive_pair(a, b)]
+    tied = 0
+    for a, b in pairs:
+        assert complete_to_basis(a, b) == ref.complete_to_basis(a, b), (a, b)
+        keys = window_candidates(a, b)
+        tied += keys[0][0] == keys[1][0]
+    assert tied >= 432  # the -1..1 pairs alone hold 432 tied windows

@@ -25,6 +25,7 @@ from gammacert.scan import (
     _scan_lines,
 )
 
+import references as ref
 from conftest import TOY, build_run
 
 TOY_AUDIT_FAILURES = (
@@ -284,7 +285,8 @@ def test_row_in_ball_matches_brute_force(d, g, m1):
     # every row of every shell up to norm^2 40, in both walking halves of
     # the t1 = 0 row, against every ball from rest = -2 up to the row's
     # own: g = 0, bands straddling a = 0 (small n0 + g u) and, for even d,
-    # exact half ties (n0 + g u an odd multiple of d/2)
+    # exact half ties (n0 + g u an odd multiple of d/2); the count and both
+    # ranges equal those of the list-of-pieces reference
     qa = 4 * (g * g + d * d)
     for k1 in (0, 1, 2):
         e = (2 * k1 + 1) * d
@@ -298,8 +300,10 @@ def test_row_in_ball_matches_brute_force(d, g, m1):
                               if abs(2 * (n0 + g * u)) <= e]
                     zero = (covers[0], covers[-1]) if covers else (1, 0)
                     for rest in range(-2, nsq - t1 * t1 + 1):
-                        count, (lo, hi), (w_lo, w_hi) = _row_in_ball(
-                            qa, g, d, n0, e, k1, zero, u0, u1, rest)
+                        args = (qa, g, d, n0, e, k1, zero, u0, u1, rest)
+                        got = _row_in_ball(*args)
+                        assert got == ref.row_in_ball(*args)
+                        count, (lo, hi), (w_lo, w_hi) = got
                         hits = [u for u in range(u0, u1 + 1)
                                 for a in range(near[u] - k1, near[u] + k1 + 1)
                                 if u * u + a * a <= rest]

@@ -1,15 +1,20 @@
 """Audit clauses, witness grid, coefficient boxes, sandwich, exports."""
 
+import fractions
+import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
+import references as ref
 from conftest import TOY, build_run, run_table
 from gammacert import (
     DirectionEnclosure,
     InputError,
+    exact,
     make_plan,
     schedule_X,
     verifier,
@@ -349,10 +354,80 @@ def test_vperp_sandwich_rejects_non_square_frame():
 
 def test_vperp_sandwich_validation():
     u, v, w = IVec3(1, 2, 2), IVec3(2, 1, -2), IVec3(2, -2, 1)
+    zero = IVec3(0, 0, 0)
     with pytest.raises(InputError):
-        vperp_sandwich_check(u, v, w, IVec3(0, 0, 0))
+        vperp_sandwich_check(u, v, w, zero)
     with pytest.raises(InputError):
         vperp_sandwich_check(u, IVec3(1, 0, 0), w, IVec3(1, 1, 1))
+    # a zero frame vector passes the orthogonality and square-norm tests
+    for frame in ((zero, v, w), (u, zero, w), (u, v, zero)):
+        with pytest.raises(InputError, match="nonzero"):
+            vperp_sandwich_check(*frame, IVec3(1, 1, 1))
+
+
+def _frames_and_points(rng, count):
+    """count (u, v, w, x): quaternion frames in their three row orders, some
+    with a sign flipped, each row scaled by 1..3, and in about a third of
+    them w replaced by 3 v' + 4 w' (norm 5 ||v'||, not orthogonal to v), so
+    v and w differ in norm; points x are random, frame rows, or sums and
+    differences of them, where the sandwich's sides can meet."""
+    for _ in range(count):
+        rows = list(ref.quaternion_frame(rng))
+        rng.shuffle(rows)
+        if rng.random() < 0.3:
+            i = rng.randrange(3)
+            rows[i] = -rows[i]
+        if rng.random() < 0.3:
+            rows[2] = 3 * rows[1] + 4 * rows[2]
+        rows = [rng.randint(1, 3) * r for r in rows]
+        u, v, w = rows
+        pick = rng.randrange(4)
+        if pick == 0:
+            x = ref.rand_vec(rng)
+        else:
+            x = rows[rng.randrange(3)]
+            if pick > 1:
+                x = x + rng.choice((1, -1, 2)) * rows[rng.randrange(3)]
+            if x.is_zero():
+                x = ref.rand_vec(rng)
+        yield u, v, w, x
+
+
+def test_vperp_sandwich_matches_fraction_reference():
+    verdicts = set()
+    for u, v, w, x in _frames_and_points(random.Random(7), 20000):
+        got = vperp_sandwich_check(u, v, w, x)
+        assert got == ref.sandwich(u, v, w, x), (u, v, w, x)
+        verdicts.add(got)
+    assert verdicts == {verifier.SandwichVerdict(True, True)}
+
+
+def test_triangle_matches_fraction_reference():
+    # random triples, triples with a repeated or negated point, and points
+    # on one plane through the origin, where the two sides can meet
+    rng = random.Random(11)
+    for k in range(20000):
+        a, b, c = (ref.rand_vec(rng) for _ in range(3))
+        if k % 4 == 1:
+            b = rng.choice((a, -a, c, -c, 2 * a))
+        elif k % 4 == 2:
+            c = a + rng.choice((1, -1, 2)) * b
+            if c.is_zero():
+                c = a
+        assert verifier._triangle_holds_exact(a, b, c) == ref.triangle_holds(a, b, c)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_randints_reproduce_randint_stream(seed):
+    for lo, hi in ((-5, 5), (-9, 9)):  # widths 11 and 19
+        mine, theirs = random.Random(seed), random.Random(seed)
+        got = verifier._randints(mine, lo, hi, 10 ** 5)
+        assert got == [theirs.randint(lo, hi) for _ in range(10 ** 5)]
+        assert mine.getstate() == theirs.getstate()
+    mine, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(2000):
+        assert verifier._rand_vec(mine) == ref.rand_vec(theirs)
+        assert verifier._quaternion_frame(mine) == ref.quaternion_frame(theirs)
 
 
 def test_dist_vw_upper_tail_anchor(toy_state):
@@ -384,6 +459,72 @@ def test_export_alpha_beta_needs_separation():
     enc = DirectionEnclosure(rep=IVec3(0, 1, 1), radius_sq_ub=F(0))
     with pytest.raises(InputError):
         export_alpha_beta(enc)
+
+
+def test_property_suites_match_reference(monkeypatch):
+    # the suites' driver run on the reference draws, predicates, basis
+    # completion and gap loop gives the same report, seed by seed
+    used = []
+
+    def counted(fn):
+        def wrapper(*args):
+            used.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "_rand_vec", counted(ref.rand_vec))
+        patch.setattr(verifier, "_quaternion_frame", counted(ref.quaternion_frame))
+        patch.setattr(verifier, "_triangle_holds_exact", counted(ref.triangle_holds))
+        patch.setattr(verifier, "vperp_sandwich_check", counted(ref.sandwich))
+        patch.setattr(verifier, "complete_to_basis", counted(ref.complete_to_basis))
+        patch.setattr(verifier, "convergent_gap_check",
+                      counted(ref.convergent_gap_check))
+        want = [property_suites(seed, 1000) for seed in range(6)]
+    assert set(used) == {"rand_vec", "quaternion_frame", "triangle_holds",
+                         "sandwich", "complete_to_basis", "convergent_gap_check"}
+    for seed in range(6):
+        assert property_suites(seed, 1000) == want[seed]
+
+
+# Fraction constructions in one property_suites call on Python 3.11: all
+# of them in the convergent-table and gap suites, whose work does not depend
+# on `cases` (from 3.12 fractions builds arithmetic results without __new__)
+PROPERTY_SUITE_FRACTIONS = 704
+
+
+def test_property_suites_work_in_plain_integers(monkeypatch):
+    # no randint draw, no Fraction distance and no Fraction per case
+    def no_randint(self, a, b):
+        raise AssertionError("Random.randint called")
+
+    dist_calls = []
+    proj_dist_sq = exact.proj_dist_sq
+
+    def counted_dist(a, b):
+        dist_calls.append((a, b))
+        return proj_dist_sq(a, b)
+
+    made = []
+    new = fractions.Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "randint", no_randint)
+    monkeypatch.setattr(exact, "proj_dist_sq", counted_dist)
+    monkeypatch.setattr(verifier, "proj_dist_sq", counted_dist, raising=False)
+    monkeypatch.setattr(fractions.Fraction, "__new__", counted_new)
+    counts = []
+    for cases in (200, 0):
+        made.clear()
+        assert property_suites(seed=0, cases=cases).all_pass
+        counts.append(len(made))
+    assert dist_calls == []
+    assert counts[0] == counts[1]
+    if sys.version_info[:2] == (3, 11):
+        assert counts[0] == PROPERTY_SUITE_FRACTIONS
 
 
 def test_property_suites_deterministic():
