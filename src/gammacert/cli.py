@@ -29,8 +29,8 @@ from .planner import Plan, PsiSpec, Schedule, make_plan, schedule_X
 from .scan import slab_scan_iv
 from .serialize import (dump_document, load_document, plan_body, report_body,
                         state_body)
-from .verifier import (check_condition_iii, coeff_box_lemma3, property_suites,
-                       starred_ledger_audit)
+from .verifier import (PropertyReport, check_condition_iii, coeff_box_lemma3,
+                       property_suites, starred_ledger_audit)
 
 Rat = Fraction
 
@@ -172,6 +172,89 @@ def _output(cfg: RunConfig, name: str) -> Iterator[str]:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
+class _SuitesChild:
+    """property_suites(seed) run in a forked child while the parent builds
+    and checks the state; the suites read nothing but the seed.
+
+    The child prints nothing: it sends its report through a pipe as one
+    JSON array and leaves through os._exit, so it never flushes the stdio
+    buffers it inherited.  Where os.fork is missing or fails, where another
+    thread runs (the child would inherit any lock that thread holds, never
+    to be released), or where the child sends no whole report, report()
+    runs the suites in the parent, so any exception surfaces as from a
+    direct call.  close() kills and reaps a child that report() has not
+    reaped.
+    """
+
+    def __init__(self, seed: int) -> None:
+        import threading
+
+        self.seed = seed
+        self.pid: Optional[int] = None
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            return
+        rfd, wfd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the parent runs the suites
+            pid = None
+        if pid == 0:
+            self._child(wfd)
+        os.close(wfd)
+        if pid is None:
+            os.close(rfd)
+        else:
+            self.pid, self.fd = pid, rfd
+
+    def _child(self, wfd: int) -> None:
+        code = 1
+        try:
+            prop = property_suites(self.seed)
+            data = json.dumps([prop.seed, prop.suites]).encode("ascii")
+            while data:
+                data = data[os.write(wfd, data):]
+            code = 0
+        finally:
+            os._exit(code)
+
+    def report(self) -> PropertyReport:
+        if self.pid is not None:
+            chunks = []
+            while True:  # to end of file: the child has exited
+                chunk = os.read(self.fd, 1 << 16)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+            self._reap()
+            try:  # no prefix of a JSON array parses
+                seed, suites = json.loads(b"".join(chunks))
+            except ValueError:  # the child failed, or was killed mid-report
+                pass
+            else:
+                return PropertyReport(seed=seed, suites=tuple(
+                    (name, cases, tuple(fails)) for name, cases, fails in suites))
+        return property_suites(self.seed)
+
+    def close(self) -> None:
+        """Kill and reap the child unless report() has reaped it."""
+        if self.pid is not None:
+            import signal
+
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            self._reap()
+
+    def _reap(self) -> None:
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:  # reaped already, where SIGCHLD is ignored
+            pass
+        self.pid = None
+        os.close(self.fd)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -201,6 +284,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     # box indexes run over 2..steps-1 and the v/w enclosures need three steps
     if cfg.mode in ("all", "box", "slab") and cfg.steps < 3:
         raise InputError(f"verify --mode {cfg.mode} needs at least 3 steps")
+    suites = _SuitesChild(cfg.seed) if cfg.mode in ("all", "properties") else None
+    try:
+        return _verify(cfg, suites)
+    finally:
+        if suites is not None:
+            suites.close()
+
+
+def _verify(cfg: RunConfig, suites: Optional[_SuitesChild]) -> int:
     state = _mk_state(cfg)
     results: Dict[str, object] = {}
     lines: List[str] = []
@@ -263,8 +355,8 @@ def cmd_verify(cfg: RunConfig) -> int:
                 note(f"slab: size-threshold clauses not satisfied at this "
                      f"scale: {', '.join(rep.skipped_clauses)}")
 
-    if cfg.mode in ("all", "properties"):
-        prop = property_suites(cfg.seed)
+    if suites is not None:
+        prop = suites.report()
         results["properties"] = report_body(prop)
         fails = sum(len(f) for _, _, f in prop.suites)
         violations += fails

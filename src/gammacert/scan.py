@@ -189,21 +189,28 @@ def _row_in_ball(qa: int, g: int, d: int, n0: int, e: int, k1: int,
 
 def _first_hit(g: int, d: int, lo: int, hi: int) -> Optional[int]:
     """The least k >= 0 with lo <= g k mod d <= hi (0 <= lo <= hi < d), or
-    None; a Euclid-style descent of about log2(d) levels."""
-    if lo == 0:
-        return 0
-    g %= d
-    if g == 0:
-        return None
-    if 2 * g > d:  # (d - g) k mod d = d - g k mod d on the nonzero residues
-        g, lo, hi = d - g, d - hi, d - lo
-    k = -(-lo // g)
-    if g * k <= hi:
-        return k
-    # no multiple of g lies in [lo, hi]: find the least wrap count y with
-    # one in [d y + lo, d y + hi], i.e. -d y mod g in [lo mod g, hi mod g]
-    y = _first_hit(-d % g, g, lo % g, hi % g)
-    return None if y is None else -(-(d * y + lo) // g)
+    None; a Euclid-style descent of about log2(d) levels, run as a loop
+    that keeps each level's rescale and applies them on the way back."""
+    pending: List[Tuple[int, int, int]] = []
+    while lo:
+        g %= d
+        if g == 0:
+            return None
+        if 2 * g > d:  # (d - g) k mod d = d - g k mod d on the nonzero residues
+            g, lo, hi = d - g, d - hi, d - lo
+        k = -(-lo // g)
+        if g * k <= hi:
+            break
+        # no multiple of g lies in [lo, hi]: find the least wrap count y with
+        # one in [d y + lo, d y + hi], i.e. -d y mod g in [lo mod g, hi mod g],
+        # and then k = ceil((d y + lo) / g)
+        pending.append((d, lo, g))
+        g, d, lo, hi = -d % g, g, lo % g, hi % g
+    else:
+        k = 0
+    for d, lo, g in reversed(pending):
+        k = -(-(d * k + lo) // g)
+    return k
 
 
 def _scan_lines(m: Tuple[int, int, int], kappa: int, k_near: int, t_int: int,

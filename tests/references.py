@@ -2,8 +2,9 @@
 
 Each function states its fact in the most direct form: Fraction arithmetic,
 Random.randint draws, a dict-scored basis window, one residue per q of the
-gap loop, and lists of pieces for a row's in-ball count.  The tests assert
-that the package's integer versions agree with them value for value.
+gap loop, lists of pieces for a row's in-ball count, and recursion for the
+failing-line descent.  The tests assert that the package's integer versions
+agree with them value for value.
 """
 
 import math
@@ -129,3 +130,20 @@ def row_in_ball(qa, g, d, n0, e, k1, zero, u0, u1, rest):
             room = math.isqrt(rest - u * u)
             count += max(0, min(a_s + k1, room) - max(a_s - k1, -room) + 1)
     return count, (s_lo, s_hi), (w_lo, w_hi)
+
+
+def first_hit(g: int, d: int, lo: int, hi: int):
+    """scan._first_hit as the recursive descent: one call per level, each
+    rescaling its sub-call's wrap count on the way out."""
+    if lo == 0:
+        return 0
+    g %= d
+    if g == 0:
+        return None
+    if 2 * g > d:
+        g, lo, hi = d - g, d - hi, d - lo
+    k = -(-lo // g)
+    if g * k <= hi:
+        return k
+    y = first_hit(-d % g, g, lo % g, hi % g)
+    return None if y is None else -(-(d * y + lo) // g)

@@ -5,8 +5,11 @@ import copy
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -15,11 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammacert import verifier
+from gammacert import cli, verifier
 from gammacert.balls import sqrt_int
 from gammacert.cli import (MODES, RunConfig, _config_body, _flag_overrides,
                            build_parser, config_from_sources, main)
-from gammacert.errors import InputError
+from gammacert.errors import CertificateFailure, InputError, UndecidedError
 from gammacert.exact import IVec3
 from gammacert.serialize import body_hash, dump_document, load_document
 
@@ -535,6 +538,178 @@ def test_honest_slab_out_of_reach_is_undecided(tmp_path):
     assert cert["summary"]["verdict"] == "undecided"
     assert "slab: not scanned, undecided: slab_int64_reach" in "\n".join(
         cert["summary"]["lines"])
+
+
+# the property suites run in a forked child while the parent builds and
+# checks the state; the parent reads the child's report where the
+# properties line is printed, and no child outlives cli.main
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child cli forks while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("mode, rc", [("all", 1), ("properties", 0)])
+def test_forked_suites_write_what_the_parent_would(tmp_path, monkeypatch,
+                                                   capsys, forks, mode, rc):
+    argv = ["verify", "--mode", mode, "--K", "3"] + TOY_FLAGS
+    assert run(argv, tmp_path) == rc
+    forked = capsys.readouterr(), (tmp_path / "cert.json").read_bytes()
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")  # a platform without fork
+    assert run(argv, tmp_path) == rc
+    assert (capsys.readouterr(), (tmp_path / "cert.json").read_bytes()) == forked
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def test_modes_without_the_suites_fork_nothing(tmp_path, forks):
+    assert run(["verify", "--mode", "witness"] + TOY_FLAGS, tmp_path) == 0
+    assert forks == []
+
+
+def test_suites_stay_in_the_parent_beside_another_thread(tmp_path, capsys, forks):
+    argv = ["verify", "--mode", "properties"] + TOY_FLAGS
+    assert run(argv, tmp_path) == 0
+    forked = capsys.readouterr(), (tmp_path / "cert.json").read_bytes()
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert run(argv, tmp_path) == 0
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
+    assert (capsys.readouterr(), (tmp_path / "cert.json").read_bytes()) == forked
+    assert len(forks) == 1
+
+
+def _raise(exc):
+    def raising(*args, **kwargs):
+        raise exc
+    return raising
+
+
+def _suites_acting_in_the_child(act):
+    """property_suites that first runs act() when a forked child calls it."""
+    parent, real = os.getpid(), verifier.property_suites
+
+    def suites(seed):
+        if os.getpid() != parent:
+            act()
+        return real(seed)
+    return suites
+
+
+@pytest.mark.parametrize("target, exc, rc", [
+    (None, None, 1),
+    ("_mk_state", InputError("no state"), 3),
+    ("slab_scan_iv", InputError("no slab"), 3),
+    ("slab_scan_iv", KeyboardInterrupt(), None),
+], ids=["normal", "build-raises", "slab-raises", "interrupted"])
+def test_no_child_outlives_verify(tmp_path, monkeypatch, forks, target, exc, rc):
+    # where the parent fails first, the child is still in its suites and
+    # is killed, not waited for
+    if target is not None:
+        monkeypatch.setattr(cli, target, _raise(exc))
+        monkeypatch.setattr(cli, "property_suites",
+                            _suites_acting_in_the_child(lambda: time.sleep(60)))
+    argv = ["verify", "--mode", "all", "--K", "3"] + TOY_FLAGS
+    start = time.perf_counter()
+    if rc is None:
+        with pytest.raises(KeyboardInterrupt):
+            run(argv, tmp_path)
+    else:
+        assert run(argv, tmp_path) == rc
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("exc, rc, err", [
+    (CertificateFailure("suite", "broke"), 1, "certificate failure: suite: broke\n"),
+    (UndecidedError("suite", 64), 2, "undecided: undecided at 64 bits: suite\n"),
+    (InputError("bad suite"), 3, "error: bad suite\n"),
+])
+def test_failing_suites_exit_as_from_a_direct_call(tmp_path, monkeypatch, capsys,
+                                                   forks, exc, rc, err):
+    # the child leaves without a report and the parent runs the suites
+    # itself, so the error surfaces once, from the parent, as it did when
+    # the parent alone ran them
+    monkeypatch.setattr(cli, "property_suites", _raise(exc))
+    assert run(["verify", "--mode", "properties"] + TOY_FLAGS, tmp_path) == rc
+    got = capsys.readouterr()
+    assert got.err == err
+    assert got.out.splitlines() == []
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def test_child_without_a_report_leaves_the_suites_to_the_parent(
+        tmp_path, monkeypatch, forks):
+    argv = ["verify", "--mode", "properties"] + TOY_FLAGS
+    assert run(argv, tmp_path) == 0
+    want = (tmp_path / "cert.json").read_bytes()
+    monkeypatch.setattr(cli, "property_suites", _suites_acting_in_the_child(
+        lambda: os.kill(os.getpid(), signal.SIGKILL)))
+    assert run(argv, tmp_path) == 0
+    assert (tmp_path / "cert.json").read_bytes() == want
+    assert len(forks) == 2
+    _assert_no_child()
+
+
+PRINT_THEN_VERIFY = """
+import sys
+from gammacert.cli import main
+print("before verify")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_verify_through_a_pipe_prints_each_line_once(tmp_path, monkeypatch):
+    # a pipe makes stdout block-buffered: a child that flushed the buffer
+    # it inherited, or ran on past its report, would print lines twice,
+    # which no in-process capture sees
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    config = os.path.join(ROOT, "perfbench", "configs", "toy.json")
+    piped, inproc = tmp_path / "piped", tmp_path / "inproc"
+    argv = ["verify", "--mode", "all", "--K", "3", "--config", config]
+    got = _run_module(argv + ["--out", str(piped)], 600)
+    assert got.returncode == 1, got.stderr
+    assert got.stderr == ""
+    body = load_document(str(piped / "cert.json"), "certificate")
+    assert len(body["summary"]["lines"]) == 8
+    assert got.stdout.splitlines() == (body["summary"]["lines"]
+                                       + [f"wrote {piped / 'cert.json'}"])
+    assert run(argv, inproc) == 1
+    want = load_document(str(inproc / "cert.json"), "certificate")
+    del body["config"]["out"], want["config"]["out"]
+    assert body == want
+    # a line still in the buffer when verify forks is printed once
+    got = _run_python(["-c", PRINT_THEN_VERIFY, "verify", "--mode", "properties",
+                       "--config", config, "--out", str(piped)], 600)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.splitlines() == ["before verify",
+                                       "properties: 6 suites, 0 failures",
+                                       f"wrote {piped / 'cert.json'}"]
 
 
 def test_verify_witness_passes(tmp_path):

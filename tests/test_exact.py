@@ -1,7 +1,10 @@
 """Exact integer-vector layer: identities, primitivity, basis completion."""
 
+import copy
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -57,6 +60,29 @@ def test_basic_ops():
     assert cross(a, b).as_tuple() == (-3, 6, -3)
     assert det3(a, b, IVec3(7, 8, 10)) == -3
     assert a.norm_sq() == 14
+
+
+def test_ivec3_is_an_immutable_value():
+    # what the frozen dataclass gave its callers: no assignment or deletion,
+    # equality only with another IVec3, the tuple's hash, the dataclass
+    # repr, and a pickle round trip
+    a = IVec3(1, -2, 3)
+    for name in ("x", "y", "z", "w"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(a, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(a, name)
+    assert a.as_tuple() == (1, -2, 3)
+    assert a == IVec3(1, -2, 3) and not a != IVec3(1, -2, 3)
+    assert a != IVec3(1, -2, 4) and a != (1, -2, 3) and a != [1, -2, 3]
+    assert hash(a) == hash((1, -2, 3)) == hash(IVec3(1, -2, 3))
+    assert len({a, IVec3(1, -2, 3), IVec3(3, -2, 1)}) == 2
+    assert repr(a) == "IVec3(x=1, y=-2, z=3)"
+    big = IVec3(-(3 ** 200), 0, 7)
+    for v in (a, big):
+        back = pickle.loads(pickle.dumps(v))
+        assert type(back) is IVec3 and back == v and back.as_tuple() == v.as_tuple()
+        assert copy.deepcopy(v) == v
 
 
 def test_nearest_int_ties_toward_zero():

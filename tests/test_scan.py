@@ -277,6 +277,21 @@ def test_first_hit_matches_brute_force():
                     assert _first_hit(g, d, lo, hi) == want
 
 
+def test_first_hit_matches_the_recursive_descent():
+    # random residue windows up to 2^120, with lo = 0, g = 0 mod d, 2 g > d
+    # and d = 1 drawn on purpose, against the recursion the loop replaced
+    rng = random.Random(11)
+    for case in range(4000):
+        d = 1 if case % 10 == 0 else rng.randrange(1, 2 ** rng.choice([4, 20, 64, 120]))
+        pick = case % 5
+        g = (d * rng.randrange(-3, 4) if pick == 1
+             else d - rng.randrange(0, (d + 1) // 2) if pick == 2
+             else rng.randrange(-3 * d, 3 * d))
+        lo = 0 if pick == 3 else rng.randrange(d)
+        hi = rng.randrange(lo, min(d, lo + 1 + d // rng.choice([1, 7, 1000])))
+        assert _first_hit(g, d, lo, hi) == ref.first_hit(g, d, lo, hi)
+
+
 @pytest.mark.parametrize("d, g, m1", [
     (4, 2, 2), (4, 0, 2), (4, 0, 3), (6, 3, -3), (8, 4, 1), (5, 2, -7),
     (1000, 37, -3),
