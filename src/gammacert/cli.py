@@ -19,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .balls import DEFAULT_MAX_PREC, DEFAULT_PREC
 from .builder import ConstructionState, build
@@ -30,11 +30,12 @@ from .scan import slab_scan_iv
 from .serialize import (dump_document, load_document, plan_body, report_body,
                         state_body)
 from .verifier import (PropertyReport, check_condition_iii, coeff_box_lemma3,
-                       property_suites, starred_ledger_audit)
+                       export_alpha_beta, property_suites, starred_ledger_audit)
 
 Rat = Fraction
 
 MODES = ("all", "slab", "box", "witness", "properties", "audit")
+LIMIT_PLACES = 12  # decimal places of each endpoint on build's limit line
 
 
 @dataclass(frozen=True)
@@ -178,12 +179,12 @@ class _SuitesChild:
 
     The child prints nothing: it sends its report through a pipe as one
     JSON array and leaves through os._exit, so it never flushes the stdio
-    buffers it inherited.  Where os.fork is missing or fails, where another
-    thread runs (the child would inherit any lock that thread holds, never
-    to be released), or where the child sends no whole report, report()
-    runs the suites in the parent, so any exception surfaces as from a
-    direct call.  close() kills and reaps a child that report() has not
-    reaped.
+    buffers it inherited.  Where os.fork is missing, where os.pipe or
+    os.fork fails, where another thread runs (the child would inherit any
+    lock that thread holds, never to be released), or where the child sends
+    no whole report, report() runs the suites in the parent, so any
+    exception surfaces as from a direct call.  close() kills and reaps a
+    child that report() has not reaped.
     """
 
     def __init__(self, seed: int) -> None:
@@ -193,7 +194,10 @@ class _SuitesChild:
         self.pid: Optional[int] = None
         if not hasattr(os, "fork") or threading.active_count() > 1:
             return
-        rfd, wfd = os.pipe()
+        try:
+            rfd, wfd = os.pipe()
+        except OSError:  # no descriptor to spare: the parent runs the suites
+            return
         try:
             pid = os.fork()
         except OSError:  # no process to spare: the parent runs the suites
@@ -277,7 +281,17 @@ def cmd_build(cfg: RunConfig) -> int:
                   + sum(len(c.verdicts) for c in state.step_certs))
     print(f"build: {state.n_steps} steps, {n_verdicts} certificates pass")
     print(f"wrote {path}")
+    (a_lo, a_hi), (b_lo, b_hi) = export_alpha_beta(state.u_enclosures[state.last_index])
+    print(f"limit: alpha in [{_decimal(a_lo, math.floor)}, {_decimal(a_hi, math.ceil)}], "
+          f"beta in [{_decimal(b_lo, math.floor)}, {_decimal(b_hi, math.ceil)}]")
     return 0
+
+
+def _decimal(x: Rat, rounding: Callable[[Rat], int]) -> str:
+    """x to LIMIT_PLACES decimal places, rounded by math.floor or math.ceil."""
+    q = rounding(x * 10 ** LIMIT_PLACES)
+    whole, frac = divmod(abs(q), 10 ** LIMIT_PLACES)
+    return f"{'-' if q < 0 else ''}{whole}.{frac:0{LIMIT_PLACES}d}"
 
 
 def cmd_verify(cfg: RunConfig) -> int:

@@ -73,11 +73,6 @@ class ScanReport:
     skipped_clauses: Tuple[str, ...]
     threads: int
 
-    @property
-    def all_pass(self) -> bool:
-        return (not self.violations and not self.undecided
-                and not self.positivity_failures)
-
 
 def _canonical(c0: int, c1: int, c2: int) -> Tuple[int, int, int]:
     for c in (c0, c1, c2):

@@ -23,7 +23,8 @@ Contents:
   - property_suites: seeded randomized identities, byte-deterministic; the
     draws reproduce Random.randint's stream and every per-case comparison
     is in plain integers.
-  - export_alpha_beta: rational interval enclosures of u1/u0 and u2/u0.
+  - export_alpha_beta: dyadic interval enclosures of alpha = u1/u0 and
+    beta = u2/u0 from the representative and radius, in plain integers.
 
 Everything is certified: exact rational arithmetic where possible, interval
 enclosures with escalating precision elsewhere.  No verdict rests on floats.
@@ -162,10 +163,6 @@ class WitnessReport:
     failures: Tuple[str, ...]
     undecided: Tuple[str, ...]
 
-    @property
-    def all_pass(self) -> bool:
-        return not self.failures and not self.undecided
-
 
 def witness_grid(state: ConstructionState) -> List[Rat]:
     """32 log-spaced sample norms as exact squares in [5C1 X0, 5C1 X_N]."""
@@ -250,10 +247,6 @@ class BoxReport:
     lattice_branch: int
     violations: Tuple[str, ...]
     undecided: Tuple[str, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.violations and not self.undecided
 
 
 def dist_vw_upper(x: IVec3, venc: DirectionEnclosure,
@@ -534,10 +527,6 @@ class PropertyReport:
     seed: int
     suites: Tuple[Tuple[str, int, Tuple[str, ...]], ...]
 
-    @property
-    def all_pass(self) -> bool:
-        return all(not fails for _, _, fails in self.suites)
-
 
 def _randints(rng: random.Random, lo: int, hi: int, count: int) -> List[int]:
     """count draws of rng.randint(lo, hi), from the same stream: randint
@@ -668,35 +657,32 @@ def property_suites(seed: int = 0, cases: int = 1000) -> PropertyReport:
 # coordinate export
 
 
+EXPORT_BITS = 256  # significant bits of each export_alpha_beta endpoint
+
+
 def export_alpha_beta(enc: DirectionEnclosure
                       ) -> Tuple[Tuple[Rat, Rat], Tuple[Rat, Rat]]:
-    """Rational intervals for alpha = u1/u0 and beta = u2/u0.
+    """Dyadic intervals for alpha = u1/u0 and beta = u2/u0, in plain integers.
 
-    The chordal gap between the unit representative d = rep/||rep|| and the
-    limit satisfies ||u - (+-d)|| <= sqrt(2) * dist <= sqrt(2 * radius_sq),
-    so each coordinate of u lies within e of the matching coordinate of d.
-    The ratios are sign-invariant, so the +- ambiguity drops out.  Requires
-    the first coordinate separated from zero.
+    The unit limit u lies within sqrt(2 radius_sq_ub) of one of
+    +-rep/||rep|| (the chordal gap is at most sqrt(2) times the projective
+    distance), so each coordinate of ||rep|| u lies within E = ceil(sqrt(2
+    ||rep||^2 radius_sq_ub)) of the matching coordinate r_k of +-rep.  alpha
+    then lies between the four corners (r1 +- E)/(r0 +- E), and beta
+    likewise with r2; the ratios are sign-invariant, so the +- drops out.
+    Each endpoint keeps about EXPORT_BITS significant bits, lo rounded down
+    and hi up.  Requires |r0| > E, so that no corner's denominator is zero.
     """
-    rep = enc.rep
-    norm = sqrt_int(rep.norm_sq()).refined_to(PAYLOAD_PREC)
-    n_lo, n_up = norm.lo, norm.hi
-    if n_lo <= 0:
-        raise InputError("representative norm not separated from zero")
-    e = BallReal.wrap(2 * Fraction(enc.radius_sq_ub)).sqrt().refined_to(PAYLOAD_PREC).hi
-
-    def coord_bounds(c: int) -> Tuple[Rat, Rat]:
-        if c >= 0:
-            return (Fraction(c) / n_up - e, Fraction(c) / n_lo + e)
-        return (Fraction(c) / n_lo - e, Fraction(c) / n_up + e)
-
-    d0_lo, d0_hi = coord_bounds(rep.x)
-    if not (d0_lo > 0 or d0_hi < 0):
+    rep, rsq = enc.rep, enc.radius_sq_ub
+    e = _sqrt_up(2 * rep.norm_sq() * rsq.numerator, rsq.denominator, 0)
+    r0 = rep.x
+    if abs(r0) <= e:
         raise InputError("first coordinate not separated from zero")
 
     def ratio_bounds(c: int) -> Tuple[Rat, Rat]:
-        num_lo, num_hi = coord_bounds(c)
-        corners = [num_lo / d0_lo, num_lo / d0_hi, num_hi / d0_lo, num_hi / d0_hi]
-        return (min(corners), max(corners))
+        s = max(0, EXPORT_BITS + abs(r0).bit_length() - abs(c).bit_length())
+        corners = [divmod((c + a) << s, r0 + b) for a in (-e, e) for b in (-e, e)]
+        return (Fraction(min(q for q, _ in corners), 1 << s),
+                Fraction(max(q + (r != 0) for q, r in corners), 1 << s))
 
     return ratio_bounds(rep.y), ratio_bounds(rep.z)

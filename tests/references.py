@@ -1,7 +1,7 @@
 """Plain reference versions of the integer fast paths, as differential oracles.
 
 Each function states its fact in the most direct form: Fraction arithmetic,
-Random.randint draws, a dict-scored basis window, one residue per q of the
+the limit export as Fraction quotients of refined balls, Random.randint draws, a dict-scored basis window, one residue per q of the
 gap loop, lists of pieces for a row's in-ball count, and recursion for the
 failing-line descent.  The tests assert that the package's integer versions
 agree with them value for value.
@@ -11,8 +11,9 @@ import math
 import random
 from fractions import Fraction
 
+from gammacert.balls import PAYLOAD_PREC, BallReal, sqrt_int
 from gammacert.cf import GapReport
-from gammacert.errors import CertificateFailure
+from gammacert.errors import CertificateFailure, InputError
 from gammacert.exact import (IVec3, _gauss_reduce, cross, det3, dot,
                              is_primitive_point, nearest_int, proj_dist_sq,
                              solve_dot_one)
@@ -147,3 +148,31 @@ def first_hit(g: int, d: int, lo: int, hi: int):
         return k
     y = first_hit(-d % g, g, lo % g, hi % g)
     return None if y is None else -(-(d * y + lo) // g)
+
+
+def export_alpha_beta(enc):
+    """verifier.export_alpha_beta in Fractions: ||rep|| and sqrt(2 radius_sq)
+    refined to PAYLOAD_PREC bits, each unit coordinate bounded, then the four
+    corner quotients of the coordinate intervals."""
+    rep = enc.rep
+    norm = sqrt_int(rep.norm_sq()).refined_to(PAYLOAD_PREC)
+    n_lo, n_up = norm.lo, norm.hi
+    if n_lo <= 0:
+        raise InputError("representative norm not separated from zero")
+    e = BallReal.wrap(2 * Fraction(enc.radius_sq_ub)).sqrt().refined_to(PAYLOAD_PREC).hi
+
+    def coord_bounds(c):
+        if c >= 0:
+            return (Fraction(c) / n_up - e, Fraction(c) / n_lo + e)
+        return (Fraction(c) / n_lo - e, Fraction(c) / n_up + e)
+
+    d0_lo, d0_hi = coord_bounds(rep.x)
+    if not (d0_lo > 0 or d0_hi < 0):
+        raise InputError("first coordinate not separated from zero")
+
+    def ratio_bounds(c):
+        num_lo, num_hi = coord_bounds(c)
+        corners = [num_lo / d0_lo, num_lo / d0_hi, num_hi / d0_lo, num_hi / d0_hi]
+        return (min(corners), max(corners))
+
+    return ratio_bounds(rep.y), ratio_bounds(rep.z)

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import errno
 import json
 import os
 import re
@@ -44,11 +45,20 @@ def test_plan_bytes_deterministic(tmp_path):
     assert doc["exponents"] == ["14", "55", "213", "826", "3202"]
 
 
-def test_build_writes_state(tmp_path):
+def test_build_writes_state(tmp_path, capsys, toy_state):
     assert run(["build"] + TOY_FLAGS, tmp_path) == 0
     doc = load_document(str(tmp_path / "state.json"), "state")
     assert len(doc["xs"]) == 7
     assert doc["xs"][1] == ["-1", "4", "13"]
+    # the limit line's outward decimals hold the certified (alpha, beta)
+    limit = re.fullmatch(r"limit: alpha in \[(\S+), (\S+)\], beta in \[(\S+), (\S+)\]",
+                         capsys.readouterr().out.splitlines()[2])
+    a_lo, a_hi, b_lo, b_hi = map(Fraction, limit.groups())
+    (ea_lo, ea_hi), (eb_lo, eb_hi) = verifier.export_alpha_beta(
+        toy_state.u_enclosures[toy_state.last_index])
+    assert a_lo <= ea_lo <= ea_hi <= a_hi and b_lo <= eb_lo <= eb_hi <= b_hi
+    assert a_lo <= Fraction("0.239538296125") <= a_hi
+    assert b_lo <= Fraction("0.003218985807") <= b_hi
 
 
 def test_verify_audit_flags_toy_scale(tmp_path):
@@ -87,13 +97,6 @@ def _run_python(argv, timeout):
 def _run_module(argv, timeout, python_flags=()):
     """`python -m gammacert` in a subprocess, with this checkout's src first."""
     return _run_python([*python_flags, "-m", "gammacert"] + argv, timeout)
-
-
-def test_toy_pipeline_script(tmp_path):
-    got = _run_python([os.path.join(ROOT, "scripts", "run_toy_pipeline.py"),
-                       "--out", str(tmp_path)], 600)
-    assert got.returncode == 0, got.stdout + got.stderr
-    assert "[FAIL]" not in got.stdout
 
 
 # runs toy commands in process and prints, after the import and after each
@@ -183,12 +186,14 @@ def test_src_has_no_assert():
     assert found == []
 
 
-# defaulted parameters that no call in src/, scripts/ or perfbench/ sets, each
-# kept on purpose
+# defaulted parameters that no call in src/ or perfbench/ sets, each kept on
+# purpose
 UNSET_DEFAULTS_ALLOWED = {
     # certified_compare goes with the benchmark re-pin, which also moves its
     # tracer span in perfbench/spans.py to cert_le
     "certified_compare.max_prec",
+    # the tests draw other case counts: the work guard compares 200 with 0
+    "property_suites.cases",
 }
 
 
@@ -213,7 +218,7 @@ def _sets(call, index, name):
 def test_src_defaults_are_set_by_some_caller():
     # a default that no caller overrides is a constant spelled as a parameter
     calls = [(getattr(node.func, "id", None) or getattr(node.func, "attr", None), node)
-             for tree in _parsed("src", "scripts", "perfbench")
+             for tree in _parsed("src", "perfbench")
              for node in ast.walk(tree) if isinstance(node, ast.Call)]
     unset = set()
     for tree in _parsed(os.path.join("src", "gammacert")):
@@ -231,14 +236,14 @@ def test_src_defaults_are_set_by_some_caller():
     assert unset == UNSET_DEFAULTS_ALLOWED
 
 
-# functions and methods of the package that no code in src/, scripts/ or
-# perfbench/ references, each kept on purpose
+# functions and methods of the package that no code in src/ or perfbench/
+# references, each kept on purpose
 UNREFERENCED_ALLOWED = {
     # perfbench/spans.py wraps it by name until the benchmark re-pin moves
     # that span to cert_le
     "certified_compare",
     # the bound |q alpha - p| >= 1/(C1 q) that `properties` is to certify on
-    # the run's own table (ROADMAP direction 3)
+    # the run's own table (ROADMAP direction 9)
     "certify_bad_approx",
     # exact rational Y for the step's hand fixtures
     "YSpec.of_rational",
@@ -267,7 +272,7 @@ def test_src_functions_are_referenced():
     # a function that only tests call is API kept for the tests alone; an
     # import (the package top's re-export included) is not a reference
     refs = Counter()
-    for tree in _parsed("src", "scripts", "perfbench"):
+    for tree in _parsed("src", "perfbench"):
         refs.update(_names(tree))
     unreferenced = {
         qualname for tree in _parsed(os.path.join("src", "gammacert"))
@@ -306,7 +311,7 @@ def _strings(node):
 
 def test_certificate_clauses_are_named_by_tests():
     # a clause that no test names can lose its raise, or its name, unseen
-    # (ROADMAP direction 9); a test names a clause in a string constant
+    # (ROADMAP direction 11); a test names a clause in a string constant
     raised = {node.args[0].value for tree in _parsed(os.path.join("src", "gammacert"))
               for node in ast.walk(tree)
               if isinstance(node, ast.Call)
@@ -577,6 +582,24 @@ def test_forked_suites_write_what_the_parent_would(tmp_path, monkeypatch,
     assert run(argv, tmp_path) == rc
     assert (capsys.readouterr(), (tmp_path / "cert.json").read_bytes()) == forked
     assert len(forks) == 1
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("call, err", [("pipe", errno.EMFILE), ("fork", errno.EAGAIN)],
+                         ids=["pipe", "fork"])
+def test_suites_stay_in_the_parent_where_pipe_or_fork_fails(
+        tmp_path, monkeypatch, capsys, forks, call, err):
+    # no descriptor or no process to spare: verify runs the suites itself
+    # and writes what a platform without fork writes
+    argv = ["verify", "--mode", "properties"] + TOY_FLAGS
+    with monkeypatch.context() as patch:
+        patch.setattr(os, call, _raise(OSError(err, os.strerror(err))))
+        assert run(argv, tmp_path) == 0
+    failed = capsys.readouterr(), (tmp_path / "cert.json").read_bytes()
+    monkeypatch.delattr(os, "fork")
+    assert run(argv, tmp_path) == 0
+    assert (capsys.readouterr(), (tmp_path / "cert.json").read_bytes()) == failed
+    assert forks == []
     _assert_no_child()
 
 

@@ -42,7 +42,7 @@ def test_full_scan_frozen_counts(toy_scan):
     assert (r.fast_passed, r.slow_checked) == (19841253, 88)
     assert r.fast_passed + r.slow_checked == r.candidates
     assert r.violations == () and r.undecided == () and r.positivity_failures == ()
-    assert r.all_pass and not r.below_threshold
+    assert not r.below_threshold
     assert r.window_index == 2 and r.threads == 1
     assert r.used_clauses == ()
     assert r.skipped_clauses == TOY_AUDIT_FAILURES
@@ -134,7 +134,7 @@ def test_kernel_matches_reference_on_toy_shell(monkeypatch, toy_state, k_near):
     assert args[2] == k_near
     assert got == reference_scan_lines(*args)
     assert (report.lines, report.slow_checked) == (9067865, 88)
-    assert report.all_pass
+    assert report.violations == report.undecided == report.positivity_failures == ()
     if k_near == 2:
         assert report.candidates == 19841341
 
@@ -244,7 +244,7 @@ def test_kernel_work_is_independent_of_the_direction(monkeypatch, x0, kappa,
     assert args[1] == kappa
     assert got == reference_scan_lines(*args)
     assert (report.lines, report.candidates, report.slow_checked) == counts
-    assert report.all_pass
+    assert report.violations == report.undecided == report.positivity_failures == ()
     assert _kernel_steps(args, report.lines // 8) <= report.lines // 8
 
 
@@ -447,7 +447,7 @@ def test_below_threshold(toy_state):
     assert r.below_threshold and r.lines == 0 and r.candidates == 0
     assert r.range_hi_sq == F(10 ** 6) < r.range_lo_sq
     assert r.skipped_clauses == TOY_AUDIT_FAILURES
-    assert r.all_pass
+    assert r.violations == r.undecided == r.positivity_failures == ()
 
 
 def test_guard_margin_failure(toy_state):
@@ -458,7 +458,6 @@ def test_guard_margin_failure(toy_state):
                      skipped_clauses=())
     assert r.undecided == ("slab_guard_margin",)
     assert (r.lines, r.candidates) == (0, 0) and not r.below_threshold
-    assert not r.all_pass
 
 
 def test_guard_holds_at_exact_equality(monkeypatch, toy_state):
@@ -480,7 +479,7 @@ def test_guard_holds_at_exact_equality(monkeypatch, toy_state):
     r, (args, got) = _recorded_toy_scan(monkeypatch, toy_state, 2, b=b)
     assert args[3] == math.ceil(3 * F(abs(m[kappa]), 2))
     assert got == reference_scan_lines(*args)
-    assert r.undecided == () and r.all_pass
+    assert r.violations == r.undecided == r.positivity_failures == ()
     assert r.candidates == r.slow_checked > 0 and r.fast_passed == 0
 
     monkeypatch.setattr(LowerBoundEngine, "shell_bound",
@@ -494,7 +493,6 @@ def test_shell_beyond_int64_reach_is_undecided(honest_state):
     r = slab_scan_iv(honest_state, skipped_clauses=())
     assert r.undecided == ("slab_int64_reach:s_max_bits=128",)
     assert (r.lines, r.candidates) == (0, 0) and not r.below_threshold
-    assert not r.all_pass
 
 
 def test_input_validation(toy_state):

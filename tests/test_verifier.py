@@ -1,12 +1,14 @@
 """Audit clauses, witness grid, coefficient boxes, sandwich, exports."""
 
 import fractions
+import math
 import random
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
+import mpmath
 import pytest
 
 import references as ref
@@ -14,6 +16,7 @@ from conftest import TOY, build_run, run_table
 from gammacert import (
     DirectionEnclosure,
     InputError,
+    cli,
     exact,
     make_plan,
     schedule_X,
@@ -117,7 +120,6 @@ def test_coeff_box_counts(toy_state):
         assert (rep.strong_branch, rep.lattice_branch) == (4624, 272)
         assert rep.strong_branch + rep.lattice_branch == rep.in_window
         assert rep.violations == () and rep.undecided == ()
-        assert rep.all_pass
 
 
 def _all_interval_box(state, i, k_bound):
@@ -461,6 +463,48 @@ def test_export_alpha_beta_needs_separation():
         export_alpha_beta(enc)
 
 
+EXPORT_CASES = ["toy", "honest", "exact", "negative-r0"]
+
+
+def _export_enclosure(request, case):
+    if case in ("toy", "honest"):
+        state = request.getfixturevalue(f"{case}_state")
+        return state.u_enclosures[state.last_index]
+    if case == "exact":
+        return DirectionEnclosure(rep=IVec3(2, 1, 1), radius_sq_ub=F(0))
+    # 2 ||rep||^2 radius_sq = 1 - 2^-600, so E = 1 lies just above the exact
+    # offset, and the signs make each of the four corners an endpoint
+    return DirectionEnclosure(rep=IVec3(-5, 3, -2),
+                              radius_sq_ub=(1 - F(1, 1 << 600)) / 76)
+
+
+@pytest.mark.parametrize("case", EXPORT_CASES)
+def test_export_alpha_beta_meets_the_reference(request, case):
+    # the integer export meets the Fraction reference's interval, no wider
+    enc = _export_enclosure(request, case)
+    for (lo, hi), (ref_lo, ref_hi) in zip(export_alpha_beta(enc),
+                                          ref.export_alpha_beta(enc)):
+        assert lo <= ref_hi and ref_lo <= hi
+        assert hi - lo <= ref_hi - ref_lo
+
+
+@pytest.mark.parametrize("case", EXPORT_CASES)
+def test_export_alpha_beta_encloses_the_corners(request, case):
+    # each interval holds the corners (r_k +- e)/(r0 +- e) at 2,000 digits,
+    # e = ||rep|| sqrt(2 radius_sq) unrounded, and build's limit line, whose
+    # decimals are rounded outward, holds each interval
+    enc = _export_enclosure(request, case)
+    rep, rsq = enc.rep, enc.radius_sq_ub
+    with mpmath.workdps(2000):
+        e = mpmath.sqrt(2 * rep.norm_sq() * mpmath.mpf(rsq.numerator) / rsq.denominator)
+        for c, (lo, hi) in zip((rep.y, rep.z), export_alpha_beta(enc)):
+            corners = [(c + a) / (rep.x + b) for a in (-e, e) for b in (-e, e)]
+            assert mpmath.mpf(lo.numerator) / lo.denominator <= min(corners)
+            assert max(corners) <= mpmath.mpf(hi.numerator) / hi.denominator
+            assert F(cli._decimal(lo, math.floor)) <= lo
+            assert hi <= F(cli._decimal(hi, math.ceil))
+
+
 def test_property_suites_match_reference(monkeypatch):
     # the suites' driver run on the reference draws, predicates, basis
     # completion and gap loop gives the same report, seed by seed
@@ -489,7 +533,7 @@ def test_property_suites_match_reference(monkeypatch):
 
 # Fraction constructions in one property_suites call on Python 3.11: all
 # of them in the convergent-table and gap suites, whose work does not depend
-# on `cases` (from 3.12 fractions builds arithmetic results without __new__)
+# on `cases`
 PROPERTY_SUITE_FRACTIONS = 704
 
 
@@ -512,6 +556,17 @@ def test_property_suites_work_in_plain_integers(monkeypatch):
         made.append(1)
         return new(cls, *args, **kwargs)
 
+    # from Python 3.12 fractions builds arithmetic results through this
+    # classmethod, without __new__
+    coprime = getattr(fractions.Fraction, "_from_coprime_ints", None)
+    if coprime is not None:
+        def counted_coprime(cls, *args):
+            made.append(1)
+            return coprime.__func__(cls, *args)
+
+        monkeypatch.setattr(fractions.Fraction, "_from_coprime_ints",
+                            classmethod(counted_coprime))
+
     monkeypatch.setattr(random.Random, "randint", no_randint)
     monkeypatch.setattr(exact, "proj_dist_sq", counted_dist)
     monkeypatch.setattr(verifier, "proj_dist_sq", counted_dist, raising=False)
@@ -519,7 +574,8 @@ def test_property_suites_work_in_plain_integers(monkeypatch):
     counts = []
     for cases in (200, 0):
         made.clear()
-        assert property_suites(seed=0, cases=cases).all_pass
+        suites = property_suites(seed=0, cases=cases).suites
+        assert all(not fails for _, _, fails in suites)
         counts.append(len(made))
     assert dist_calls == []
     assert counts[0] == counts[1]
@@ -531,7 +587,7 @@ def test_property_suites_deterministic():
     a = property_suites(seed=3, cases=120)
     b = property_suites(seed=3, cases=120)
     assert canonical_bytes(report_body(a)) == canonical_bytes(report_body(b))
-    assert a.all_pass
+    assert all(not fails for _, _, fails in a.suites)
     names = [name for name, _, _ in a.suites]
     assert names == ["triangle_inequality", "lagrange_identity",
                      "primitive_pair_equiv", "vperp_sandwich",
