@@ -26,7 +26,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Tuple, Union
 
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import MPZ, fzero, mpf_div, mpf_pos
+from mpmath.libmp import (MPZ, ComplexResult, from_man_exp, fzero, mpf_div,
+                          mpf_pos, normalize1)
 
 from .errors import UndecidedError
 
@@ -91,6 +92,45 @@ def _iv_from_ratio(ctx: MPIntervalContext, p: int, q: int):
         lo = mpf_div(x, y, prec, "f")
         hi = mpf_div(x, y, prec, "c")
     return ctx.make_mpf((lo, hi))
+
+
+def _mpf_sqrt(s, prec: int, rnd: str):
+    """mpmath's mpf_sqrt(s, prec, rnd) for rnd "f" or "c", special values
+    included, with math.isqrt in place of mpmath's pure-Python Newton
+    iteration.
+
+    Both take the exact floor root of the same shifted mantissa, so the
+    result is bit-identical. Rounding up, a nonzero remainder appends a
+    sticky 1 bit below the root, so the ceiling lands past the exact
+    floor.
+    """
+    sign, man, exp, bc = s
+    if sign:
+        raise ComplexResult("square root of a negative number")
+    if not man:
+        return s
+    if exp & 1:
+        exp -= 1
+        man <<= 1
+        bc += 1
+    elif man == 1:
+        return normalize1(sign, man, exp // 2, bc, prec, rnd)
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    n = int(man) << shift
+    root = math.isqrt(n)
+    if rnd == "c" and root * root != n:
+        root = (root << 1) + 1
+        shift += 2
+    return from_man_exp(root, (exp - shift) // 2, prec, rnd)
+
+
+def _iv_sqrt(ctx: MPIntervalContext, x):
+    """ctx.sqrt(x) for an interval x: the floor root of its lower end and the
+    ceiling root of its upper end, at ctx's precision."""
+    lo, hi = x._mpi_
+    prec = ctx.prec
+    return ctx.make_mpf((_mpf_sqrt(lo, prec, "f"), _mpf_sqrt(hi, prec, "c")))
 
 
 Handle = Callable[[MPIntervalContext], object]
@@ -181,9 +221,11 @@ class BallReal:
                 raise UndecidedError("enclosure stayed non-finite", p)
             p *= 2
 
-    def refine(self) -> "BallReal":
-        """Double the working precision. Never enlarges the enclosure."""
-        self._ensure(max(self._prec * 2, DEFAULT_PREC))
+    def refine(self, cap: Optional[int] = None) -> "BallReal":
+        """Double the working precision, to at most cap bits when a cap is
+        given. Never enlarges the enclosure."""
+        prec = max(self._prec * 2, DEFAULT_PREC)
+        self._ensure(prec if cap is None else min(prec, cap))
         return self
 
     def refined_to(self, prec: int) -> "BallReal":
@@ -269,7 +311,7 @@ class BallReal:
         if self._exact is not None:
             return sqrt_ratio(self._exact.numerator, self._exact.denominator)
         f = self._iv
-        return BallReal(lambda ctx: ctx.sqrt(f(ctx)))
+        return BallReal(lambda ctx: _iv_sqrt(ctx, f(ctx)))
 
     def pow(self, e: Number) -> "BallReal":
         """self**e for positive self; exact when e is a nonnegative int."""
@@ -285,7 +327,7 @@ class BallReal:
     __pow__ = pow
 
 
-_GOLDEN = BallReal(lambda ctx: (1 + ctx.sqrt(_iv_from_ratio(ctx, 5, 1))) / 2)
+_GOLDEN = BallReal(lambda ctx: (1 + _iv_sqrt(ctx, _iv_from_ratio(ctx, 5, 1))) / 2)
 
 
 # squares modulo 64, 63, 65 and 11; a non-square is rejected by one of them
@@ -322,7 +364,7 @@ def sqrt_ratio(num: int, den: int) -> BallReal:
     root = _isqrt_exact(num * den)
     if root is not None:
         return BallReal.exact(Fraction(root, den))
-    return BallReal(lambda ctx: ctx.sqrt(_iv_from_ratio(ctx, num, den)))
+    return BallReal(lambda ctx: _iv_sqrt(ctx, _iv_from_ratio(ctx, num, den)))
 
 
 class Cmp(enum.Enum):
@@ -361,7 +403,7 @@ def cert_le(a: Number, b: Number, max_prec: int = DEFAULT_MAX_PREC) -> Tuple[Opt
         worked = False
         for t in (x, y):
             if not t.is_exact and t.prec < max_prec:
-                t.refine()
+                t.refine(max_prec)
                 worked = True
         if not worked:
             return (None, max(x.prec, y.prec))

@@ -23,7 +23,7 @@ certifiably below 1/2), recorded by the tail_halving_generic verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Tuple
@@ -31,8 +31,7 @@ from typing import Dict, List, Tuple
 from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, sqrt_int, sqrt_ratio
 from .cf import ALPHA_PRESETS, ConvergentTable
 from .errors import CertificateFailure, InputError
-from .exact import (IVec3, cross, dot, is_primitive_pair, proj_dist_sq,
-                    proj_dist_sq_terms)
+from .exact import IVec3, cross, dot, is_primitive_point, proj_dist_sq_terms
 from .planner import Plan, Schedule, XScale
 from .stepper import (StepCertificate, StepOutput, Verdict, YSpec, certify,
                       recursive_step)
@@ -79,6 +78,9 @@ class ConstructionState:
     step_certs: List[StepCertificate]
     ledger: List[LedgerEntry]
     base_verdicts: List[Verdict]
+    # us[k] = cross(xs[k], xs[k+1]), the u_{k+1} of the ledger: each taken
+    # once, by build or by the step that made xs[k+1]
+    us: List[IVec3] = field(default_factory=list)
 
     @property
     def n_steps(self) -> int:
@@ -151,10 +153,11 @@ def _u_term_sq(state: ConstructionState, i: int) -> BallReal:
 def _base_verdicts(state: ConstructionState, max_prec: int) -> List[Verdict]:
     """Certificates on the start pair (x0, x1) and on the unbuilt tail."""
     x0, x1 = state.xs[0], state.xs[1]
-    if proj_dist_sq(x0, x1) != 4 * state.plan.delta0_sq:
+    u1 = state.us[0]
+    if Fraction(*proj_dist_sq_terms(x0, x1, u1)) != 4 * state.plan.delta0_sq:
         raise CertificateFailure("base_delta0_identity",
                                  "dist^2(x0,x1) != 4*delta0_sq")
-    if not is_primitive_pair(x0, x1):
+    if not is_primitive_point(u1):
         raise CertificateFailure("base_primitive_pair", "(x0, x1) not primitive")
     verdicts = [Verdict("base_delta0_identity", True),
                 Verdict("base_primitive_pair", True),
@@ -170,6 +173,7 @@ def _ledger_entry(state: ConstructionState, i: int, prev_delta: BallReal,
     """Certify the ledger of step i, which build has just run; returns the
     entry and delta_i.  prev_delta is delta_{i-1}, or delta0 at i = 1."""
     x_star, x, x_next = state.xs[i - 1], state.xs[i], state.xs[i + 1]
+    u, u_next = state.us[i - 1], state.us[i]
     # Recorded from certificates build already holds, not recomputed.
     # Triple cross: cross(u_i, u_{i+1}) = det3(x_{i-1}, x_i, x_{i+1}) x_i,
     # which is q_n x_i by step i's det_qn. Intersection: span(x_{i-1}, x_i)
@@ -185,13 +189,16 @@ def _ledger_entry(state: ConstructionState, i: int, prev_delta: BallReal,
     certify(f"halving_i{i}", delta_i, prev_delta / 2, max_prec, verdicts)
     near = sqrt_ratio(*proj_dist_sq_terms(x_star, x_next))
     certify(f"near_i{i}", near, delta_i, max_prec, verdicts)
-    sep = sqrt_ratio(*proj_dist_sq_terms(x, x_next))
+    sep = sqrt_ratio(*proj_dist_sq_terms(x, x_next, u_next))
     certify(f"sep_i{i}", d0_ball + delta_i, sep, max_prec, verdicts)
     if i >= 2:
-        cur = sqrt_ratio(*proj_dist_sq_terms(x_star, x))
+        cur = sqrt_ratio(*proj_dist_sq_terms(x_star, x, u))
         certify(f"dist_floor_i{i}", d0_ball, cur, max_prec, verdicts)
 
-    du_sq = proj_dist_sq(cross(x_star, x), cross(x, x_next))  # u_i, u_{i+1}
+    # dist^2(u_i, u_{i+1}), its numerator |cross(u_i, u_{i+1})|^2 from the
+    # triple cross identity with det3(x_{i-1}, x_i, x_{i+1}) = x_{i-1}.u_{i+1}
+    det = x_star.dot(u_next)
+    du_sq = Fraction(det * det * x.norm_sq(), u.norm_sq() * u_next.norm_sq())
     certify(f"u_step_i{i}", BallReal.wrap(du_sq), _u_term_sq(state, i),
             max_prec, verdicts)
     if i >= 2:
@@ -206,18 +213,27 @@ def _ledger_entry(state: ConstructionState, i: int, prev_delta: BallReal,
 
 def build(plan: Plan, schedule: Schedule,
           max_prec: int = DEFAULT_MAX_PREC) -> ConstructionState:
-    """Run all n_steps recursive steps and certify the full ledger."""
+    """Run all n_steps recursive steps and certify the full ledger.
+
+    Step 1 completes its basis through solve_dot_one; every later step
+    starts its completion from the previous step's convergent identity
+    (_identity_z0), and takes u = cross(x_{i-1}, x_i) from the state.
+    """
     table = ConvergentTable(ALPHA_PRESETS[plan.alpha], plan.c1)
     state = ConstructionState(plan=plan, schedule=schedule, xs=[plan.x0, plan.x1],
                               ys=[], step_outputs=[], step_certs=[], ledger=[],
-                              base_verdicts=[])
+                              base_verdicts=[], us=[cross(plan.x0, plan.x1)])
     state.base_verdicts = _base_verdicts(state, max_prec)
     delta = state.delta0_ball()
     for i in range(1, plan.n_steps + 1):
+        z0 = (None if i == 1 else
+              _identity_z0(table, state.step_outputs[-1], state.xs[i - 2]))
         out, cert = recursive_step(state.xs[i - 1], state.xs[i],
                                    YSpec.of_power(state.scale(i).sq),
-                                   state.scale(i + 1).value_int, table, max_prec)
+                                   state.scale(i + 1).value_int, table, max_prec,
+                                   z0=z0, u=state.us[i - 1])
         state.xs.append(out.x_prime)
+        state.us.append(out.u_prime)
         state.ys.append(out.y)
         state.step_outputs.append(out)
         state.step_certs.append(cert)
@@ -226,11 +242,25 @@ def build(plan: Plan, schedule: Schedule,
     return state
 
 
+def _identity_z0(table: ConvergentTable, out: StepOutput, x_star: IVec3) -> IVec3:
+    """A z0 with cross(x, x').z0 = 1 for the step after out = step(x*, x).
+
+    out's det_qn and det_pn certify cross(x, x').x* = q_n and
+    cross(x, x').y = -p_n, and the table's cross identity gives
+    p_{n-1} q_n - q_{n-1} p_n = (-1)^(n+1), so
+    z0 = (-1)^(n+1) (p_{n-1} x* + q_{n-1} y). Row n-1 is read while the
+    cursor still stands at out's row n, so it moves no row.
+    """
+    p_prev, q_prev = table.pair(out.n - 1)
+    z0 = p_prev * x_star + q_prev * out.y
+    return z0 if out.n % 2 else -z0
+
+
 def enclose_u(state: ConstructionState, i: int) -> DirectionEnclosure:
     """Enclosure of u anchored at u_i = cross(x_{i-1}, x_i), 1 <= i <= last."""
     if not 1 <= i <= state.last_index:
         raise InputError(f"u anchor {i} out of range")
-    rep = cross(state.xs[i - 1], state.xs[i])
+    rep = state.us[i - 1]
     radius_sq = _u_term_sq(state, i) * 4
     return DirectionEnclosure(rep=rep, radius_sq_ub=radius_sq.refined_to(PAYLOAD_PREC).hi)
 

@@ -35,7 +35,7 @@ from .verifier import (PropertyReport, check_condition_iii, coeff_box_lemma3,
 Rat = Fraction
 
 MODES = ("all", "slab", "box", "witness", "properties", "audit")
-LIMIT_PLACES = 12  # decimal places of each endpoint on build's limit line
+LIMIT_DIGITS = 10  # significant digits of each endpoint on build's limit line
 
 
 @dataclass(frozen=True)
@@ -288,10 +288,24 @@ def cmd_build(cfg: RunConfig) -> int:
 
 
 def _decimal(x: Rat, rounding: Callable[[Rat], int]) -> str:
-    """x to LIMIT_PLACES decimal places, rounded by math.floor or math.ceil."""
-    q = rounding(x * 10 ** LIMIT_PLACES)
-    whole, frac = divmod(abs(q), 10 ** LIMIT_PLACES)
-    return f"{'-' if q < 0 else ''}{whole}.{frac:0{LIMIT_PLACES}d}"
+    """x to LIMIT_DIGITS significant digits, rounded by math.floor or
+    math.ceil; in scientific notation below 10^-4 and from 10^LIMIT_DIGITS,
+    as %g writes it."""
+    if x == 0:
+        return "0"
+    # e = floor(log10 |x|): the digit counts put it at e or e - 1
+    e = len(str(abs(x.numerator))) - len(str(x.denominator))
+    if Fraction(10) ** e > abs(x):
+        e -= 1
+    q = rounding(x * Fraction(10) ** (LIMIT_DIGITS - 1 - e))
+    if abs(q) == 10 ** LIMIT_DIGITS:  # rounded out to the next power of ten
+        q, e = q // 10, e + 1
+    sign, digits = "-" if q < 0 else "", str(abs(q))
+    if e < -4 or e >= LIMIT_DIGITS:
+        return f"{sign}{digits[0]}.{digits[1:]}e{e}"
+    places = LIMIT_DIGITS - 1 - e
+    whole, frac = divmod(abs(q), 10 ** places)
+    return f"{sign}{whole}.{frac:0{places}d}" if places else f"{sign}{whole}"
 
 
 def cmd_verify(cfg: RunConfig) -> int:

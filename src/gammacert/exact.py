@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .errors import CertificateFailure, InputError
 
@@ -121,15 +121,19 @@ def proj_dist_sq(a: IVec3, b: IVec3) -> Fraction:
     return Fraction(*proj_dist_sq_terms(a, b))
 
 
-def proj_dist_sq_terms(a: IVec3, b: IVec3) -> Tuple[int, int]:
+def proj_dist_sq_terms(a: IVec3, b: IVec3,
+                       c: Optional[IVec3] = None) -> Tuple[int, int]:
     """(||a^b||^2, ||a||^2 ||b||^2), the squared distance's unreduced terms.
 
     For callers headed for a square root (balls.sqrt_ratio), which need no
-    gcd of terms that reach tens of thousands of bits.
+    gcd of terms that reach tens of thousands of bits. c, when given, is
+    a^b, which the caller already holds.
     """
     if a.is_zero() or b.is_zero():
         raise ValueError("projective distance needs nonzero vectors")
-    return a.cross(b).norm_sq(), a.norm_sq() * b.norm_sq()
+    if c is None:
+        c = a.cross(b)
+    return c.norm_sq(), a.norm_sq() * b.norm_sq()
 
 
 def is_primitive_point(a: IVec3) -> bool:
@@ -211,22 +215,30 @@ def _gauss_reduce(a: IVec3, b: IVec3) -> Tuple[IVec3, IVec3]:
 _WINDOW = tuple((m, n) for m in range(-2, 3) for n in range(-2, 3))
 
 
-def complete_to_basis(a: IVec3, b: IVec3) -> IVec3:
+def complete_to_basis(a: IVec3, b: IVec3, z0: Optional[IVec3] = None,
+                      c: Optional[IVec3] = None) -> IVec3:
     """Canonical third basis vector z with det3(a, b, z) = 1.
 
     Requires (a, b) primitive. The solutions of (a x b).z = 1 form one coset
     z0 + Z a + Z b, and z is its smallest-norm element, ties broken by
     lexicographically smallest tuple, so z does not depend on which z0
-    solve_dot_one finds. One Babai rounding on the Lagrange-reduced basis
-    (ra, rb) moves z0 to z1; the 25 offsets (m, n) of a +-2 window around
-    it are scored as |z1 + m ra + n rb|^2 from Gram scalars, and only the
-    minimal-norm candidates are formed, as coordinate tuples for the
-    tie-break.
+    starts the search. A caller that knows a solution passes it as z0, and
+    ValueError is raised unless (a x b).z0 = 1; otherwise solve_dot_one
+    finds one, which needs two modular inverses of coordinates of a x b.
+    c, when given, is a x b, which the caller already holds. One Babai
+    rounding on the Lagrange-reduced basis (ra, rb) moves z0 to z1; the 25
+    offsets (m, n) of a +-2 window around it are scored as
+    |z1 + m ra + n rb|^2 from Gram scalars, and only the minimal-norm
+    candidates are formed, as coordinate tuples for the tie-break.
     """
-    c = a.cross(b)
-    if not is_primitive_point(c):
-        raise ValueError("not a primitive pair")
-    z0 = solve_dot_one(c)
+    if c is None:
+        c = a.cross(b)
+    if z0 is None:
+        if not is_primitive_point(c):
+            raise ValueError("not a primitive pair")
+        z0 = solve_dot_one(c)
+    elif c.dot(z0) != 1:
+        raise ValueError("z0 does not solve (a x b).z0 = 1")
     ra, rb = _gauss_reduce(a, b)
     # for a Lagrange-reduced 2d basis the closest vector is within 1 of the
     # rounded coefficients, a +-2 window is belt and braces

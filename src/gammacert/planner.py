@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .balls import BallReal, DEFAULT_MAX_PREC, Number, cert_le, sqrt_int
 from .cf import ALPHA_PRESETS
@@ -132,6 +133,68 @@ def choose_companion(x0: IVec3, delta: Rat) -> IVec3:
         m += 1
 
 
+class _ClauseTerms:
+    """The plan clauses' shared subexpressions, each built on its first read,
+    so building some clauses builds only what they read, and every clause
+    built from one _ClauseTerms shares the same balls."""
+
+    def __init__(self, plan: Plan):
+        self.plan = plan
+        self.c1, self.d0sq = plan.c1, plan.delta0_sq
+        self.x1sq = Fraction(plan.x1_sq)
+
+    @cached_property
+    def gamma(self) -> BallReal:
+        return BallReal.golden()
+
+    @cached_property
+    def c2(self) -> Rat:
+        return (8 * self.c1) ** 3 / self.d0sq
+
+    @cached_property
+    def c3(self) -> Rat:
+        return 25 * self.c1 ** 3 * self.c2
+
+    @cached_property
+    def d0(self) -> BallReal:
+        return BallReal.wrap(self.d0sq).sqrt()
+
+    @cached_property
+    def x1(self) -> BallReal:
+        return XScale.of_norm_sq(self.plan.x1_sq).ball()
+
+
+def _contraction_seed(t: _ClauseTerms) -> Tuple[Number, Number]:
+    c1, gamma, x1sq = t.c1, t.gamma, t.x1sq
+    seed_lhs = (BallReal.wrap(5 * c1) * BallReal.wrap(x1sq).pow((1 - gamma) / 2)
+                + BallReal.wrap(4 * c1)
+                / (t.d0 * sqrt_int(t.plan.x0_sq) * BallReal.wrap(x1sq).pow((gamma + 1) / 2)))
+    return seed_lhs, t.d0
+
+
+# name -> builder of (lhs, rhs), one entry per plan clause, in the starred
+# audit's order; see plan_clauses
+_CLAUSES: Dict[str, Callable[[_ClauseTerms], Tuple[Number, Number]]] = {
+    "large_q_margin": lambda t: (
+        t.d0sq, BallReal.wrap(2 * t.c1) * BallReal.wrap(t.x1sq).pow((2 - t.gamma) / 2)),
+    "q_below_qn": lambda t: (t.c2, 2 * t.x1),
+    "mid_norm_margin": lambda t: (
+        16 * t.c1 * t.c3, BallReal.wrap(t.d0sq) * BallReal.wrap(t.x1sq).pow((t.gamma + 1) / 2)),
+    # 1/gamma = gamma - 1 turns C2^(1/gamma) into an exact-exponent power
+    "mid_norm_const": lambda t: (
+        BallReal.wrap(2 * t.c3) * BallReal.wrap(t.c2).pow(t.gamma - 1),
+        BallReal.wrap(t.x1sq).pow(Fraction(3, 2))),
+    "plane_const": lambda t: ((6 * t.c1) ** 3, BallReal.wrap(t.x1sq).pow((2 - t.gamma) / 2)),
+    "scale_floor": lambda t: (BallReal.wrap(12 * t.c1).pow(t.gamma), t.x1),
+    "scale_seed": lambda t: (25 * Fraction(t.plan.x0_sq), t.x1sq),
+    "gap_budget": lambda t: (9 * t.d0sq, t.plan.delta * t.plan.delta),
+    "contraction_seed": _contraction_seed,
+    "regime_product": lambda t: (
+        t.plan.theta if t.plan.theta is not None else 2 * t.c2,
+        BallReal.wrap(t.d0sq) * t.x1),
+}
+
+
 def plan_clauses(plan: Plan) -> List[Tuple[str, Number, Number]]:
     """The starred audit's clauses that depend on the plan alone, in its order.
 
@@ -150,33 +213,8 @@ def plan_clauses(plan: Plan) -> List[Tuple[str, Number, Number]]:
     Needs delta0 > 0.  make_plan certifies the entry clauses among these;
     verifier.starred_ledger_audit records all of them.
     """
-    c1, d0sq = plan.c1, plan.delta0_sq
-    x1sq = Fraction(plan.x1_sq)
-    gamma = BallReal.golden()
-    c2 = (8 * c1) ** 3 / d0sq
-    c3 = 25 * c1 ** 3 * c2
-    d0 = BallReal.wrap(d0sq).sqrt()
-    x1 = XScale.of_norm_sq(plan.x1_sq).ball()
-    seed_lhs = (BallReal.wrap(5 * c1) * BallReal.wrap(x1sq).pow((1 - gamma) / 2)
-                + BallReal.wrap(4 * c1)
-                / (d0 * sqrt_int(plan.x0_sq) * BallReal.wrap(x1sq).pow((gamma + 1) / 2)))
-    theta = plan.theta if plan.theta is not None else 2 * c2
-    return [
-        ("large_q_margin", d0sq,
-         BallReal.wrap(2 * c1) * BallReal.wrap(x1sq).pow((2 - gamma) / 2)),
-        ("q_below_qn", c2, 2 * x1),
-        ("mid_norm_margin", 16 * c1 * c3,
-         BallReal.wrap(d0sq) * BallReal.wrap(x1sq).pow((gamma + 1) / 2)),
-        # 1/gamma = gamma - 1 turns C2^(1/gamma) into an exact-exponent power
-        ("mid_norm_const", BallReal.wrap(2 * c3) * BallReal.wrap(c2).pow(gamma - 1),
-         BallReal.wrap(x1sq).pow(Fraction(3, 2))),
-        ("plane_const", (6 * c1) ** 3, BallReal.wrap(x1sq).pow((2 - gamma) / 2)),
-        ("scale_floor", BallReal.wrap(12 * c1).pow(gamma), x1),
-        ("scale_seed", 25 * Fraction(plan.x0_sq), x1sq),
-        ("gap_budget", 9 * d0sq, plan.delta * plan.delta),
-        ("contraction_seed", seed_lhs, d0),
-        ("regime_product", theta, BallReal.wrap(d0sq) * x1),
-    ]
+    terms = _ClauseTerms(plan)
+    return [(name, *build(terms)) for name, build in _CLAUSES.items()]
 
 
 # the plan clauses the multiplier search certifies, cheapest first; toy runs
@@ -194,9 +232,9 @@ def _enters(plan: Plan, max_prec: int) -> bool:
     """
     if plan.delta0_sq == 0:
         return False
-    clauses = {name: (lhs, rhs) for name, lhs, rhs in plan_clauses(plan)}
+    terms = _ClauseTerms(plan)  # builds only the clauses probed, in order
     names = _ENTRY_CLAUSES[:2] if plan.toy else _ENTRY_CLAUSES
-    if any(cert_le(*clauses[name], max_prec)[0] is not True for name in names):
+    if any(cert_le(*_CLAUSES[name](terms), max_prec)[0] is not True for name in names):
         return False
     if not plan.toy:
         return True

@@ -23,7 +23,6 @@ from .exact import (
     cross,
     det3,
     dot,
-    is_primitive_pair,
     is_primitive_point,
     nearest_int,
     proj_dist_sq_terms,
@@ -75,6 +74,7 @@ class StepOutput:
     ell: int
     r: Rat
     s: Rat  # reduced coordinate, |s| <= 1/2
+    u_prime: IVec3  # cross(x, x'), certified primitive
 
 
 @dataclass(frozen=True)
@@ -118,14 +118,18 @@ def decompose_in_basis(y0: IVec3, x_star: IVec3, x: IVec3) -> Tuple[Rat, Rat]:
 
 
 def recursive_step(x_star: IVec3, x: IVec3, Y_spec: YSpec, X_prime: int,
-                   table: ConvergentTable, max_prec: int = DEFAULT_MAX_PREC
+                   table: ConvergentTable, max_prec: int = DEFAULT_MAX_PREC,
+                   z0: Optional[IVec3] = None, u: Optional[IVec3] = None
                    ) -> Tuple[StepOutput, StepCertificate]:
     """One step from the primitive pair (x*, x) toward the targets Y and X'.
 
     table supplies q_n and p_n, and every comparison is certified up to
-    max_prec bits. Returns (y, x') with the step data, and the verdicts.
+    max_prec bits. A caller that holds u = cross(x*, x) and a solution z0 of
+    u.z0 = 1 (the previous step's u' and the convergent identity, see
+    builder.build) passes them; complete_to_basis checks z0. Returns
+    (y, x') with the step data, u' = cross(x, x') among it, and the verdicts.
     """
-    u_rep = cross(x_star, x)  # the input check and part 3 both read it
+    u_rep = cross(x_star, x) if u is None else u  # input check, (1), part 3
     if not is_primitive_point(u_rep):
         raise InputError("recursive_step needs a primitive pair")
     c1 = table.c1
@@ -141,7 +145,7 @@ def recursive_step(x_star: IVec3, x: IVec3, Y_spec: YSpec, X_prime: int,
     certify("hyp_Y_le_Xprime", Y, X_prime, max_prec, verdicts)
 
     # (1) basis completion; complete_to_basis certifies det3(x*, x, y0) = 1
-    y0 = complete_to_basis(x_star, x)
+    y0 = complete_to_basis(x_star, x, z0, u_rep)
     r, s = decompose_in_basis(y0, x_star, x)
 
     # (2) reduce s into (-1/2, 1/2], ties at the upper end: s - ceil(s - 1/2)
@@ -152,14 +156,15 @@ def recursive_step(x_star: IVec3, x: IVec3, Y_spec: YSpec, X_prime: int,
     # Once the enclosure's endpoints share a ceiling, a is certified minimal;
     # at the precision cap ceil(hi) is still certified sufficient. Separating
     # the fractional part takes about 64 bits past a's own bit length, so an
-    # undecided 64-bit enclosure goes straight to the power of two at or above
-    # that (capped at max_prec) and doubles from there.
+    # undecided 64-bit enclosure goes straight to that many bits and doubles
+    # from there, each time capped at max_prec. Any decided enclosure gives
+    # the same a, and no verdict records its precision.
     target = (Y + nx / 2 + 1) / nx_star - BallReal.exact(r)
     if math.ceil(target.lo) != math.ceil(target.hi) and target.prec < max_prec:
         need = math.ceil(target.hi).bit_length() + 64
-        target.refined_to(min(1 << (need - 1).bit_length(), max_prec))
+        target.refined_to(min(need, max_prec))
         while math.ceil(target.lo) != math.ceil(target.hi) and target.prec < max_prec:
-            target.refine()
+            target.refine(max_prec)
     a = math.ceil(target.hi)
 
     # (4) convergent index from T = 2 X'/Y, then the m correction
@@ -201,9 +206,11 @@ def recursive_step(x_star: IVec3, x: IVec3, Y_spec: YSpec, X_prime: int,
     # = det3(x*, x, x') x = q_n x by det_qn; and q_n Y <= 2 C1 |x'|
     certify("part4_dist_bound", qn * qn * Y_sq, 4 * c1 * c1 * nxp_sq, max_prec, verdicts)
 
-    if not is_primitive_pair(x, x_prime):
+    u_prime = cross(x, x_prime)
+    if not is_primitive_point(u_prime):
         raise CertificateFailure("output_pair_primitive", "cross content != 1")
     verdicts.append(Verdict("output_pair_primitive", True))
 
-    out = StepOutput(y=y, x_prime=x_prime, n=n, a=a, m=m, ell=ell, r=r, s=s)
+    out = StepOutput(y=y, x_prime=x_prime, n=n, a=a, m=m, ell=ell, r=r, s=s,
+                     u_prime=u_prime)
     return out, StepCertificate(verdicts=tuple(verdicts))

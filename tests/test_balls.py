@@ -1,16 +1,19 @@
 """Interval enclosure layer: refinement, certified compares, payloads."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_int, from_rational
+from mpmath.libmp import (ComplexResult, finf, fnan, fninf, from_int,
+                          from_man_exp, from_rational, fzero, mpf_sqrt)
+from mpmath.libmp.libmpf import fnzero
 
 from gammacert.balls import (PAYLOAD_PREC, BallReal, Cmp, _ctx, _dyadic_man,
-                             _isqrt_exact, _iv_from_ratio,
+                             _isqrt_exact, _iv_from_ratio, _mpf_sqrt,
                              _mpf_tuple_to_fraction, ball_payload, cert_le,
                              certified_compare, sqrt_int, sqrt_ratio)
 
@@ -331,3 +334,82 @@ def test_payload_ignores_refinement_to_1024_bits():
             b.refined_to(prec)
         assert b.prec == 1024
         assert ball_payload(b) == fresh
+
+
+def _sqrt_cases(rng, count):
+    """(mpf, prec) pairs for the square-root kernel: the special values,
+    man == 1 at even and odd exponents, exact squares, odd exponents and
+    negative inputs, at precisions from 1 bit up, mostly below 600 bits and
+    four cases in 100 up to 70,000 bits (powers of two and their neighbours
+    among them)."""
+    specials = [fzero, fnzero, finf, fninf, fnan, from_int(-1), from_int(-5)]
+    wide = [1 << k for k in range(17)] + [(1 << k) + d for k in range(1, 17) for d in (-1, 1)]
+    wide += [11_090, 65_536, 69_999, 70_000]
+    for i in range(count):
+        kind = i % 6
+        if i % 100 < 2:
+            prec = wide[(i // 2) % len(wide)]
+        elif i % 100 in (50, 51):
+            prec = rng.randint(1, 70_000)
+        else:
+            prec = rng.randint(1, rng.choice((8, 64, 600)))
+        exp = rng.randint(-400, 400)
+        if kind == 0:
+            x = specials[(i // 6) % len(specials)]
+        elif kind == 1:
+            x = from_man_exp(1, exp)
+        elif kind == 2:
+            k = rng.getrandbits(rng.randint(1, 300)) | 1
+            x = from_man_exp(k * k, 2 * exp)
+        elif kind == 3:
+            x = from_man_exp(rng.getrandbits(rng.randint(1, 400)) | 1, 2 * exp + 1)
+        elif kind == 4:
+            x = from_man_exp(-(rng.getrandbits(rng.randint(1, 200)) | 1), exp)
+        else:
+            x = from_man_exp(rng.getrandbits(rng.randint(1, 2 * prec + 64)) | 1, exp)
+        yield x, prec
+
+
+def test_sqrt_kernel_matches_mpf_sqrt():
+    # the kernel's correctly rounded floor and ceiling roots are mpmath's,
+    # bit for bit, and it raises where mpmath raises
+    rng = random.Random(28)
+    checked = Counter()
+    for x, prec in _sqrt_cases(rng, 20_400):
+        for rnd in ("f", "c"):
+            try:
+                want = mpf_sqrt(x, prec, rnd)
+            except ComplexResult:
+                with pytest.raises(ComplexResult):
+                    _mpf_sqrt(x, prec, rnd)
+                checked["raised"] += 1
+                continue
+            assert _mpf_sqrt(x, prec, rnd) == want, (x, prec, rnd)
+            checked[rnd] += 1
+    assert checked["raised"] >= 6_000 and checked["f"] == checked["c"] >= 15_000
+
+
+@pytest.mark.parametrize("num, den", [(5, 1), (2, 1), (1, 3), (10 ** 40 + 1, 7)])
+def test_sqrt_sites_match_the_interval_context(num, den):
+    # sqrt_ratio, BallReal.sqrt and the golden ratio give the interval
+    # context's ctx.sqrt endpoints at every precision tried
+    for prec in (53, 64, 100, 11_090, 16_384):
+        ctx = _ctx(prec)
+        want = ctx.sqrt(_iv_from_ratio(ctx, num, den))._mpi_
+        assert sqrt_ratio(num, den)._iv(ctx)._mpi_ == want
+        ratio = BallReal(lambda c: _iv_from_ratio(c, num, den))  # not exact
+        assert ratio.sqrt()._iv(ctx)._mpi_ == want
+    for prec in (64, 100, 11_090):
+        ctx = _ctx(prec)
+        want = ((1 + ctx.sqrt(_iv_from_ratio(ctx, 5, 1))) / 2)._mpi_
+        assert BallReal.golden()._iv(ctx)._mpi_ == want
+
+
+def test_cert_le_stops_at_a_cap_that_is_not_a_power_of_two():
+    # undecided at the cap: the last refinement goes to 100 bits, not 128
+    def close():
+        return sqrt_ratio((2 << 200) + 1, 1 << 200)
+
+    assert cert_le(sqrt_int(2), close(), 100) == (None, 100)
+    assert cert_le(sqrt_int(2), close(), 1000) == (True, 256)
+    assert cert_le(sqrt_int(2), close(), 200) == (None, 200)

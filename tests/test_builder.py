@@ -1,12 +1,17 @@
 """Sequence construction: certificates, ledgers, direction enclosures."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
+from mpmath.libmp import libintmath, libmpf
 
+from conftest import HONEST, build_run
 from gammacert import DirectionEnclosure, InputError, make_plan, schedule_X
+from gammacert import balls, builder, exact
+from gammacert.balls import BallReal
 from gammacert.builder import build, enclose_u, enclose_vw, x_dot_u_lower
-from gammacert.exact import IVec3, dot, proj_dist_sq
+from gammacert.exact import IVec3, cross, dot, proj_dist_sq
 from gammacert.planner import PsiSpec
 
 
@@ -129,3 +134,84 @@ def test_short_run_cannot_enclose_vw():
     assert st.n_steps == 1
     with pytest.raises(InputError):
         enclose_vw(st, "V")
+
+
+def test_honest_build_work(monkeypatch):
+    # solve_dot_one runs for the planner's completion and for step 1 only,
+    # since every later step starts from the convergent identity; step 5's
+    # a-selection refines once, to a's bit length plus 64 = 11,090 bits;
+    # and no square root reaches mpmath's mpf_sqrt and its pure-Python
+    # integer roots, while balls' own kernel runs (mpmath's exp and log
+    # call isqrt_fast_python themselves, not through mpf_sqrt)
+    solved = []
+    real_solve = exact.solve_dot_one
+    monkeypatch.setattr(exact, "solve_dot_one",
+                        lambda c: solved.append(c) or real_solve(c))
+    steps, precs = [], []
+    real_step = builder.recursive_step
+
+    def counted_step(*args, **kwargs):
+        steps.append(len(steps) + 1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(builder, "recursive_step", counted_step)
+    for name in ("refine", "refined_to"):
+        def recording(self, *args, _method=getattr(BallReal, name)):
+            got = _method(self, *args)
+            if sys._getframe(1).f_code.co_name == "recursive_step":
+                precs.append((steps[-1], got.prec))
+            return got
+        monkeypatch.setattr(BallReal, name, recording)
+
+    roots = {libintmath.isqrt_fast_python.__code__, libintmath.sqrtrem_python.__code__}
+    via_mpf_sqrt, kernel_calls = [], []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is balls._mpf_sqrt.__code__:
+            kernel_calls.append(1)
+        elif frame.f_code is libmpf.mpf_sqrt.__code__:
+            via_mpf_sqrt.append("mpf_sqrt")
+        elif frame.f_code in roots:
+            caller = frame.f_back
+            while caller is not None and caller.f_code is not libmpf.mpf_sqrt.__code__:
+                caller = caller.f_back
+            if caller is not None:
+                via_mpf_sqrt.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        state = build_run(HONEST, toy=False)
+    finally:
+        sys.setprofile(None)
+    assert len(solved) == 2 and steps == [1, 2, 3, 4, 5]
+    assert [p for i, p in precs if i == 5] == [11_090]
+    assert state.step_outputs[4].a.bit_length() + 64 == 11_090
+    assert via_mpf_sqrt == [] and kernel_calls
+
+
+@pytest.mark.parametrize("which", ["toy", "honest"])
+def test_crosses_are_taken_once_and_match(request, monkeypatch, which):
+    # us[k] is cross(xs[k], xs[k+1]); enclose_u reads it, and each ledger's
+    # u_step value, from the triple cross identity, equals the squared
+    # distance of the two crosses
+    state = request.getfixturevalue(f"{which}_state")
+    assert state.us == [cross(a, b) for a, b in zip(state.xs, state.xs[1:])]
+    for i in range(1, state.last_index + 1):
+        assert enclose_u(state, i).rep is state.us[i - 1]
+    got = []
+    real_certify = builder.certify
+
+    def capture(name, lhs, rhs, max_prec, verdicts):
+        if name.startswith("u_step_i"):
+            got.append(lhs.exact_value)
+        return real_certify(name, lhs, rhs, max_prec, verdicts)
+
+    monkeypatch.setattr(builder, "certify", capture)
+    plan, schedule = state.plan, state.schedule
+    rebuilt = build(plan, schedule)
+    assert rebuilt.xs == state.xs
+    assert got == [proj_dist_sq(cross(state.xs[i - 1], state.xs[i]),
+                                cross(state.xs[i], state.xs[i + 1]))
+                   for i in range(1, state.n_steps + 1)]

@@ -4,6 +4,7 @@ import ast
 import copy
 import errno
 import json
+import math
 import os
 import re
 import signal
@@ -332,6 +333,33 @@ HONEST_FLAGS = ["--alpha", "sqrt2m1", "--x0", "0,0,1", "--delta", "1/2",
                 "--steps", "5"]
 
 
+def test_build_limit_line_shows_the_honest_pair(tmp_path, capsys, honest_state):
+    # the honest pair lies near 1.4e-8 and 2.6e-22; each endpoint keeps
+    # cli.LIMIT_DIGITS significant digits, rounded outward, so both show
+    assert run(["build"] + HONEST_FLAGS, tmp_path) == 0
+    line = capsys.readouterr().out.splitlines()[2]
+    assert line == ("limit: alpha in [1.360588200e-8, 1.360588201e-8], "
+                    "beta in [2.572609104e-22, 2.572609105e-22]")
+    a_lo, a_hi, b_lo, b_hi = map(Fraction, re.fullmatch(
+        r"limit: alpha in \[(\S+), (\S+)\], beta in \[(\S+), (\S+)\]", line).groups())
+    (ea_lo, ea_hi), (eb_lo, eb_hi) = verifier.export_alpha_beta(
+        honest_state.u_enclosures[honest_state.last_index])
+    assert a_lo <= ea_lo <= ea_hi <= a_hi and b_lo <= eb_lo <= eb_hi <= b_hi
+
+
+@pytest.mark.parametrize("x, lo, hi", [
+    (Fraction(-1, 3), "-0.3333333334", "-0.3333333333"),
+    (Fraction(99999999999, 10 ** 10), "9.999999999", "10.00000000"),
+    (Fraction(-99999999999, 10 ** 15), "-0.0001000000000", "-9.999999999e-5"),
+    (Fraction(12345678901234), "1.234567890e13", "1.234567891e13"),
+    (Fraction(7), "7.000000000", "7.000000000"),
+    (Fraction(0), "0", "0"),
+])
+def test_limit_decimals_round_outward_to_significant_digits(x, lo, hi):
+    assert cli._decimal(x, math.floor) == lo and cli._decimal(x, math.ceil) == hi
+    assert Fraction(lo) <= x <= Fraction(hi)
+
+
 def test_honest_audit_bytes_pinned(tmp_path):
     rc = run(["verify", "--mode", "audit", "--threads", "1"] + HONEST_FLAGS, tmp_path)
     assert rc == 1
@@ -460,7 +488,8 @@ def test_plan_and_state_bytes_pinned(tmp_path, config, kind):
 
 
 # the 6-step honest build at theta = 2^31 reaches convergent row 73,610, and
-# its last a-selection jumps straight to the 2^16-bit precision cap
+# its last a-selection jumps once, to 56,438 bits (a's bit length plus 64),
+# just below the 2^16-bit precision cap
 SIX_STEP_STATE_DIGEST = "e98df8fa68a76418857da79ddf4c0269fe9c56ac739ae059548322e0676e3258"
 
 

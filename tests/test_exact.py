@@ -281,3 +281,39 @@ def test_complete_to_basis_matches_dict_reference():
         keys = window_candidates(a, b)
         tied += keys[0][0] == keys[1][0]
     assert tied >= 432  # the -1..1 pairs alone hold 432 tied windows
+
+
+big_shift = st.one_of(st.integers(min_value=-9, max_value=9),
+                      st.integers(min_value=-2 ** 200, max_value=2 ** 200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_vec, big_vec, big_shift, big_shift)
+@example(*TIES[0][:2], 0, 0)
+@example(*TIES[2][:2], 5, -7)
+@example(IVec3(1, 0, 0), IVec3(0, 1, 0), 2 ** 200, -2 ** 200)
+def test_complete_to_basis_from_any_z0_in_the_coset(a, b, m, n):
+    # a caller's z0 anywhere in the coset z + Z a + Z b, with or without the
+    # caller's cross product, gives the coset's canonical element
+    if not is_primitive_pair(a, b):
+        return
+    z = complete_to_basis(a, b)
+    z0 = z + m * a + n * b
+    assert complete_to_basis(a, b, z0) == z
+    assert complete_to_basis(a, b, z0, cross(a, b)) == z
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_vec, big_vec, big_vec)
+@example(IVec3(1, 0, 0), IVec3(0, 1, 0), IVec3(0, 0, -1))
+@example(IVec3(1, 0, 0), IVec3(0, 1, 0), IVec3(5, 7, 2))
+@example(IVec3(2, 0, 0), IVec3(0, 2, 0), IVec3(0, 0, 1))
+def test_complete_to_basis_rejects_a_wrong_z0(a, b, z0):
+    # a z0 with (a x b).z0 != 1 raises instead of falling back to
+    # solve_dot_one, primitive pair or not
+    if dot(cross(a, b), z0) == 1:
+        return
+    with mock.patch("gammacert.exact.solve_dot_one",
+                    side_effect=AssertionError("fell back to solve_dot_one")):
+        with pytest.raises(ValueError, match="z0"):
+            complete_to_basis(a, b, z0)

@@ -19,6 +19,7 @@ from gammacert import (
     make_plan,
     schedule_X,
 )
+from gammacert import planner
 from gammacert.balls import DEFAULT_MAX_PREC, cert_le, sqrt_int
 from gammacert.cf import ALPHA_PRESETS
 from gammacert.exact import (IVec3, complete_single, complete_to_basis,
@@ -275,3 +276,29 @@ def test_multiplier_matches_reference_search(x0, delta, alpha, theta_toy):
     want = reference_multiplier(x0, delta, ALPHA_PRESETS[alpha].c1_min, theta, toy)
     assert (plan.multiplier, plan.x1) == want
     assert is_primitive_pair(x0, plan.x0_companion)
+
+
+def test_entry_check_builds_only_the_clauses_it_probes(monkeypatch):
+    # each entry check builds its clauses one at a time, in probe order, and
+    # none past the first that fails: 153 builds over the 54 checks of the
+    # honest multiplier search, where building every plan clause would
+    # take 540; plan_clauses still builds all ten from the same definitions
+    built = []
+    for name, build in list(planner._CLAUSES.items()):
+        monkeypatch.setitem(planner._CLAUSES, name,
+                            lambda t, _name=name, _build=build: built.append(_name) or _build(t))
+    per_check = []
+    real_enters = planner._enters
+
+    def counted(plan, max_prec):
+        start = len(built)
+        got = real_enters(plan, max_prec)
+        per_check.append(built[start:])
+        return got
+
+    monkeypatch.setattr(planner, "_enters", counted)
+    plan = make_plan("sqrt2m1", E3, F(1, 2), PSI, 5)
+    assert len(per_check) == 54 and len(built) == 153
+    assert all(names == list(planner._ENTRY_CLAUSES[:len(names)]) for names in per_check)
+    built.clear()
+    assert [c[0] for c in planner.plan_clauses(plan)] == built == list(planner._CLAUSES)

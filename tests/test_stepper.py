@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from conftest import TOY, build_run, run_table
@@ -67,7 +68,7 @@ def test_a_selection_precision_stays_low(monkeypatch):
 
 @pytest.mark.parametrize("cap", [100, 1024])
 def test_a_selection_jump_stops_at_the_cap(monkeypatch, toy_state, cap):
-    # toy step 5 needs 2048 bits to separate a's ceiling; under a lower cap
+    # toy step 5 needs 1186 bits to separate a's ceiling; under a lower cap
     # the a-selection jumps once, to the cap itself, and ceil(hi) still
     # certifies a sufficient a
     seen = record_step_precisions(monkeypatch)
@@ -76,6 +77,46 @@ def test_a_selection_jump_stops_at_the_cap(monkeypatch, toy_state, cap):
                             s.scale(6).value_int, run_table(s), cap)
     assert seen == [cap]
     assert out.a >= s.step_outputs[4].a
+
+
+@pytest.mark.parametrize("cap", [1000, 1185, 1187, 1500])
+def test_a_selection_jump_goes_to_need_or_the_cap(monkeypatch, toy_state, cap):
+    # toy step 5 separates a's ceiling at need = 1186 bits, a's bit length
+    # plus 64: the jump goes there, or to a cap below it that is not a
+    # power of two, and stops
+    seen = record_step_precisions(monkeypatch)
+    s = toy_state
+    out, _ = recursive_step(s.xs[4], s.xs[5], YSpec.of_power(s.scale(5).sq),
+                            s.scale(6).value_int, run_table(s), cap)
+    assert seen == [min(cap, 1186)]
+    if cap >= 1186:
+        assert out.a == s.step_outputs[4].a
+    else:
+        assert out.a >= s.step_outputs[4].a
+
+
+def near_half_integer_base_sq():
+    """A base_sq with base_sq^(gamma/2) within about 2^-2290 of 21/2."""
+    with mpmath.workprec(2400):
+        gamma = (1 + mpmath.sqrt(5)) / 2
+        man, exp = mpmath.frexp((mpmath.mpf(21) / 2) ** (2 / gamma))
+        return F(int(mpmath.ldexp(man, 2300)), 2 ** (2300 - exp))
+
+
+@pytest.mark.parametrize("cap, precs, a", [
+    (1000, [68, 136, 272, 544, 1000], 13),
+    (4096, [68, 136, 272, 544, 1088, 2176, 4096], 12),
+])
+def test_a_selection_doubles_up_to_the_cap(monkeypatch, cap, precs, a):
+    # Y = 21/2 - 2^-2290 or so puts the target Y + 3/2 just below 12: the
+    # jump to need = 68 bits leaves it undecided, the doublings stop at a
+    # cap that is not a power of two, where ceil(hi) = 13 is still
+    # sufficient, and a cap of 4096 bits separates a = 12
+    seen = record_step_precisions(monkeypatch)
+    out, _ = recursive_step(E1, E2, YSpec.of_power(near_half_integer_base_sq()), 40,
+                            table(), cap)
+    assert seen == precs
+    assert out.a == a
 
 
 def reference_a(x_star, x, Y_spec, X_prime, table, max_prec=DEFAULT_MAX_PREC):
@@ -224,7 +265,10 @@ def test_step_identity_checks_fire(monkeypatch):
     with pytest.raises(CertificateFailure, match="det_qn"):
         recursive_step(E1, E2, YSpec.of_rational(4), 10, table())
     monkeypatch.undo()
-    monkeypatch.setattr(stepper, "is_primitive_pair", lambda a, b: False)
+    # the step takes u' = cross(x, x') once and tests that it is primitive
+    real_primitive = stepper.is_primitive_point
+    monkeypatch.setattr(stepper, "is_primitive_point",
+                        lambda c: c != cross(E2, xp) and real_primitive(c))
     with pytest.raises(CertificateFailure, match="output_pair_primitive"):
         recursive_step(E1, E2, YSpec.of_rational(4), 10, table())
 
