@@ -215,9 +215,10 @@ def build(plan: Plan, schedule: Schedule,
           max_prec: int = DEFAULT_MAX_PREC) -> ConstructionState:
     """Run all n_steps recursive steps and certify the full ledger.
 
-    Step 1 completes its basis through solve_dot_one; every later step
-    starts its completion from the previous step's convergent identity
-    (_identity_z0), and takes u = cross(x_{i-1}, x_i) from the state.
+    Each step takes u = cross(x_{i-1}, x_i) from the state and a z0 with
+    u.z0 = 1 for its completion. Step 1 takes -x0': x1 = n x0' + x0 + z
+    with det3(x0, x0', z) = 1 gives det3(x0, x1, -x0') = 1. Later steps
+    take the previous step's convergent identity (_identity_z0).
     """
     table = ConvergentTable(ALPHA_PRESETS[plan.alpha], plan.c1)
     state = ConstructionState(plan=plan, schedule=schedule, xs=[plan.x0, plan.x1],
@@ -226,7 +227,7 @@ def build(plan: Plan, schedule: Schedule,
     state.base_verdicts = _base_verdicts(state, max_prec)
     delta = state.delta0_ball()
     for i in range(1, plan.n_steps + 1):
-        z0 = (None if i == 1 else
+        z0 = (-plan.x0_companion if i == 1 else
               _identity_z0(table, state.step_outputs[-1], state.xs[i - 2]))
         out, cert = recursive_step(state.xs[i - 1], state.xs[i],
                                    YSpec.of_power(state.scale(i).sq),

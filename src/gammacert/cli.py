@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -29,13 +29,15 @@ from .planner import Plan, PsiSpec, Schedule, make_plan, schedule_X
 from .scan import slab_scan_iv
 from .serialize import (dump_document, load_document, plan_body, report_body,
                         state_body)
-from .verifier import (PropertyReport, check_condition_iii, coeff_box_lemma3,
-                       export_alpha_beta, property_suites, starred_ledger_audit)
+from .verifier import (PropertyReport, check_condition_iii, clean_report,
+                       coeff_box_lemma3, export_alpha_beta, property_suites,
+                       starred_ledger_audit)
 
 Rat = Fraction
 
 MODES = ("all", "slab", "box", "witness", "properties", "audit")
-LIMIT_DIGITS = 10  # significant digits of each endpoint on build's limit line
+LIMIT_DIGITS = 10  # significant digits of each bound build and report print
+PAYLOAD_EXP_LIMIT = 1 << 22  # report's cap on |exponent| (6-step honest: 420,809)
 
 
 @dataclass(frozen=True)
@@ -177,14 +179,17 @@ class _SuitesChild:
     """property_suites(seed) run in a forked child while the parent builds
     and checks the state; the suites read nothing but the seed.
 
-    The child prints nothing: it sends its report through a pipe as one
-    JSON array and leaves through os._exit, so it never flushes the stdio
-    buffers it inherited.  Where os.fork is missing, where os.pipe or
-    os.fork fails, where another thread runs (the child would inherit any
-    lock that thread holds, never to be released), or where the child sends
-    no whole report, report() runs the suites in the parent, so any
-    exception surfaces as from a direct call.  close() kills and reaps a
-    child that report() has not reaped.
+    The child prints nothing and leaves through os._exit, so it never
+    flushes the stdio buffers it inherited: with status 0 when no suite
+    lists a failure, else 1.  The suites are seeded and deterministic, so
+    status 0 stands for clean_report(seed).  Where os.fork is missing or
+    fails, where another thread runs (the child would inherit any lock that
+    thread holds, never to be released), or where the child does not exit
+    with 0, report() runs the suites in the parent, so failures and
+    exceptions surface as from a direct call.  So does a process whose
+    SIGCHLD is ignored, or whose SIGCHLD handler reaps the child, where
+    waitpid cannot see the status: there the parent reruns the suites, about
+    50 ms.  close() kills and reaps a child that report() has not reaped.
     """
 
     def __init__(self, seed: int) -> None:
@@ -195,48 +200,20 @@ class _SuitesChild:
         if not hasattr(os, "fork") or threading.active_count() > 1:
             return
         try:
-            rfd, wfd = os.pipe()
-        except OSError:  # no descriptor to spare: the parent runs the suites
-            return
-        try:
-            pid = os.fork()
+            self.pid = os.fork()
         except OSError:  # no process to spare: the parent runs the suites
-            pid = None
-        if pid == 0:
-            self._child(wfd)
-        os.close(wfd)
-        if pid is None:
-            os.close(rfd)
-        else:
-            self.pid, self.fd = pid, rfd
-
-    def _child(self, wfd: int) -> None:
-        code = 1
-        try:
-            prop = property_suites(self.seed)
-            data = json.dumps([prop.seed, prop.suites]).encode("ascii")
-            while data:
-                data = data[os.write(wfd, data):]
-            code = 0
-        finally:
-            os._exit(code)
+            return
+        if self.pid == 0:
+            code = 1
+            try:
+                if not any(fails for _, _, fails in property_suites(seed).suites):
+                    code = 0
+            finally:
+                os._exit(code)
 
     def report(self) -> PropertyReport:
-        if self.pid is not None:
-            chunks = []
-            while True:  # to end of file: the child has exited
-                chunk = os.read(self.fd, 1 << 16)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-            self._reap()
-            try:  # no prefix of a JSON array parses
-                seed, suites = json.loads(b"".join(chunks))
-            except ValueError:  # the child failed, or was killed mid-report
-                pass
-            else:
-                return PropertyReport(seed=seed, suites=tuple(
-                    (name, cases, tuple(fails)) for name, cases, fails in suites))
+        if self.pid is not None and self._reap() == 0:
+            return clean_report(self.seed)
         return property_suites(self.seed)
 
     def close(self) -> None:
@@ -244,19 +221,17 @@ class _SuitesChild:
         if self.pid is not None:
             import signal
 
-            try:
+            with suppress(ProcessLookupError):
                 os.kill(self.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
             self._reap()
 
-    def _reap(self) -> None:
-        try:
-            os.waitpid(self.pid, 0)
-        except ChildProcessError:  # reaped already, where SIGCHLD is ignored
-            pass
+    def _reap(self) -> Optional[int]:
+        """The child's wait status; None where it was reaped already."""
+        status = None
+        with suppress(ChildProcessError):
+            status = os.waitpid(self.pid, 0)[1]
         self.pid = None
-        os.close(self.fd)
+        return status
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +265,24 @@ def cmd_build(cfg: RunConfig) -> int:
 def _decimal(x: Rat, rounding: Callable[[Rat], int]) -> str:
     """x to LIMIT_DIGITS significant digits, rounded by math.floor or
     math.ceil; in scientific notation below 10^-4 and from 10^LIMIT_DIGITS,
-    as %g writes it."""
+    as %g writes it.  The work is in plain integers, so a dyadic of
+    hundreds of thousands of bits takes milliseconds."""
     if x == 0:
         return "0"
-    # e = floor(log10 |x|): the digit counts put it at e or e - 1
-    e = len(str(abs(x.numerator))) - len(str(x.denominator))
-    if Fraction(10) ** e > abs(x):
-        e -= 1
-    q = rounding(x * Fraction(10) ** (LIMIT_DIGITS - 1 - e))
+
+    def scaled(k: int) -> Tuple[int, int]:  # x 10^k, over a positive denominator
+        if k >= 0:
+            return x.numerator * 10 ** k, x.denominator
+        return x.numerator, x.denominator * 10 ** -k
+
+    # e = floor(log10 |x|), within one of its estimate from the bit lengths
+    e = (abs(x.numerator).bit_length() - x.denominator.bit_length()) * 30103 // 100000
+    n, d = scaled(-e)
+    while not d <= abs(n) < 10 * d:
+        e += 1 if abs(n) >= d else -1
+        n, d = scaled(-e)
+    q, r = divmod(*scaled(LIMIT_DIGITS - 1 - e))
+    q = rounding(Fraction(2 * q + (r != 0), 2))  # q or q + 1/2: the same floor and ceiling
     if abs(q) == 10 ** LIMIT_DIGITS:  # rounded out to the next power of ten
         q, e = q // 10, e + 1
     sign, digits = "-" if q < 0 else "", str(abs(q))
@@ -416,23 +401,12 @@ def _config_body(cfg: RunConfig) -> dict:
     return body
 
 
-def _payload_str(p: dict) -> str:
-    """Human-readable magnitude of a dyadic payload."""
-    man = int(p["mid_man"])
-    if man == 0:
-        rad = int(p["rad_man"])
-        if rad == 0:
-            return "0"
-        return f"<{_pow2_str(rad, int(p['rad_exp']))}"
-    return _pow2_str(man, int(p["mid_exp"]))
-
-
-def _pow2_str(man: int, exp: int) -> str:
-    log10 = (math.log10(abs(man)) + exp * math.log10(2))
-    e = math.floor(log10)
-    lead = 10 ** (log10 - e)
-    sign = "-" if man < 0 else ""
-    return f"{sign}{lead:.3f}e{e:+d}"
+def _payload_upper(p: dict) -> str:
+    """mid + rad of a dyadic payload, the top of its interval, rounded up."""
+    ends = [(int(p[f"{part}_man"]), int(p[f"{part}_exp"])) for part in ("mid", "rad")]
+    if any(abs(exp) > PAYLOAD_EXP_LIMIT for _, exp in ends):
+        raise OverflowError("payload exponent too large")
+    return _decimal(sum(man * Fraction(2) ** exp for man, exp in ends), math.ceil)
 
 
 def _report_text(state_doc: dict, cert: Optional[dict]):
@@ -452,8 +426,8 @@ def _report_text(state_doc: dict, cert: Optional[dict]):
     md.append("|---|--------|-----------------|---------------|")
     csv_rows = ["i,x_bits,delta_up,xu_up"]
     for entry in state_doc["series"]:
-        delta = _payload_str(entry["delta_up"]) if "delta_up" in entry else ""
-        xu = _payload_str(entry["xu_up"]) if "xu_up" in entry else ""
+        delta = _payload_upper(entry["delta_up"]) if "delta_up" in entry else ""
+        xu = _payload_upper(entry["xu_up"]) if "xu_up" in entry else ""
         md.append(f"| {entry['i']} | {entry['x_bits']} | {delta} | {xu} |")
         csv_rows.append(f"{entry['i']},{entry['x_bits']},{delta},{xu}")
     md.append("")

@@ -125,8 +125,8 @@ def recursive_step(x_star: IVec3, x: IVec3, Y_spec: YSpec, X_prime: int,
 
     table supplies q_n and p_n, and every comparison is certified up to
     max_prec bits. A caller that holds u = cross(x*, x) and a solution z0 of
-    u.z0 = 1 (the previous step's u' and the convergent identity, see
-    builder.build) passes them; complete_to_basis checks z0. Returns
+    u.z0 = 1 (builder.build holds both at every step) passes them;
+    complete_to_basis checks z0. Returns
     (y, x') with the step data, u' = cross(x, x') among it, and the verdicts.
     """
     u_rep = cross(x_star, x) if u is None else u  # input check, (1), part 3

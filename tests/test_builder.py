@@ -137,8 +137,9 @@ def test_short_run_cannot_enclose_vw():
 
 
 def test_honest_build_work(monkeypatch):
-    # solve_dot_one runs for the planner's completion and for step 1 only,
-    # since every later step starts from the convergent identity; step 5's
+    # solve_dot_one runs for the planner's completion only, since step 1
+    # starts from the plan's -x0' and every later step from the convergent
+    # identity; step 5's
     # a-selection refines once, to a's bit length plus 64 = 11,090 bits;
     # and no square root reaches mpmath's mpf_sqrt and its pure-Python
     # integer roots, while balls' own kernel runs (mpmath's exp and log
@@ -185,7 +186,7 @@ def test_honest_build_work(monkeypatch):
         state = build_run(HONEST, toy=False)
     finally:
         sys.setprofile(None)
-    assert len(solved) == 2 and steps == [1, 2, 3, 4, 5]
+    assert len(solved) == 1 and steps == [1, 2, 3, 4, 5]
     assert [p for i, p in precs if i == 5] == [11_090]
     assert state.step_outputs[4].a.bit_length() + 64 == 11_090
     assert via_mpf_sqrt == [] and kernel_calls

@@ -22,6 +22,7 @@ from gammacert import (
     locate_n,
     sqrt_int,
 )
+from gammacert import cf
 from gammacert.cf import AlphaSpec, QF, _SurdQuotients
 
 import references as ref
@@ -578,3 +579,15 @@ def test_gap_certificate_survives_optimize():
                          capture_output=True, text=True, timeout=120)
     assert got.returncode == 0, got.stderr
     assert got.stdout.strip() == "gap_degenerate"
+
+
+def test_table_checks_the_surd_start(monkeypatch):
+    # a quotient stream that starts from alpha + 1 instead of alpha
+    class Shifted(_SurdQuotients):
+        def __init__(self, spec):
+            super().__init__(spec)
+            self.P += self.Q
+
+    monkeypatch.setattr(cf, "_SurdQuotients", Shifted)
+    with pytest.raises(CertificateFailure, match="cf_surd_start: sqrt2m1"):
+        ConvergentTable(ALPHA_PRESETS["sqrt2m1"])

@@ -13,7 +13,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -284,19 +284,9 @@ def test_src_functions_are_referenced():
 
 
 # certificate clauses that src/ raises by a literal name and that no test
-# file names, each with the reason no test provokes it
-UNNAMED_CLAUSES_ALLOWED = {
-    # complete_to_basis scores a +-2 window around the Babai point of a
-    # Lagrange-reduced basis, which holds the det3 = 1 solution it returns
-    "basis_det": "unreachable: the completion window holds the solution",
-    # _SurdQuotients derives its start state from the same (a, b, c, d) as
-    # AlphaSpec.qf()
-    "cf_surd_start": "unreachable: the stream and alpha share one spec",
-    "schedule_invariants": "no non-toy plan that make_plan accepts fails them",
-    "slab_membership": "the kernel's row counts keep failing lines in the shell",
-    "xprime_norm_lower": "implied by the step's certified choice of a and n",
-    "xprime_norm_upper": "implied by the step's certified choice of a and n",
-}
+# file names, each with the reason no test provokes it; every clause is
+# provoked by some test now
+UNNAMED_CLAUSES_ALLOWED: dict = {}
 
 
 def _strings(node):
@@ -575,7 +565,7 @@ def test_honest_slab_out_of_reach_is_undecided(tmp_path):
 
 
 # the property suites run in a forked child while the parent builds and
-# checks the state; the parent reads the child's report where the
+# checks the state; the parent reads the child's exit status where the
 # properties line is printed, and no child outlives cli.main
 
 
@@ -614,12 +604,11 @@ def test_forked_suites_write_what_the_parent_would(tmp_path, monkeypatch,
     _assert_no_child()
 
 
-@pytest.mark.parametrize("call, err", [("pipe", errno.EMFILE), ("fork", errno.EAGAIN)],
-                         ids=["pipe", "fork"])
+@pytest.mark.parametrize("call, err", [("fork", errno.EAGAIN)], ids=["fork"])
 def test_suites_stay_in_the_parent_where_pipe_or_fork_fails(
         tmp_path, monkeypatch, capsys, forks, call, err):
-    # no descriptor or no process to spare: verify runs the suites itself
-    # and writes what a platform without fork writes
+    # no process to spare: verify runs the suites itself and writes what a
+    # platform without fork writes
     argv = ["verify", "--mode", "properties"] + TOY_FLAGS
     with monkeypatch.context() as patch:
         patch.setattr(os, call, _raise(OSError(err, os.strerror(err))))
@@ -703,9 +692,9 @@ def test_no_child_outlives_verify(tmp_path, monkeypatch, forks, target, exc, rc)
 ])
 def test_failing_suites_exit_as_from_a_direct_call(tmp_path, monkeypatch, capsys,
                                                    forks, exc, rc, err):
-    # the child leaves without a report and the parent runs the suites
-    # itself, so the error surfaces once, from the parent, as it did when
-    # the parent alone ran them
+    # the child exits 1 and the parent runs the suites itself, so the
+    # error surfaces once, from the parent, as it did when the parent alone
+    # ran them
     monkeypatch.setattr(cli, "property_suites", _raise(exc))
     assert run(["verify", "--mode", "properties"] + TOY_FLAGS, tmp_path) == rc
     got = capsys.readouterr()
@@ -725,6 +714,54 @@ def test_child_without_a_report_leaves_the_suites_to_the_parent(
     assert run(argv, tmp_path) == 0
     assert (tmp_path / "cert.json").read_bytes() == want
     assert len(forks) == 2
+    _assert_no_child()
+
+
+def _counted(suites, calls):
+    """suites that first records the pid of the process calling it."""
+    def counted(seed):
+        calls.append(os.getpid())
+        return suites(seed)
+    return counted
+
+
+def test_child_exit_status_stands_for_its_report(tmp_path, monkeypatch, forks):
+    # the parent takes clean_report(seed) for a child that exits 0, so the
+    # two must agree; it runs the suites itself only when the child does not
+    # exit 0, here when the child is killed
+    for seed in range(4):
+        assert verifier.clean_report(seed) == verifier.property_suites(seed)
+    argv = ["verify", "--mode", "properties"] + TOY_FLAGS
+    kill = _suites_acting_in_the_child(lambda: os.kill(os.getpid(), signal.SIGKILL))
+    for suites, parent_calls in ((verifier.property_suites, 0), (kill, 1)):
+        calls = []
+        monkeypatch.setattr(cli, "property_suites", _counted(suites, calls))
+        assert run(argv, tmp_path) == 0
+        assert calls == [os.getpid()] * parent_calls
+    assert len(forks) == 2
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("mode, rc", [("all", 1), ("properties", 1)])
+def test_failing_suite_reported_as_without_fork(tmp_path, monkeypatch, capsys,
+                                               forks, mode, rc):
+    # a suite that lists a failure has the child exit 1; the parent reruns
+    # the suites and writes what a platform without fork writes
+    real = verifier.property_suites
+
+    def failing(seed):
+        prop = real(seed)
+        return replace(prop, suites=((*prop.suites[0][:2], ("case0",)),) + prop.suites[1:])
+
+    monkeypatch.setattr(cli, "property_suites", failing)
+    argv = ["verify", "--mode", mode, "--K", "3"] + TOY_FLAGS
+    assert run(argv, tmp_path) == rc
+    forked = capsys.readouterr(), (tmp_path / "cert.json").read_bytes()
+    assert "properties: 6 suites, 1 failures" in forked[0].out
+    monkeypatch.delattr(os, "fork")
+    assert run(argv, tmp_path) == rc
+    assert (capsys.readouterr(), (tmp_path / "cert.json").read_bytes()) == forked
+    assert len(forks) == 1
     _assert_no_child()
 
 
@@ -800,6 +837,34 @@ def test_report_artifacts(tmp_path):
     assert len(csv) == 8
     assert csv[2].startswith("1,4,")
     assert "e-8" in csv[2]  # |x_1.u| upper bound ~ 1.3e-8
+
+
+def _top(p):
+    """mid + rad of a stored dyadic payload."""
+    return sum(int(p[f"{part}_man"]) * Fraction(2) ** int(p[f"{part}_exp"])
+               for part in ("mid", "rad"))
+
+
+def test_report_prints_each_interval_top_rounded_up(tmp_path):
+    # the "(upper)" columns hold mid + rad of the stored interval, rounded up
+    # to cli.LIMIT_DIGITS significant digits, not its midpoint
+    assert run(["build"] + TOY_FLAGS, tmp_path) == 0
+    assert run(["report", "--state", str(tmp_path / "state.json")], tmp_path) == 0
+    series = load_document(str(tmp_path / "state.json"), "state")["series"]
+    rows = [row.split(",") for row in
+            (tmp_path / "series.csv").read_text().splitlines()[1:]]
+    assert rows[1] == ["1", "4", "0.06492467850", "1.296520383e-8"]
+    printed = 0
+    for entry, (_, _, delta, xu) in zip(series, rows):
+        for key, text in (("delta_up", delta), ("xu_up", xu)):
+            if key in entry:
+                top = _top(entry[key])
+                assert top <= Fraction(text) < top * (1 + Fraction(1, 10 ** 9))
+                printed += 1
+    assert printed == 12
+    # the radius counts where the midpoint alone rounds up to fewer digits
+    payload = {"mid_man": "1", "mid_exp": "0", "rad_man": "1", "rad_exp": "-40"}
+    assert cli._payload_upper(payload) == "1.000000001"
 
 
 def test_report_with_cert_section(tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import references as ref
+from gammacert import CertificateFailure
 from gammacert.exact import (IVec3, _gauss_reduce, complete_to_basis,
                              complete_single, cross, det3, dot, is_primitive_pair,
                              is_primitive_point, nearest_int, proj_dist_sq,
@@ -317,3 +318,11 @@ def test_complete_to_basis_rejects_a_wrong_z0(a, b, z0):
                     side_effect=AssertionError("fell back to solve_dot_one")):
         with pytest.raises(ValueError, match="z0"):
             complete_to_basis(a, b, z0)
+
+
+def test_complete_to_basis_checks_the_determinant_it_returns():
+    # a c with c.z0 = 1 that is not a x b passes the z0 check, and the
+    # coset of z0 then holds no z with det3(a, b, z) = 1
+    a, b = IVec3(1, 0, 0), IVec3(0, 1, 0)
+    with pytest.raises(CertificateFailure, match="basis_det"):
+        complete_to_basis(a, b, z0=a, c=a)

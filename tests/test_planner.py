@@ -1,5 +1,6 @@
 """Plan assembly: companion, multiplier, schedule exponents, invariants."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from typing import Optional
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from gammacert import (
     BallReal,
+    CertificateFailure,
     InputError,
     Plan,
     PsiSpec,
@@ -302,3 +304,12 @@ def test_entry_check_builds_only_the_clauses_it_probes(monkeypatch):
     assert all(names == list(planner._ENTRY_CLAUSES[:len(names)]) for names in per_check)
     built.clear()
     assert [c[0] for c in planner.plan_clauses(plan)] == built == list(planner._CLAUSES)
+
+
+def test_honest_schedule_raises_on_its_invariants():
+    # the toy plan's schedule misses growth_lower_i1 and records it; the
+    # same plan marked honest has schedule_X raise instead
+    plan = make_plan("sqrt2m1", E3, F(4, 5), PSI, 5, theta=F(3, 10), toy=True)
+    assert "growth_lower_i1" in schedule_X(plan).invariant_failures
+    with pytest.raises(CertificateFailure, match="schedule_invariants: growth_lower_i1"):
+        schedule_X(replace(plan, toy=False))

@@ -10,7 +10,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gammacert import BallReal, InputError, scan, slab_scan_iv, sqrt_int
+from gammacert import (BallReal, CertificateFailure, InputError, scan, slab_scan_iv,
+                       sqrt_int)
 from gammacert.builder import enclose_u, x_dot_u_lower
 from gammacert.exact import IVec3
 from gammacert.planner import PsiSpec
@@ -507,3 +508,15 @@ def test_input_validation(toy_state):
 def test_canonical_sign():
     assert _canonical(0, -2, 5) == (0, 2, -5)
     assert _canonical(3, -1, 0) == (3, -1, 0)
+
+
+def test_slab_checks_that_each_failing_point_lies_in_the_shell(monkeypatch, toy_state):
+    # a kernel that also returns a failing point at three times its norm,
+    # beyond the shell's 4 lo^2
+    def kernel(*args):
+        lines, candidates, fast, failing = _scan_lines(*args)
+        return lines, candidates, fast, list(failing) + [tuple(3 * c for c in failing[0])]
+
+    monkeypatch.setattr(scan, "_scan_lines", kernel)
+    with pytest.raises(CertificateFailure, match="slab_membership"):
+        slab_scan_iv(toy_state, skipped_clauses=())

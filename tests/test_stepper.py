@@ -298,3 +298,18 @@ def test_yspec_validation():
     with pytest.raises(InputError):
         YSpec.of_power(-1)
     assert YSpec.of_rational(F(7, 2)).ball().is_exact
+
+
+@pytest.mark.parametrize("x_star, x, y, x_prime, rows, clause", [
+    (E1, E2, 13, 32, -1, "xprime_norm_lower"),
+    (IVec3(1, 1, 0), IVec3(0, 0, 1), 5, 5, 1, "xprime_norm_upper"),
+])
+def test_xprime_norm_checks_fire(monkeypatch, x_star, x, y, x_prime, rows, clause):
+    # the located row n puts X' <= ||x'|| <= 5 C1 X'; one row off, x' is
+    # q_{n-1} y + ... or q_{n+1} y + ..., and leaves that range here
+    recursive_step(x_star, x, YSpec.of_rational(y), x_prime, table())
+    real_locate = stepper.locate_n
+    monkeypatch.setattr(stepper, "locate_n",
+                        lambda *args: real_locate(*args) + rows)
+    with pytest.raises(CertificateFailure, match=clause):
+        recursive_step(x_star, x, YSpec.of_rational(y), x_prime, table())

@@ -22,7 +22,7 @@ from gammacert import (
     schedule_X,
     verifier,
 )
-from gammacert.balls import DEFAULT_MAX_PREC, BallReal, sqrt_int
+from gammacert.balls import DEFAULT_MAX_PREC, BallReal, sqrt_int, sqrt_ratio
 from gammacert.builder import build, enclose_u, enclose_vw, x_dot_u_lower
 from gammacert.exact import IVec3, det3, dot
 from gammacert.planner import PsiSpec, plan_clauses
@@ -260,10 +260,18 @@ def _weight_for(x, num, rhs):
     return lambda t: w
 
 
+def _dist_vw_lower(x, venc, wenc):
+    """The least over v and w of sqrt(proj_dist_sq(x, rep)) - radius, the
+    lower bound on dist(x, {v, w}) that a refutation divides by."""
+    return min((sqrt_ratio(*exact.proj_dist_sq_terms(x, enc.rep)) - enc.radius
+                for enc in (venc, wenc)), key=lambda b: b.refined_to(128).lo)
+
+
 def test_pretest_declines_points_the_interval_path_refutes(monkeypatch,
                                                           toy_state):
-    # a weight that lifts each survivor's right side just above the least
-    # anchored upper bound on |x.u|, so the interval path refutes the point
+    # a weight that lifts each survivor's right side, with the lower
+    # numerator, just above the least anchored upper bound on |x.u|, so the
+    # interval path refutes the point
     sent = _sent_to_certify(
         monkeypatch, lambda: coeff_box_lemma3(toy_state, 3, k_bound=3))
     assert len(sent) == 42 and any(lattice for _, _, lattice in sent)
@@ -272,7 +280,7 @@ def test_pretest_declines_points_the_interval_path_refutes(monkeypatch,
             (BallReal.wrap(F(abs(dot(x, enc.rep)))) / enc.rep_norm
              + 2 * sqrt_int(x.norm_sq()) * enc.radius).refined_to(128).hi
             for enc in engine.encs.values())
-        num = dist_vw_upper(x, engine.venc, engine.wenc) if lattice else 1
+        num = _dist_vw_lower(x, engine.venc, engine.wenc) if lattice else 1
         weight = _weight_for(x, num, upper * (1 + F(1, 2 ** 20)))
         refuting = LowerBoundEngine(toy_state, 3, weight)
         assert refuting._certify_intervals(x, lattice, DEFAULT_MAX_PREC)[0] is False
@@ -282,18 +290,61 @@ def test_pretest_declines_points_the_interval_path_refutes(monkeypatch,
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_pretest_declines_points_orthogonal_to_every_anchor(toy_state, m):
     # x_m . u_m = x_m . u_{m+1} = 0, so with only those anchors no anchored
-    # lower bound on |x_m . u| is positive; a right side of twice the larger
-    # anchored upper bound 2 ||x_m|| radius_j has the interval path refute x_m
+    # lower bound on |x_m . u| is positive; a right side, with the lower
+    # numerator, of twice the larger anchored upper bound 2 ||x_m|| radius_j
+    # has the interval path refute x_m
     x = toy_state.xs[m]
     upper = max((2 * sqrt_int(x.norm_sq()) * enclose_u(toy_state, j).radius
                  ).refined_to(128).hi for j in (m, m + 1))
     vw = [enclose_vw(toy_state, kind) for kind in "VW"]
     for lattice in (False, True):
-        num = dist_vw_upper(x, *vw) if lattice else 1
+        num = _dist_vw_lower(x, *vw) if lattice else 1
         engine = LowerBoundEngine(toy_state, 2, _weight_for(x, num, 2 * upper))
         engine.order = [m, m + 1]
         assert engine._certify_intervals(x, lattice, DEFAULT_MAX_PREC)[0] is False
         assert not engine._pretest(x, lattice)
+
+
+def _one_anchor_engine(state, weight, v_rep, w_rep):
+    """An engine over the anchor (2, -3, 5) alone, with v, w and the anchor
+    of radius^2 1/100."""
+    engine = LowerBoundEngine(state, 2, weight)
+    engine.encs, engine.order = {1: DirectionEnclosure(IVec3(2, -3, 5), F(1, 100))}, [1]
+    engine.venc, engine.wenc = (DirectionEnclosure(r, F(1, 100)) for r in (v_rep, w_rep))
+    return engine
+
+
+@pytest.mark.parametrize("v_rep, w_rep", [(IVec3(1, 1, 0), IVec3(0, 1, 2)),
+                                          (IVec3(0, 1, 2), IVec3(1, 1, 0))])
+def test_interval_path_refutes_only_below_the_lower_right_side(toy_state, v_rep, w_rep):
+    # x = (1, 0, 0) on the span lattice: a weight that puts the right side
+    # with dist_vw_upper's numerator at 1.2 times the anchored upper bound
+    # on |x.u| leaves it, with the lower numerator of (1, 1, 0), below that
+    # bound, so dist(x, {v, w}) may put the true right side there too and
+    # the point is not refuted, whichever of v and w that direction is
+    x = IVec3(1, 0, 0)
+    engine = _one_anchor_engine(toy_state, None, v_rep, w_rep)
+    enc, venc, wenc = engine.encs[1], engine.venc, engine.wenc
+    upper = (BallReal.wrap(F(abs(dot(x, enc.rep)))) / enc.rep_norm
+             + 2 * enc.radius).refined_to(128).hi
+    assert F(5244, 10000) < upper < F(5245, 10000)
+    engine.weight = _weight_for(x, dist_vw_upper(x, venc, wenc), F(6, 5) * upper)
+    low = (_dist_vw_lower(x, venc, wenc) / engine.weight(None)).refined_to(128)
+    assert F(473, 1000) < low.lo < low.hi < F(474, 1000) < upper
+    assert engine._certify_intervals(x, True, DEFAULT_MAX_PREC)[0] is None
+
+
+def test_interval_path_does_not_refute_at_a_tie(toy_state):
+    # a weight that puts the lower right side of v = (1, 1, 0) exactly at
+    # the anchored upper bound on |x.u|: the compare stays undecided, which
+    # refutes nothing, though w's lower right side lies above the bound
+    x = IVec3(1, 0, 0)
+    engine = _one_anchor_engine(toy_state, None, IVec3(1, 1, 0), IVec3(0, 1, 2))
+    enc = engine.encs[1]
+    upper = BallReal.wrap(F(2)) / enc.rep_norm + 2 * enc.radius  # x.rep = 2
+    low_v = sqrt_ratio(*exact.proj_dist_sq_terms(x, engine.venc.rep)) - engine.venc.radius
+    engine.weight = _weight_for(x, low_v, upper)
+    assert engine._certify_intervals(x, True, 256)[0] is None
 
 
 def test_pretest_sound_at_every_working_precision(monkeypatch, toy_state):
