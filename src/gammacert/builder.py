@@ -23,7 +23,6 @@ certifiably below 1/2), recorded by the tail_halving_generic verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Tuple
@@ -33,13 +32,14 @@ from .cf import ALPHA_PRESETS, ConvergentTable
 from .errors import CertificateFailure, InputError
 from .exact import IVec3, cross, dot, is_primitive_point, proj_dist_sq_terms
 from .planner import Plan, Schedule, XScale
+from .record import mutable_record, record
 from .stepper import (StepCertificate, StepOutput, Verdict, YSpec, certify,
                       recursive_step)
 
 Rat = Fraction
 
 
-@dataclass(frozen=True)
+@record
 class DirectionEnclosure:
     """Integer representative plus a certified squared-radius bound.
 
@@ -61,14 +61,14 @@ class DirectionEnclosure:
         return BallReal.wrap(self.radius_sq_ub).sqrt()
 
 
-@dataclass(frozen=True)
+@record
 class LedgerEntry:
     index: int
     delta_ub: Rat  # certified rational upper bound on delta_i
     verdicts: Tuple[Verdict, ...]
 
 
-@dataclass
+@mutable_record
 class ConstructionState:
     plan: Plan
     schedule: Schedule
@@ -80,7 +80,7 @@ class ConstructionState:
     base_verdicts: List[Verdict]
     # us[k] = cross(xs[k], xs[k+1]), the u_{k+1} of the ledger: each taken
     # once, by build or by the step that made xs[k+1]
-    us: List[IVec3] = field(default_factory=list)
+    us: List[IVec3]
 
     @property
     def n_steps(self) -> int:

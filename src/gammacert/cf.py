@@ -17,15 +17,15 @@ integer arithmetic. locate_n walks the cursor forward with q_{n-1} <= T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .balls import BallReal, DEFAULT_MAX_PREC, cert_le
 from .errors import CertificateFailure, InputError, UndecidedError
+from .record import mutable_record, record
 
 
-@dataclass(frozen=True)
+@record
 class QF:
     """Element p + q*sqrt(d) of the real quadratic field Q(sqrt d).
 
@@ -84,7 +84,7 @@ class QF:
         return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
 
 
-@dataclass(frozen=True)
+@record
 class AlphaSpec:
     """A named quadratic irrational (a + b sqrt d)/c with its growth constant."""
 
@@ -344,7 +344,7 @@ def locate_n(T: Union[int, Fraction, BallReal], table: ConvergentTable,
         table.extend_to(len(table) + 1)
 
 
-@dataclass
+@mutable_record
 class BadApproxReport:
     q_max: int
     blocks: int
@@ -369,7 +369,7 @@ def certify_bad_approx(table: ConvergentTable, q_max: int) -> BadApproxReport:
     return BadApproxReport(q_max, n - 1)  # one block per row 1..n-1
 
 
-@dataclass
+@mutable_record
 class GapReport:
     n: int
     min_scaled: Fraction  # min over q of 2 C1 q min_p |q p_n - p q_n| / q_n

@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -26,6 +25,7 @@ from .builder import ConstructionState, build
 from .errors import CertificateFailure, GammaCertError, InputError, UndecidedError
 from .exact import IVec3
 from .planner import Plan, PsiSpec, Schedule, make_plan, schedule_X
+from .record import record
 from .scan import slab_scan_iv
 from .serialize import (dump_document, load_document, plan_body, report_body,
                         state_body)
@@ -40,7 +40,7 @@ LIMIT_DIGITS = 10  # significant digits of each bound build and report print
 PAYLOAD_EXP_LIMIT = 1 << 22  # report's cap on |exponent| (6-step honest: 420,809)
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     """Each run parameter's name, type and default, stated once: the config
     keys, the flags and the overrides are derived from these fields, and
@@ -107,7 +107,7 @@ _PARSERS = {
     "bool": _exact(bool, "true or false"),
     "IVec3": _vec,
 }
-_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
+_FIELD_PARSERS = {name: _PARSERS[kind] for name, kind in RunConfig.__annotations__.items()}
 
 # the least value of each bounded integer parameter; b, when set, must be positive
 _LEAST = {"steps": 1, "k": 1, "k_near": 1, "max_prec": DEFAULT_PREC}
@@ -391,13 +391,13 @@ def _verify(cfg: RunConfig, suites: Optional[_SuitesChild]) -> int:
 
 def _config_body(cfg: RunConfig) -> dict:
     body = {}
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
+    for name in RunConfig._fields:
+        v = getattr(cfg, name)
         if isinstance(v, Fraction):
             v = f"{v.numerator}/{v.denominator}"
         elif isinstance(v, IVec3):
             v = ",".join(str(c) for c in v.as_tuple())
-        body[f.name] = v
+        body[name] = v
     return body
 
 
@@ -476,18 +476,19 @@ class _Parser(argparse.ArgumentParser):
 # flags not spelled `--` + the field name with `_` as `-`
 _FLAG_SPELLING = {"b": "--B", "k": "--K", "k_near": "--K-near"}
 
+# (flag, field name, add_argument keywords) of each field's flag; c1 is set
+# by the config file only and mode by `verify --mode`
+_FLAGS = [(_FLAG_SPELLING.get(name, "--" + name.replace("_", "-")), name,
+           dict(action="store_const", const=True) if kind == "bool"
+           else dict(type=int if kind == "int" else None))
+          for name, kind in RunConfig.__annotations__.items()
+          if name not in ("c1", "mode")]
+
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="JSON config file")
-    for f in fields(RunConfig):
-        if f.name in ("c1", "mode"):  # config file only; `verify --mode`
-            continue
-        flag = _FLAG_SPELLING.get(f.name, "--" + f.name.replace("_", "-"))
-        if f.type == "bool":
-            sub.add_argument(flag, dest=f.name, action="store_const", const=True)
-        else:
-            sub.add_argument(flag, dest=f.name,
-                             type=int if f.type == "int" else None)
+    for flag, name, how in _FLAGS:
+        sub.add_argument(flag, dest=name, **how)
 
 
 def build_parser() -> argparse.ArgumentParser:

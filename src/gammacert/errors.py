@@ -1,4 +1,5 @@
-"""Shared exception types mapped to CLI exit codes by the command layer."""
+"""Shared exception types.  The command layer maps GammaCertError and its
+subclasses to CLI exit codes."""
 
 
 class GammaCertError(Exception):
@@ -25,3 +26,7 @@ class UndecidedError(GammaCertError):
         self.what = what
         self.prec = prec
         super().__init__(f"undecided at {prec} bits: {what}")
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""

@@ -13,22 +13,22 @@ certified comparisons live in `balls`.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import CertificateFailure, InputError
+from .record import frozen_delattr, frozen_setattr
 
 
 class IVec3:
     """Immutable integer vector in Z^3.
 
-    A slotted class with a frozen dataclass's behaviour: assigning or
-    deleting a coordinate raises FrozenInstanceError, an IVec3 equals only
-    another IVec3, and the hash and repr are the dataclass's.  Every
+    A slotted class with a frozen record's behaviour (`record.py`):
+    assigning or deleting a coordinate raises FrozenInstanceError, an IVec3
+    equals only another IVec3, and the hash and repr are a record's.  Every
     arithmetic method builds a vector, so __init__ sets the slots through
-    their descriptors, at about half the cost of the dataclass's three
-    object.__setattr__ calls.
+    their descriptors, at about half the cost of three object.__setattr__
+    calls.
     """
 
     __slots__ = ("x", "y", "z")
@@ -38,11 +38,7 @@ class IVec3:
         _set_y(self, y)
         _set_z(self, z)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__, __delattr__ = frozen_setattr, frozen_delattr
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not IVec3:

@@ -18,7 +18,6 @@ exactly representable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
@@ -28,11 +27,12 @@ from .cf import ALPHA_PRESETS
 from .errors import CertificateFailure, InputError, UndecidedError
 from .exact import (IVec3, complete_single, complete_to_basis, floor_log2,
                     is_primitive_point, proj_dist_sq)
+from .record import record
 
 Rat = Fraction
 
 
-@dataclass(frozen=True)
+@record
 class PsiSpec:
     """The comparison family psi(t) = c * t^e with positive rational c, e."""
 
@@ -47,7 +47,7 @@ class PsiSpec:
         return BallReal.wrap(self.c) * t.pow(self.e)
 
 
-@dataclass(frozen=True)
+@record
 class XScale:
     """A scale X carried by its exact square; optionally an exact power of two."""
 
@@ -74,7 +74,7 @@ class XScale:
         return BallReal.wrap(self.sq) ** ((BallReal.golden() + c) / 2)
 
 
-@dataclass(frozen=True)
+@record
 class Plan:
     alpha: str
     c1: Rat
@@ -98,7 +98,7 @@ class Plan:
         return self.x1.norm_sq()
 
 
-@dataclass(frozen=True)
+@record
 class Schedule:
     exponents: Tuple[int, ...]  # X_{i} = 2^exponents[i-2] for i = 2 .. n_steps+1
     witnesses: Tuple[Dict[str, object], ...]

@@ -41,7 +41,6 @@ admits depends on the direction's two smaller coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -49,6 +48,7 @@ from .balls import BallReal, DEFAULT_MAX_PREC, PAYLOAD_PREC, sqrt_int
 from .builder import ConstructionState, x_dot_u_lower
 from .errors import CertificateFailure, InputError
 from .exact import IVec3, dot
+from .record import record, replace
 from .verifier import LowerBoundEngine
 
 Rat = Fraction
@@ -56,7 +56,7 @@ Rat = Fraction
 M_BITS = 40  # fixed-point scale of the integer direction vector
 
 
-@dataclass(frozen=True)
+@record
 class ScanReport:
     range_lo_sq: Rat
     range_hi_sq: Rat

@@ -6,15 +6,14 @@ keys and tight separators.  One encoder, `_enc`, decides every field value:
 integers are decimal strings (they routinely exceed any interoperable
 numeric range), rationals are "num/den", vectors are lists of three such
 strings, interval enclosures are dyadic mid/rad payloads at 192 bits, and
-any other dataclass is an object of its encoded fields, so the plan, the
+a record (`record.py`) is an object of its encoded fields, so the plan, the
 verdict lists and every verifier or scan report take their layout from
-their dataclass.  Loading verifies the hash and rejects unknown schema
+their record class.  Loading verifies the hash and rejects unknown schema
 versions.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -42,8 +41,9 @@ def _enc(obj):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, IVec3):
         return [str(c) for c in obj.as_tuple()]
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _enc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    fields = getattr(obj, "_fields", None)
+    if fields is not None:
+        return {name: _enc(getattr(obj, name)) for name in fields}
     if isinstance(obj, BallReal):
         return ball_payload(obj)
     if isinstance(obj, (list, tuple)):
@@ -157,7 +157,7 @@ def state_body(state: ConstructionState) -> dict:
 
 
 def report_body(obj) -> dict:
-    """Body of a verifier or scan report (any dataclass)."""
-    if not dataclasses.is_dataclass(obj):
+    """Body of a verifier or scan report (any record)."""
+    if not hasattr(obj, "_fields"):
         raise InputError(f"not a report: {type(obj).__name__}")
     return _enc(obj)

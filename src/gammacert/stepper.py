@@ -10,7 +10,6 @@ rational base squared) and only ever compared, never rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -27,11 +26,12 @@ from .exact import (
     nearest_int,
     proj_dist_sq_terms,
 )
+from .record import record
 
 Rat = Fraction
 
 
-@dataclass(frozen=True)
+@record
 class YSpec:
     """Either an exact rational, or the power base_sq^(gamma/2).
 
@@ -64,7 +64,7 @@ class YSpec:
         return BallReal.wrap(self.base_sq) ** BallReal.golden()
 
 
-@dataclass(frozen=True)
+@record
 class StepOutput:
     y: IVec3
     x_prime: IVec3
@@ -77,7 +77,7 @@ class StepOutput:
     u_prime: IVec3  # cross(x, x'), certified primitive
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     name: str
     passed: bool
@@ -98,7 +98,7 @@ def certify(name: str, lhs, rhs, max_prec: int, verdicts: List[Verdict]) -> None
     verdicts.append(Verdict(name, True, prec))
 
 
-@dataclass(frozen=True)
+@record
 class StepCertificate:
     verdicts: Tuple[Verdict, ...]
 

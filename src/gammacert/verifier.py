@@ -34,7 +34,6 @@ enclosures with escalating precision elsewhere.  No verdict rests on floats.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, isqrt
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -48,6 +47,7 @@ from .exact import (IVec3, complete_to_basis, cross, det3, dot, floor_log2,
                     is_primitive_pair, proj_dist_sq_terms,
                     smith_invariants_3x2)
 from .planner import plan_clauses
+from .record import record
 from .stepper import Verdict
 
 Rat = Fraction
@@ -61,7 +61,7 @@ def c4_of(plan) -> Rat:
 # starred-threshold audit
 
 
-@dataclass(frozen=True)
+@record
 class StarredClause:
     name: str
     lhs: Tuple[Rat, Rat]  # certified interval around the instantiated left side
@@ -70,7 +70,7 @@ class StarredClause:
     prec: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class StarredLedger:
     clauses: Tuple[StarredClause, ...]
 
@@ -150,14 +150,14 @@ def starred_ledger_audit(state: ConstructionState,
 # condition (iii) witnesses
 
 
-@dataclass(frozen=True)
+@record
 class WitnessSample:
     x_sq: Rat
     witness_index: int
     verdicts: Tuple[Verdict, ...]
 
 
-@dataclass(frozen=True)
+@record
 class WitnessReport:
     c: Rat
     samples: Tuple[WitnessSample, ...]
@@ -238,7 +238,7 @@ def check_condition_iii(state: ConstructionState,
 # coefficient-box enumeration
 
 
-@dataclass(frozen=True)
+@record
 class BoxReport:
     index: int
     k_bound: int
@@ -250,12 +250,18 @@ class BoxReport:
     undecided: Tuple[str, ...]
 
 
-def dist_vw_upper(x: IVec3, venc: DirectionEnclosure,
-                  wenc: DirectionEnclosure) -> BallReal:
-    """A ball whose value upper-bounds dist(x, {v, w})."""
+def _rep_dists(x: IVec3, encs: Tuple[DirectionEnclosure, ...]) -> List[BallReal]:
+    """dist(x, rep) = sqrt(proj_dist_sq(x, rep)) for each enclosure's rep."""
+    return [sqrt_ratio(*proj_dist_sq_terms(x, enc.rep)) for enc in encs]
+
+
+def dist_vw_upper(x: IVec3, venc: DirectionEnclosure, wenc: DirectionEnclosure,
+                  dists: Optional[List[BallReal]] = None) -> BallReal:
+    """A ball whose value upper-bounds dist(x, {v, w}); dists, when given,
+    is _rep_dists(x, (venc, wenc)), which is built here otherwise."""
     best = None
-    for enc in (venc, wenc):
-        cand = sqrt_ratio(*proj_dist_sq_terms(x, enc.rep)) + enc.radius
+    for enc, dist in zip((venc, wenc), dists or _rep_dists(x, (venc, wenc))):
+        cand = dist + enc.radius
         if best is None or cand.refined_to(96).hi < best.refined_to(96).hi:
             best = cand
     return best
@@ -389,10 +395,13 @@ class LowerBoundEngine:
         """certify's interval path: anchored interval bounds, refined up to
         max_prec, against the right side with dist_vw_upper's numerator to
         pass x, and to refute it with the lower numerator of both v and w:
-        sqrt(proj_dist_sq(x, rep)) - radius, by the triangle inequality."""
+        sqrt(proj_dist_sq(x, rep)) - radius, by the triangle inequality.
+        Both numerators read one ball of sqrt(proj_dist_sq(x, rep)) each."""
         nx = sqrt_int(x.norm_sq())
         denom = self.weight(nx) * nx.pow(self.gamma)
-        rhs = (dist_vw_upper(x, self.venc, self.wenc) if lattice else 1) / denom
+        encs = (self.venc, self.wenc)
+        dists = _rep_dists(x, encs) if lattice else []
+        rhs = (dist_vw_upper(x, self.venc, self.wenc, dists) if lattice else 1) / denom
         last_prec = 0
         for j in self.order:
             if dot(x, self.encs[j].rep) == 0:
@@ -401,8 +410,8 @@ class LowerBoundEngine:
             last_prec = max(last_prec, prec)
             if ok is True:
                 return True, prec
-        lows = [(sqrt_ratio(*proj_dist_sq_terms(x, enc.rep)) - enc.radius) / denom
-                for enc in (self.venc, self.wenc)] if lattice else [rhs]
+        lows = [(dist - enc.radius) / denom
+                for dist, enc in zip(dists, encs)] if lattice else [rhs]
         for j in self.order:
             enc = self.encs[j]
             ub = (BallReal.wrap(Fraction(abs(dot(x, enc.rep)))) / enc.rep_norm
@@ -486,7 +495,7 @@ def coeff_box_lemma3(state: ConstructionState, i: int, k_bound: int = 8,
 # perpendicular-frame sandwich
 
 
-@dataclass(frozen=True)
+@record
 class SandwichVerdict:
     lower_ok: bool
     upper_ok: bool
@@ -532,7 +541,7 @@ def vperp_sandwich_check(u_rep: IVec3, v_rep: IVec3, w_rep: IVec3,
 # seeded property suites
 
 
-@dataclass(frozen=True)
+@record
 class PropertyReport:
     seed: int
     suites: Tuple[Tuple[str, int, Tuple[str, ...]], ...]

@@ -13,7 +13,6 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -26,6 +25,7 @@ from gammacert.cli import (MODES, RunConfig, _config_body, _flag_overrides,
                            build_parser, config_from_sources, main)
 from gammacert.errors import CertificateFailure, InputError, UndecidedError
 from gammacert.exact import IVec3
+from gammacert.record import replace
 from gammacert.serialize import body_hash, dump_document, load_document
 
 TOY_FLAGS = ["--alpha", "sqrt2m1", "--x0", "0,0,1", "--delta", "4/5",
@@ -100,13 +100,18 @@ def _run_module(argv, timeout, python_flags=()):
     return _run_python([*python_flags, "-m", "gammacert"] + argv, timeout)
 
 
+# modules no command loads: the package uses neither numpy (the slab kernel
+# is pure integer arithmetic) nor concurrent.futures, and builds its records
+# without dataclasses, which loads inspect
+UNLOADED = ("dataclasses", "inspect", "numpy", "concurrent.futures")
+
 # runs toy commands in process and prints, after the import and after each
-# command, its exit code and whether numpy and concurrent.futures are loaded
+# command, its exit code and which of UNLOADED are loaded
 NUMPY_PROBE = """
 import json, os, sys
 from gammacert import cli
 out, flags = sys.argv[1], sys.argv[2:]
-loaded = lambda: ["numpy" in sys.modules, "concurrent.futures" in sys.modules]
+loaded = lambda: [name for name in %r if name in sys.modules]
 seen = [["import", None, loaded()]]
 for name, argv in (("plan", ["plan"]), ("build", ["build"]),
                    ("report", ["report", "--state",
@@ -116,19 +121,31 @@ for name, argv in (("plan", ["plan"]), ("build", ["build"]),
     rc = cli.main(argv + flags + ["--out", out])
     seen.append([name, rc, loaded()])
 print(json.dumps(seen))
-"""
+""" % (UNLOADED,)
 
 
 def test_no_command_loads_numpy(tmp_path):
-    # the package uses neither numpy (the slab kernel is pure integer
-    # arithmetic) nor concurrent.futures, so no command, the slab scan
-    # included, pays for either import
+    # neither the import nor any command, the slab scan included, pays for
+    # importing one of UNLOADED
     got = _run_python(["-c", NUMPY_PROBE, str(tmp_path)] + TOY_FLAGS, 600)
     assert got.returncode == 0, got.stderr
     assert json.loads(got.stdout.splitlines()[-1]) == [
-        ["import", None, [False, False]], ["plan", 0, [False, False]],
-        ["build", 0, [False, False]], ["report", 0, [False, False]],
-        ["audit", 1, [False, False]], ["slab", 0, [False, False]]]
+        ["import", None, []], ["plan", 0, []], ["build", 0, []],
+        ["report", 0, []], ["audit", 1, []], ["slab", 0, []]]
+
+
+def _src_imports():
+    """(file name, top-level module name) of every import under src/gammacert."""
+    src = os.path.join(ROOT, "src", "gammacert")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    yield from ((name, a.name.split(".")[0]) for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    yield name, node.module.split(".")[0]
 
 
 def test_third_party_imports_are_the_runtime_dependencies():
@@ -139,19 +156,15 @@ def test_third_party_imports_are_the_runtime_dependencies():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     names = {re.match(r"[\w.-]+", dep).group() for dep in deps}
-    src = os.path.join(ROOT, "src", "gammacert")
-    imported = set()
-    for name in sorted(os.listdir(src)):
-        if name.endswith(".py"):
-            with open(os.path.join(src, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), name)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    imported |= {a.name.split(".")[0] for a in node.names}
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    imported.add(node.module.split(".")[0])
+    imported = {module for _, module in _src_imports()}
     third_party = imported - set(sys.stdlib_module_names) - {"gammacert"}
     assert third_party == names == {"mpmath"}
+
+
+def test_src_does_not_import_dataclasses():
+    # the records are built by gammacert.record; dataclasses would cost every
+    # command its import, and inspect's, at start-up
+    assert [name for name, module in _src_imports() if module == "dataclasses"] == []
 
 
 def test_verify_all_under_optimize(tmp_path):
@@ -1058,7 +1071,7 @@ FLAG_SAMPLES = {
     "mode": ("box", ["--mode", "box"]),
     "toy": (True, ["--toy"]),
 }
-FIELD_NAMES = [f.name for f in fields(RunConfig)]
+FIELD_NAMES = list(RunConfig._fields)
 
 
 def test_every_parameter_but_c1_has_a_flag():
@@ -1123,8 +1136,8 @@ def test_config_values_parse_or_exit_3(tmp_path_factory, raw):
         cfg.psi()
     except InputError:
         return
-    for f in fields(RunConfig):
-        assert type(getattr(cfg, f.name)) in _FIELD_TYPES[f.type], f.name
+    for name, kind in RunConfig.__annotations__.items():
+        assert type(getattr(cfg, name)) in _FIELD_TYPES[kind], name
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,6 @@ import copy
 import math
 import pickle
 import random
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 
 import references as ref
 from gammacert import CertificateFailure
+from gammacert.errors import FrozenInstanceError
 from gammacert.exact import (IVec3, _gauss_reduce, complete_to_basis,
                              complete_single, cross, det3, dot, is_primitive_pair,
                              is_primitive_point, nearest_int, proj_dist_sq,
@@ -64,8 +64,8 @@ def test_basic_ops():
 
 
 def test_ivec3_is_an_immutable_value():
-    # what the frozen dataclass gave its callers: no assignment or deletion,
-    # equality only with another IVec3, the tuple's hash, the dataclass
+    # what a frozen record gives its callers: no assignment or deletion,
+    # equality only with another IVec3, the tuple's hash, the record's
     # repr, and a pickle round trip
     a = IVec3(1, -2, 3)
     for name in ("x", "y", "z", "w"):

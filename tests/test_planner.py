@@ -1,6 +1,5 @@
 """Plan assembly: companion, multiplier, schedule exponents, invariants."""
 
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from typing import Optional
@@ -26,6 +25,7 @@ from gammacert.balls import DEFAULT_MAX_PREC, cert_le, sqrt_int
 from gammacert.cf import ALPHA_PRESETS
 from gammacert.exact import (IVec3, complete_single, complete_to_basis,
                              is_primitive_pair, is_primitive_point, proj_dist_sq)
+from gammacert.record import replace
 
 E3 = IVec3(0, 0, 1)
 PSI = PsiSpec(F(1), 1)

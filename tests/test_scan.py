@@ -1,6 +1,5 @@
 """Slab scan: frozen counts, brute-force exhaustiveness, guard behavior."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -15,6 +14,7 @@ from gammacert import (BallReal, CertificateFailure, InputError, scan, slab_scan
 from gammacert.builder import enclose_u, x_dot_u_lower
 from gammacert.exact import IVec3
 from gammacert.planner import PsiSpec
+from gammacert.record import replace
 from gammacert.verifier import LowerBoundEngine
 from gammacert.scan import (
     M_BITS,
@@ -454,8 +454,8 @@ def test_below_threshold(toy_state):
 def test_guard_margin_failure(toy_state):
     # a tiny psi inflates the threshold past what the guard can certify: the
     # scan records that as undecided instead of scanning
-    plan = dataclasses.replace(toy_state.plan, psi=PsiSpec(F(1, 10 ** 12), 1))
-    r = slab_scan_iv(dataclasses.replace(toy_state, plan=plan), 2403,
+    plan = replace(toy_state.plan, psi=PsiSpec(F(1, 10 ** 12), 1))
+    r = slab_scan_iv(replace(toy_state, plan=plan), 2403,
                      skipped_clauses=())
     assert r.undecided == ("slab_guard_margin",)
     assert (r.lines, r.candidates) == (0, 0) and not r.below_threshold

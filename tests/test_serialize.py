@@ -89,7 +89,7 @@ def test_report_body_generic(toy_state):
     assert body["points_total"] == "4912"
     assert body["violations"] == []
     with pytest.raises(InputError):
-        report_body({"not": "a dataclass"})
+        report_body({"not": "a record"})
 
 
 def test_floats_are_not_serialized():

@@ -4,7 +4,6 @@ import fractions
 import math
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -26,6 +25,7 @@ from gammacert.balls import DEFAULT_MAX_PREC, BallReal, sqrt_int, sqrt_ratio
 from gammacert.builder import build, enclose_u, enclose_vw, x_dot_u_lower
 from gammacert.exact import IVec3, det3, dot
 from gammacert.planner import PsiSpec, plan_clauses
+from gammacert.record import replace
 from gammacert.scan import slab_scan_iv
 from gammacert.serialize import canonical_bytes, report_body
 from gammacert.verifier import (
@@ -332,6 +332,32 @@ def test_interval_path_refutes_only_below_the_lower_right_side(toy_state, v_rep,
     low = (_dist_vw_lower(x, venc, wenc) / engine.weight(None)).refined_to(128)
     assert F(473, 1000) < low.lo < low.hi < F(474, 1000) < upper
     assert engine._certify_intervals(x, True, DEFAULT_MAX_PREC)[0] is None
+
+
+@pytest.mark.parametrize("v_rep, w_rep", [(IVec3(1, 1, 0), IVec3(0, 1, 2)),
+                                          (IVec3(0, 1, 2), IVec3(1, 1, 0))])
+def test_interval_path_builds_each_distance_once(monkeypatch, toy_state, v_rep, w_rep):
+    # x = (1, 0, 0) reaches the refutation loop under both weights: the
+    # right side at 1.2 times the anchored upper bound leaves it undecided,
+    # a weight with numerator 1/1000 at a quarter of it refutes it.  The
+    # upper numerator and the lower ones read one ball of sqrt(proj_dist_sq)
+    # each of v and w: two proj_dist_sq_terms calls where building them
+    # twice took four, with the same verdicts and precisions
+    x = IVec3(1, 0, 0)
+    engine = _one_anchor_engine(toy_state, None, v_rep, w_rep)
+    enc = engine.encs[1]
+    upper = (BallReal.wrap(F(abs(dot(x, enc.rep)))) / enc.rep_norm
+             + 2 * enc.radius).refined_to(128).hi
+    real, calls = verifier.proj_dist_sq_terms, []
+    monkeypatch.setattr(verifier, "proj_dist_sq_terms",
+                        lambda *args: calls.append(args) or real(*args))
+    for num, rhs, want in (
+            (dist_vw_upper(x, engine.venc, engine.wenc), F(6, 5) * upper, (None, 64)),
+            (BallReal.wrap(F(1, 1000)), upper / 4, (False, 64))):
+        engine.weight = _weight_for(x, num, rhs)
+        calls.clear()
+        assert engine._certify_intervals(x, True, DEFAULT_MAX_PREC) == want
+        assert calls == [(x, engine.venc.rep), (x, engine.wenc.rep)]
 
 
 def test_interval_path_does_not_refute_at_a_tie(toy_state):
